@@ -26,18 +26,15 @@ def max_harmonics(n_channels: int) -> int:
 class FourierBasis:
     """Truncated real DFT operator for spectra of a fixed channel count.
 
-    ``real_rows`` and ``imag_rows`` are the unscaled (M, L) cosine and
-    negative-sine rows including the unitary 1/sqrt(L) factor; ``scale``
-    holds the per-harmonic weights applied on top (1 for DC and Nyquist,
-    sqrt(2) otherwise).
+    ``operator`` is the (2M, L) matrix whose first M rows are the weighted
+    cosine rows and last M rows the weighted negative-sine rows, each
+    including the unitary 1/sqrt(L) factor and the harmonic weight (1 for
+    DC and Nyquist, sqrt(2) otherwise).
     """
 
     n_channels: int
     n_harmonics: int
-    real_rows: FloatArray
-    imag_rows: FloatArray
-    scale: FloatArray
-    operator: FloatArray = field(repr=False, default=None)  # type: ignore[assignment]
+    operator: FloatArray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.n_channels < 2:
@@ -47,18 +44,10 @@ class FourierBasis:
                 f"n_harmonics must be in [1, {max_harmonics(self.n_channels)}], "
                 f"got {self.n_harmonics}"
             )
-        expected = (self.n_harmonics, self.n_channels)
-        if self.real_rows.shape != expected or self.imag_rows.shape != expected:
-            raise ValueError("basis row shapes do not match (M, L)")
-        if self.scale.shape != (self.n_harmonics,):
-            raise ValueError("scale must have one weight per harmonic")
-        if np.any(self.imag_rows[0] != 0.0):
+        if self.operator.shape != (2 * self.n_harmonics, self.n_channels):
+            raise ValueError("operator shape does not match (2M, L)")
+        if np.any(self.operator[self.n_harmonics] != 0.0):
             raise ValueError("imaginary row of the DC harmonic must be zero")
-        if self.operator is None:
-            op = np.vstack(
-                [self.scale[:, None] * self.real_rows, self.scale[:, None] * self.imag_rows]
-            )
-            object.__setattr__(self, "operator", op)
 
     @property
     def dim_reduced(self) -> int:
@@ -75,16 +64,15 @@ def build_basis(n_channels: int, n_harmonics: int) -> FourierBasis:
     k = np.arange(n_harmonics)[:, None]
     n = np.arange(n_channels)[None, :]
     angles = 2.0 * np.pi * k * n / n_channels
-    root = np.sqrt(float(n_channels))
-    real_rows = np.cos(angles) / root
-    imag_rows = -np.sin(angles) / root
-    imag_rows[0, :] = 0.0  # exact zero rather than -sin(0) signed zeros
+    operator = np.vstack([np.cos(angles), -np.sin(angles)]) / np.sqrt(float(n_channels))
+    operator[n_harmonics] = 0.0  # exact zero rather than -sin(0) signed zeros
 
     scale = np.full(n_harmonics, np.sqrt(2.0))
     scale[0] = 1.0
     if n_channels % 2 == 0 and n_harmonics - 1 == n_channels // 2:
         scale[-1] = 1.0  # Nyquist row is self-conjugate
-    return FourierBasis(n_channels, n_harmonics, real_rows, imag_rows, scale)
+    operator *= np.tile(scale, 2)[:, None]
+    return FourierBasis(n_channels, n_harmonics, operator)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Streaming state estimators for the reduced mixing model.
 
-The state is the column-stacked reduced endmember matrix, a vector of
-length 2MK whose k-th block of size 2M is endmember k.  Each incoming
-reduced observation y (length 2M) relates to the state through
-``H = c^T (x) I_2M`` for the concentration vector c, so ``H s`` is the
-c-weighted sum of the state blocks.  H is never materialized: every
-product with H or H^T is computed block-wise, which keeps the per-update
-cost at O(K^2 (2M)^2 + (2M)^3).
+The state mean is the (K, 2M) matrix whose row k is reduced endmember k.
+An incoming reduced observation y (length 2M) relates to it through the
+concentration vector c as ``y = c @ mean + noise``; stacked row-wise, that
+is the observation matrix ``H = c^T (x) I_2M`` acting on a state of length
+2MK.  A 2MK x 2MK covariance of the form ``Sigma (x) I_2M`` keeps that form
+under every update with this H, so each update carries only the K x K
+matrix Sigma and costs O(K^2 + K 2M).
 
-Three updates share this observation structure: a Kalman filter on a
-random-walk state, exponentially weighted recursive least squares, and a
-normalized gradient step driven by the concentration Gram matrix.
+Three gain rules share this structure: a Kalman filter on a random-walk
+state, exponentially weighted recursive least squares, and a normalized
+gradient step driven by the concentration Gram matrix.  Each computes a
+K-vector gain g and moves every row of the mean by ``g_k (y - c @ mean)``.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from .datamodel import FloatArray
 
-# Observation covariances with condition numbers beyond this are treated as
-# numerically singular.
+# Gram matrices with condition numbers beyond this get a ridge before the
+# gradient-step solve.
 COND_LIMIT = 1e12
 
 
 class NumericalError(RuntimeError):
-    """Raised when an update encounters a numerically singular system."""
+    """Raised when an update meets non-finite input or a singular system."""
 
 
 @dataclass(frozen=True)
@@ -44,114 +45,76 @@ class NoiseConfig:
             raise ValueError("sigma_e2 must be > 0")
 
 
-def _check_mean_cov(mean: FloatArray, cov: FloatArray, sym_tol: float) -> None:
-    if mean.ndim != 1:
-        raise ValueError("state mean must be a vector")
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("state mean contains non-finite entries")
-    if cov.shape != (mean.size, mean.size):
-        raise ValueError(
-            f"covariance shape {cov.shape} does not match state dimension {mean.size}"
-        )
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("covariance contains non-finite entries")
-    if np.max(np.abs(cov - cov.T)) > sym_tol:
-        raise ValueError("covariance is not symmetric")
-
-
 @dataclass(frozen=True)
 class FilterState:
-    """Gaussian state belief: mean (2MK,), covariance (2MK, 2MK), step index.
+    """Estimator state: mean (K, 2M) and one symmetric K x K matrix.
 
-    The covariance is kept symmetric by construction; positive
-    semidefiniteness (eigenvalues >= -1e-10 at rest, >= -1e-8 across long
-    update sequences) is a maintained invariant checked by
-    :meth:`validate` rather than on every construction.
+    The matrix is the row covariance Sigma for :func:`kf_update`, the
+    inverse-Gram P for :func:`rls_update` and the concentration Gram A for
+    :func:`dl_update`.  Positive semidefiniteness (eigenvalues >= -1e-10 at
+    rest, >= -1e-8 across long update sequences) is a maintained invariant
+    checked by :meth:`validate` rather than on every construction.
     """
 
     mean: FloatArray
-    covariance: FloatArray
-    t: int
+    matrix: FloatArray
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        _check_mean_cov(mean, cov, sym_tol=1e-10)
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        if mean.ndim != 2:
+            raise ValueError("state mean must be a (K, 2M) matrix")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("state mean contains non-finite entries")
+        n_rows = mean.shape[0]
+        if matrix.shape != (n_rows, n_rows):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match K = {n_rows} state rows"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix contains non-finite entries")
+        if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+            raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "matrix", matrix)
 
     def validate(self, eig_tol: float = 1e-10) -> None:
-        """Assert positive semidefiniteness of the covariance within eig_tol."""
-        smallest = float(np.min(np.linalg.eigvalsh(self.covariance)))
+        """Assert positive semidefiniteness of the matrix within eig_tol."""
+        smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
         if smallest < -eig_tol:
-            raise ValueError(f"covariance has eigenvalue {smallest} < -{eig_tol}")
+            raise ValueError(f"matrix has eigenvalue {smallest} < -{eig_tol}")
 
 
-@dataclass(frozen=True)
-class RlsState:
-    """RLS estimate plus its inverse-Gram matrix P (positive definite)."""
-
-    mean: FloatArray
-    p_matrix: FloatArray
-    t: int
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        p = np.asarray(self.p_matrix, dtype=np.float64)
-        _check_mean_cov(mean, p, sym_tol=1e-8)
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "p_matrix", p)
-
-
-@dataclass(frozen=True)
-class DlState:
-    """Gradient-step estimate plus the running concentration Gram matrix."""
-
-    mean: FloatArray
-    gram: FloatArray
-    t: int
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        gram = np.asarray(self.gram, dtype=np.float64)
-        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
-            raise ValueError("state mean must be a finite vector")
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError("gram must be square")
-        if mean.size % gram.shape[0] != 0:
-            raise ValueError("state dimension is not a multiple of the block count")
-        if np.max(np.abs(gram - gram.T)) > 1e-10:
-            raise ValueError("gram must be symmetric")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "gram", gram)
-
-
-def _block_shapes(mean: FloatArray, c: FloatArray, y: FloatArray) -> tuple[int, int]:
-    n_blocks = c.size
-    dim_obs = y.size
-    if n_blocks < 1:
-        raise ValueError("concentration vector must not be empty")
-    if mean.size != n_blocks * dim_obs:
-        raise ValueError(
-            f"state dimension {mean.size} does not equal K*2M = {n_blocks * dim_obs}"
-        )
-    return n_blocks, dim_obs
-
-
-def _observation_products(
-    cov: FloatArray, c: FloatArray, n_blocks: int, dim_obs: int
+def _residual(
+    state: FilterState, concentration: FloatArray, observation: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    """Return (cov @ H^T, H @ cov @ H^T) without materializing H."""
-    blocks = cov.reshape(n_blocks, dim_obs, n_blocks, dim_obs)
-    cov_ht = np.einsum("jakb,k->jab", blocks, c)
-    h_cov_ht = np.tensordot(c, cov_ht, axes=([0], [0]))
-    return cov_ht.reshape(n_blocks * dim_obs, dim_obs), h_cov_ht
+    """Return c and the innovation y - c @ mean after checking both inputs."""
+    c = np.asarray(concentration, dtype=np.float64)
+    y = np.asarray(observation, dtype=np.float64)
+    if c.ndim != 1 or c.size < 1:
+        raise ValueError("concentration must be a non-empty vector")
+    if state.mean.shape != (c.size, y.size):
+        raise ValueError(
+            f"state mean shape {state.mean.shape} does not equal (K, 2M) = "
+            f"({c.size}, {y.size})"
+        )
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
+        raise NumericalError("concentration or observation has non-finite entries")
+    return c, y - c @ state.mean
+
+
+def _innovation_scale(value: float) -> float:
+    if not (np.isfinite(value) and value > 0.0):
+        raise NumericalError(f"innovation variance {value} is not finite and positive")
+    return value
+
+
+def _advance(
+    state: FilterState, gain: FloatArray, residual: FloatArray, matrix: FloatArray
+) -> FilterState:
+    if not np.all(np.isfinite(gain)):
+        raise NumericalError("gain has non-finite entries")
+    return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
 
 
 def kf_update(
@@ -165,7 +128,7 @@ def kf_update(
     Parameters
     ----------
     state : FilterState
-        Prior belief at step t-1.
+        Prior belief at step t-1; its matrix is the row covariance Sigma.
     concentration : (K,) array
         Mixing weights of the current observation.
     observation : (2M,) array
@@ -176,41 +139,29 @@ def kf_update(
     Returns
     -------
     FilterState
-        Posterior belief at step t with a re-symmetrized covariance.
+        Posterior belief at step t with a re-symmetrized Sigma.
 
     Raises
     ------
     NumericalError
-        If the innovation covariance has condition number above 1e12.
+        If an input or the gain is not finite, or the innovation variance
+        c^T Sigma c + sigma_e2 is not finite and positive.
     """
-    c = np.asarray(concentration, dtype=np.float64)
-    y = np.asarray(observation, dtype=np.float64)
-    n_blocks, dim_obs = _block_shapes(state.mean, c, y)
-
-    cov_pred = state.covariance + noise.sigma_v2 * np.eye(state.mean.size)
-    cov_ht, h_cov_ht = _observation_products(cov_pred, c, n_blocks, dim_obs)
-
-    innovation_cov = h_cov_ht + noise.sigma_e2 * np.eye(dim_obs)
-    if np.linalg.cond(innovation_cov) > COND_LIMIT:
-        raise NumericalError(
-            f"innovation covariance condition exceeds {COND_LIMIT:.0e}"
-        )
-
-    residual = y - c @ state.mean.reshape(n_blocks, dim_obs)
-    gain = np.linalg.solve(innovation_cov, cov_ht.T).T
-
-    mean_new = state.mean + gain @ residual
-    cov_new = cov_pred - gain @ cov_ht.T
-    cov_new = 0.5 * (cov_new + cov_new.T)
-    return FilterState(mean_new, cov_new, state.t + 1)
+    c, residual = _residual(state, concentration, observation)
+    sigma = state.matrix + noise.sigma_v2 * np.eye(c.size)
+    sigma_c = sigma @ c
+    scale = _innovation_scale(float(c @ sigma_c) + noise.sigma_e2)
+    return _advance(
+        state, sigma_c / scale, residual, sigma - np.outer(sigma_c, sigma_c) / scale
+    )
 
 
 def rls_update(
-    state: RlsState,
+    state: FilterState,
     concentration: FloatArray,
     observation: FloatArray,
     forgetting: float,
-) -> RlsState:
+) -> FilterState:
     """Exponentially weighted RLS step with forgetting factor in (0, 1].
 
     At forgetting = 1 this recursion coincides with :func:`kf_update` run
@@ -219,44 +170,24 @@ def rls_update(
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
-    c = np.asarray(concentration, dtype=np.float64)
-    y = np.asarray(observation, dtype=np.float64)
-    n_blocks, dim_obs = _block_shapes(state.mean, c, y)
-
-    p_ht, h_p_ht = _observation_products(state.p_matrix, c, n_blocks, dim_obs)
-    denom = h_p_ht + forgetting * np.eye(dim_obs)
-    if np.linalg.cond(denom) > COND_LIMIT:
-        raise NumericalError(f"RLS denominator condition exceeds {COND_LIMIT:.0e}")
-
-    # gain = P_new @ H^T, computed in the algebraically equal stable form
-    # P H^T (lambda I + H P H^T)^{-1}.
-    gain = np.linalg.solve(denom, p_ht.T).T
-    residual = y - c @ state.mean.reshape(n_blocks, dim_obs)
-
-    mean_new = state.mean + gain @ residual
-    p_new = (state.p_matrix - gain @ p_ht.T) / forgetting
-    p_new = 0.5 * (p_new + p_new.T)
-    return RlsState(mean_new, p_new, state.t + 1)
+    c, residual = _residual(state, concentration, observation)
+    p_c = state.matrix @ c
+    scale = _innovation_scale(float(c @ p_c) + forgetting)
+    return _advance(
+        state,
+        p_c / scale,
+        residual,
+        (state.matrix - np.outer(p_c, p_c) / scale) / forgetting,
+    )
 
 
 def dl_update(
-    state: DlState, concentration: FloatArray, observation: FloatArray
-) -> DlState:
-    """Gram-normalized gradient step: block k moves by (A^-1 c)_k * residual."""
-    c = np.asarray(concentration, dtype=np.float64)
-    y = np.asarray(observation, dtype=np.float64)
-    n_blocks, dim_obs = _block_shapes(state.mean, c, y)
-    if state.gram.shape != (n_blocks, n_blocks):
-        raise ValueError("gram shape does not match the concentration length")
-
-    gram_new = state.gram + np.outer(c, c)
-    solve_from = gram_new
-    if np.linalg.cond(gram_new) > COND_LIMIT:
-        solve_from = gram_new + 1e-10 * np.eye(n_blocks)
-    block_gain = np.linalg.solve(solve_from, c)
-
-    blocks = state.mean.reshape(n_blocks, dim_obs)
-    residual = y - c @ blocks
-    mean_new = (blocks + np.outer(block_gain, residual)).reshape(-1)
-    gram_new = 0.5 * (gram_new + gram_new.T)
-    return DlState(mean_new, gram_new, state.t + 1)
+    state: FilterState, concentration: FloatArray, observation: FloatArray
+) -> FilterState:
+    """Gram-normalized gradient step: row k moves by (A^-1 c)_k * residual."""
+    c, residual = _residual(state, concentration, observation)
+    gram = state.matrix + np.outer(c, c)
+    solve_from = gram
+    if np.linalg.cond(gram) > COND_LIMIT:
+        solve_from = gram + 1e-10 * np.eye(c.size)
+    return _advance(state, np.linalg.solve(solve_from, c), residual, gram)

@@ -28,11 +28,9 @@ from .fourier import (
     select_num_harmonics,
 )
 from .kalman import (
-    DlState,
     FilterState,
     NoiseConfig,
     NumericalError,
-    RlsState,
     dl_update,
     kf_update,
     rls_update,
@@ -95,10 +93,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class EndmemberEstimate:
-    """Current endmember estimate in both representations."""
+    """Current full-space endmember estimate; its reduced form is the state mean."""
 
     full: EndmemberMatrix
-    reduced: ReducedMatrix
 
 
 @dataclass(frozen=True)
@@ -109,18 +106,9 @@ class PipelineState:
     basis: FourierBasis
     regressors: RegressorSet
     noise: NoiseConfig
-    estimator: FilterState | RlsState | DlState
+    estimator: FilterState
     endmembers: EndmemberEstimate
     t: int
-
-
-def _vec(reduced: FloatArray) -> FloatArray:
-    # Column-stacked state: block k is reduced endmember k.
-    return reduced.T.reshape(-1)
-
-
-def _unvec(mean: FloatArray, dim_obs: int, n_blocks: int) -> FloatArray:
-    return mean.reshape(n_blocks, dim_obs).T
 
 
 def init_pipeline(
@@ -163,21 +151,15 @@ def init_pipeline(
     else:
         start = vca(rows, VcaConfig(config.n_endmembers, seed=config.seed))
 
-    reduced = reduce_columns(start.values, basis)
-    mean = _vec(reduced.values)
-    dim_state = mean.size
-
-    estimator: FilterState | RlsState | DlState
-    if config.updater == "kalman":
-        covariance = config.sigma_v2 * np.eye(dim_state)
-        estimator = FilterState(mean, covariance, t=config.n_init)
-    elif config.updater == "rls":
-        if config.sigma_v2 <= 0.0:
-            raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
-        estimator = RlsState(mean, config.sigma_v2 * np.eye(dim_state), t=config.n_init)
-    else:
+    # Row k of the state mean is reduced endmember k.
+    mean = reduce_columns(start.values, basis).values.T
+    if config.updater == "dl":
         init_conc = estimate_concentrations(rows, start, config.fcls)
-        estimator = DlState(mean, init_conc.T @ init_conc, t=config.n_init)
+        estimator = FilterState(mean, init_conc.T @ init_conc)
+    else:
+        if config.updater == "rls" and config.sigma_v2 <= 0.0:
+            raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
+        estimator = FilterState(mean, config.sigma_v2 * np.eye(config.n_endmembers))
 
     regressors = build_regressor_set(rows, basis, config.rho)
     return PipelineState(
@@ -186,7 +168,7 @@ def init_pipeline(
         regressors=regressors,
         noise=noise,
         estimator=estimator,
-        endmembers=EndmemberEstimate(start, reduced),
+        endmembers=EndmemberEstimate(start),
         t=config.n_init,
     )
 
@@ -200,7 +182,7 @@ def pipeline_step(
     current endmembers, reduce it, run the configured state update,
     regress the filtered estimate back onto the acquired-spectra cone,
     and re-anchor the state mean on the constrained estimate (the
-    covariance or auxiliary matrices are left untouched).
+    estimator's K x K matrix is left untouched).
     """
     config = state.config
     tic = time.perf_counter()
@@ -217,23 +199,20 @@ def pipeline_step(
     else:
         estimator = dl_update(state.estimator, concentration, observed)
 
-    dim_obs = state.basis.dim_reduced
-    target = ReducedMatrix(
-        _unvec(estimator.mean, dim_obs, config.n_endmembers), state.basis.n_harmonics
-    )
+    target = ReducedMatrix(estimator.mean.T, state.basis.n_harmonics)
     fit = solve_regression(
         state.regressors,
         target,
         AdmmConfig(rho=config.rho, max_iters=config.admm_iters),
     )
     constrained = reduce_columns(fit.endmembers.values, state.basis)
-    estimator = replace(estimator, mean=_vec(constrained.values))
+    estimator = replace(estimator, mean=constrained.values.T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     new_state = replace(
         state,
         estimator=estimator,
-        endmembers=EndmemberEstimate(fit.endmembers, constrained),
+        endmembers=EndmemberEstimate(fit.endmembers),
         t=state.t + 1,
     )
     return new_state, wall_ms

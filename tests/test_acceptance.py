@@ -100,7 +100,7 @@ def test_01_filter_equals_batch_posterior(capsys):
         dim = n_comp * dim_obs
         mean0 = rng.uniform(-1.0, 1.0, dim)
         noise = NoiseConfig(sigma_v2=0.0, sigma_e2=0.5)
-        state = FilterState(mean0.copy(), np.eye(dim), t=0)
+        state = FilterState(mean0.reshape(n_comp, dim_obs), np.eye(n_comp))
         info = np.eye(dim).copy()
         lead = mean0.copy()
         for _ in range(n_steps):
@@ -111,7 +111,8 @@ def test_01_filter_equals_batch_posterior(capsys):
             info += h.T @ h / noise.sigma_e2
             lead += (h.T @ obs / noise.sigma_e2).ravel()
         batch = np.linalg.solve(info, lead)
-        worst = max(worst, np.linalg.norm(state.mean - batch) / np.linalg.norm(batch))
+        flat = state.mean.reshape(-1)
+        worst = max(worst, np.linalg.norm(flat - batch) / np.linalg.norm(batch))
     elapsed = time.perf_counter() - tic
     ok = worst <= 1e-8 and elapsed < 1.0
     _report(capsys, 1, "filter equals batch posterior", ok,

@@ -108,28 +108,17 @@ class TestBuildBasis:
 class TestBasisValidation:
     def test_row_shape_mismatch(self):
         good = build_basis(6, 2)
-        with pytest.raises(ValueError, match="row shapes"):
-            FourierBasis(6, 2, good.real_rows[:, :-1], good.imag_rows, good.scale)
-
-    def test_scale_shape(self):
-        good = build_basis(6, 2)
-        with pytest.raises(ValueError, match="one weight per harmonic"):
-            FourierBasis(6, 2, good.real_rows, good.imag_rows, np.ones(3))
+        with pytest.raises(ValueError, match="operator shape"):
+            FourierBasis(6, 2, good.operator[:, :-1])
+        with pytest.raises(ValueError, match="operator shape"):
+            FourierBasis(6, 2, good.operator[:-1])
 
     def test_dc_imag_row_must_vanish(self):
         good = build_basis(6, 2)
-        bad_imag = good.imag_rows.copy()
-        bad_imag[0, 0] = 0.1
+        bad = good.operator.copy()
+        bad[2, 0] = 0.1
         with pytest.raises(ValueError, match="DC harmonic"):
-            FourierBasis(6, 2, good.real_rows, bad_imag, good.scale)
-
-    def test_operator_is_scaled_stack(self):
-        basis = build_basis(9, 3)
-        expected = np.vstack(
-            [basis.scale[:, None] * basis.real_rows, basis.scale[:, None] * basis.imag_rows]
-        )
-        np.testing.assert_array_equal(basis.operator, expected)
-        assert basis.dim_reduced == 6
+            FourierBasis(6, 2, bad)
 
 
 class TestReducedMatrix:

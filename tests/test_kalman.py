@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfunmix.kalman import (
-    DlState,
     FilterState,
     NoiseConfig,
     NumericalError,
-    RlsState,
     dl_update,
     kf_update,
     rls_update,
@@ -19,6 +17,28 @@ from kfunmix.kalman import (
 def dense_h(c, dim_obs):
     """Materialized observation matrix: c^T Kronecker identity."""
     return np.kron(np.asarray(c)[None, :], np.eye(dim_obs))
+
+
+def dense_kf_step(mean, cov, c, y, sigma_v2, sigma_e2):
+    """Kalman step on the stacked (2MK,) state with a dense (2MK)^2 covariance."""
+    h = dense_h(c, y.size)
+    cov_pred = cov + sigma_v2 * np.eye(mean.size)
+    innovation_cov = h @ cov_pred @ h.T + sigma_e2 * np.eye(y.size)
+    gain = cov_pred @ h.T @ np.linalg.inv(innovation_cov)
+    return mean + gain @ (y - h @ mean), cov_pred - gain @ h @ cov_pred
+
+
+def dense_rls_step(mean, p_matrix, c, y, forgetting):
+    """RLS step on the stacked (2MK,) state with a dense (2MK)^2 inverse Gram."""
+    h = dense_h(c, y.size)
+    denom = h @ p_matrix @ h.T + forgetting * np.eye(y.size)
+    gain = p_matrix @ h.T @ np.linalg.inv(denom)
+    return mean + gain @ (y - h @ mean), (p_matrix - gain @ h @ p_matrix) / forgetting
+
+
+def random_spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + 0.1 * np.eye(n)
 
 
 def batch_map_oracle(mean0, cov0, concentrations, observations, sigma_e2):
@@ -41,64 +61,84 @@ def batch_map_oracle(mean0, cov0, concentrations, observations, sigma_e2):
 class TestKalmanUpdate:
     def test_scalar_hand_case(self):
         """Unit prior, unit noise, observation 1: posterior is N(0.5, 0.5)."""
-        state = FilterState(np.zeros(1), np.eye(1), 0)
+        state = FilterState(np.zeros((1, 1)), np.eye(1))
         out = kf_update(state, np.array([1.0]), np.array([1.0]), NoiseConfig(0.0, 1.0))
-        np.testing.assert_allclose(out.mean, [0.5])
-        np.testing.assert_allclose(out.covariance, [[0.5]])
-        assert out.t == 1
+        np.testing.assert_allclose(out.mean, [[0.5]])
+        np.testing.assert_allclose(out.matrix, [[0.5]])
 
     def test_single_update_matches_dense_h(self):
-        """Block-wise products must equal the materialized Kronecker form."""
+        """The K x K update must equal the materialized Kronecker form."""
         rng = np.random.default_rng(0)
         n_blocks, dim_obs = 3, 4
-        dim = n_blocks * dim_obs
-        a = rng.normal(size=(dim, dim))
-        cov0 = a @ a.T + 0.1 * np.eye(dim)
-        mean0 = rng.normal(size=dim)
+        sigma0 = random_spd(rng, n_blocks)
+        mean0 = rng.normal(size=(n_blocks, dim_obs))
         c = rng.dirichlet(np.ones(n_blocks))
         y = rng.normal(size=dim_obs)
         noise = NoiseConfig(0.3, 0.05)
 
-        out = kf_update(FilterState(mean0, cov0, 0), c, y, noise)
+        out = kf_update(FilterState(mean0, sigma0), c, y, noise)
 
-        h = dense_h(c, dim_obs)
-        cov_pred = cov0 + noise.sigma_v2 * np.eye(dim)
-        innovation_cov = h @ cov_pred @ h.T + noise.sigma_e2 * np.eye(dim_obs)
-        gain = cov_pred @ h.T @ np.linalg.inv(innovation_cov)
-        np.testing.assert_allclose(out.mean, mean0 + gain @ (y - h @ mean0), atol=1e-10)
+        mean, cov = dense_kf_step(
+            mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), c, y,
+            noise.sigma_v2, noise.sigma_e2,
+        )
+        np.testing.assert_allclose(out.mean.reshape(-1), mean, atol=1e-10)
+        np.testing.assert_allclose(np.kron(out.matrix, np.eye(dim_obs)), cov, atol=1e-10)
+
+    @pytest.mark.parametrize("rule", ["kalman", "rls"])
+    @pytest.mark.parametrize("n_blocks,dim_obs", [(5, 32), (3, 16)])
+    def test_long_stream_matches_dense_recursion(self, rule, n_blocks, dim_obs):
+        """Over 300 steps the dense covariance stays Sigma (x) I and the means agree."""
+        rng = np.random.default_rng(n_blocks * 100 + dim_obs)
+        sigma0 = random_spd(rng, n_blocks)
+        mean0 = rng.normal(size=(n_blocks, dim_obs))
+        noise = NoiseConfig(0.05, 0.2)
+        forgetting = 0.98
+        state = FilterState(mean0, sigma0)
+        mean, cov = mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs))
+        for _ in range(300):
+            c = rng.dirichlet(np.ones(n_blocks))
+            y = rng.normal(size=dim_obs)
+            if rule == "kalman":
+                state = kf_update(state, c, y, noise)
+                mean, cov = dense_kf_step(mean, cov, c, y, noise.sigma_v2, noise.sigma_e2)
+            else:
+                state = rls_update(state, c, y, forgetting)
+                mean, cov = dense_rls_step(mean, cov, c, y, forgetting)
+        np.testing.assert_allclose(state.mean.reshape(-1), mean, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(
-            out.covariance, cov_pred - gain @ h @ cov_pred, atol=1e-10
+            cov, np.kron(state.matrix, np.eye(dim_obs)), rtol=0.0, atol=1e-10
         )
 
     def test_stream_reaches_batch_posterior(self):
         """With sigma_v2 = 0 the filter equals the batch MAP estimate."""
         rng = np.random.default_rng(1)
         for n_blocks, dim_obs in [(1, 2), (2, 4), (3, 6)]:
-            dim = n_blocks * dim_obs
-            mean0 = rng.normal(size=dim)
-            a = rng.normal(size=(dim, dim))
-            cov0 = a @ a.T + np.eye(dim)
+            mean0 = rng.normal(size=(n_blocks, dim_obs))
+            sigma0 = random_spd(rng, n_blocks) + np.eye(n_blocks)
             sigma_e2 = 0.1
             noise = NoiseConfig(0.0, sigma_e2)
             cs = [rng.dirichlet(np.ones(n_blocks)) for _ in range(50)]
             ys = [rng.normal(size=dim_obs) for _ in range(50)]
 
-            state = FilterState(mean0, cov0, 0)
+            state = FilterState(mean0, sigma0)
             for c, y in zip(cs, ys):
                 state = kf_update(state, c, y, noise)
 
-            expected = batch_map_oracle(mean0, cov0, cs, ys, sigma_e2)
-            np.testing.assert_allclose(state.mean, expected, atol=1e-8)
+            expected = batch_map_oracle(
+                mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), cs, ys, sigma_e2
+            )
+            np.testing.assert_allclose(state.mean.reshape(-1), expected, atol=1e-8)
 
     def test_order_invariance_without_process_noise(self):
         rng = np.random.default_rng(2)
-        mean0, cov0 = np.zeros(4), np.eye(4)
+        mean0, sigma0 = np.zeros((2, 2)), np.eye(2)
         noise = NoiseConfig(0.0, 0.5)
         cs = [rng.dirichlet(np.ones(2)) for _ in range(12)]
         ys = [rng.normal(size=2) for _ in range(12)]
 
         def run(order):
-            state = FilterState(mean0, cov0, 0)
+            state = FilterState(mean0, sigma0)
             for i in order:
                 state = kf_update(state, cs[i], ys[i], noise)
             return state.mean
@@ -106,43 +146,68 @@ class TestKalmanUpdate:
         np.testing.assert_allclose(run(range(12)), run(range(11, -1, -1)), atol=1e-10)
 
     def test_zero_concentration_block_untouched(self):
-        """A component absent from the mixture gains no information."""
+        """A component absent from the mixture and uncorrelated with the
+        present ones gains no information."""
         rng = np.random.default_rng(3)
         dim_obs = 3
-        cov0 = np.zeros((6, 6))
-        cov0[:3, :3] = 2.0 * np.eye(3)
-        cov0[3:, 3:] = 5.0 * np.eye(3)
-        mean0 = rng.normal(size=6)
+        sigma0 = np.zeros((3, 3))
+        sigma0[:2, :2] = random_spd(rng, 2)
+        sigma0[2, 2] = 5.0
+        mean0 = rng.normal(size=(3, dim_obs))
         out = kf_update(
-            FilterState(mean0, cov0, 0),
-            np.array([1.0, 0.0]),
+            FilterState(mean0, sigma0),
+            np.array([0.6, 0.4, 0.0]),
             rng.normal(size=dim_obs),
             NoiseConfig(0.0, 0.1),
         )
-        np.testing.assert_array_equal(out.mean[3:], mean0[3:])
-        np.testing.assert_array_equal(out.covariance[3:, 3:], cov0[3:, 3:])
-        np.testing.assert_array_equal(out.covariance[:3, 3:], 0.0)
+        assert np.abs(out.mean[:2] - mean0[:2]).max() > 0.0
+        np.testing.assert_array_equal(out.mean[2], mean0[2])
+        assert out.matrix[2, 2] == sigma0[2, 2]
+        np.testing.assert_array_equal(out.matrix[:2, 2], 0.0)
 
     def test_trace_nonincreasing_without_process_noise(self):
         rng = np.random.default_rng(4)
-        state = FilterState(np.zeros(4), 3.0 * np.eye(4), 0)
+        state = FilterState(np.zeros((2, 2)), 3.0 * np.eye(2))
         noise = NoiseConfig(0.0, 0.2)
-        traces = [np.trace(state.covariance)]
+        traces = [np.trace(state.matrix)]
         for _ in range(20):
             state = kf_update(
                 state, rng.dirichlet(np.ones(2)), rng.normal(size=2), noise
             )
-            traces.append(np.trace(state.covariance))
+            traces.append(np.trace(state.matrix))
         assert all(b <= a + 1e-10 for a, b in zip(traces, traces[1:]))
 
     def test_singular_innovation_raises(self):
-        state = FilterState(np.zeros(2), np.diag([1e20, 0.0]), 0)
-        with pytest.raises(NumericalError, match="innovation covariance"):
-            kf_update(state, np.array([1.0]), np.zeros(2), NoiseConfig(0.0, 1e-30))
+        """The scalar c^T Sigma c + sigma_e2 must be finite and positive."""
+        overflow = FilterState(np.zeros((1, 2)), np.array([[1e300]]))
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="innovation variance"
+        ):
+            kf_update(overflow, np.array([1e10]), np.zeros(2), NoiseConfig(0.0, 1.0))
+        indefinite = FilterState(np.zeros((1, 2)), np.array([[-1.0]]))
+        with pytest.raises(NumericalError, match="innovation variance"):
+            kf_update(indefinite, np.array([1.0]), np.zeros(2), NoiseConfig(0.0, 0.5))
+        with pytest.raises(NumericalError, match="innovation variance"):
+            rls_update(indefinite, np.array([1.0]), np.zeros(2), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rule", ["kalman", "rls", "dl"])
+    def test_non_finite_input_raises(self, rule, bad):
+        updates = {
+            "kalman": lambda s, c, y: kf_update(s, c, y, NoiseConfig(0.1, 1.0)),
+            "rls": lambda s, c, y: rls_update(s, c, y, 1.0),
+            "dl": dl_update,
+        }
+        state = FilterState(np.zeros((2, 3)), np.eye(2))
+        c, y = np.array([0.5, 0.5]), np.ones(3)
+        with pytest.raises(NumericalError, match="non-finite"):
+            updates[rule](state, c, np.array([1.0, bad, 1.0]))
+        with pytest.raises(NumericalError, match="non-finite"):
+            updates[rule](state, np.array([bad, 0.5]), y)
 
     def test_dimension_mismatch(self):
-        state = FilterState(np.zeros(4), np.eye(4), 0)
-        with pytest.raises(ValueError, match="does not equal K\\*2M"):
+        state = FilterState(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
             kf_update(state, np.ones(3), np.zeros(2), NoiseConfig(0.0, 1.0))
 
     @settings(max_examples=30, deadline=None)
@@ -150,26 +215,24 @@ class TestKalmanUpdate:
     def test_covariance_stays_psd(self, seed, n_steps):
         rng = np.random.default_rng(seed)
         n_blocks, dim_obs = 2, 3
-        state = FilterState(np.zeros(6), np.eye(6), 0)
+        state = FilterState(np.zeros((n_blocks, dim_obs)), np.eye(n_blocks))
         noise = NoiseConfig(float(rng.uniform(0, 2)), float(rng.uniform(0.01, 1)))
         for _ in range(n_steps):
             state = kf_update(
                 state, rng.dirichlet(np.ones(n_blocks)), rng.normal(size=dim_obs), noise
             )
         state.validate(eig_tol=1e-8)
-        np.testing.assert_array_equal(state.covariance, state.covariance.T)
+        np.testing.assert_array_equal(state.matrix, state.matrix.T)
 
 
 class TestRlsUpdate:
     def test_unit_forgetting_equals_unit_noise_filter(self):
         """Forgetting 1 is the Kalman recursion at sigma_v2=0, sigma_e2=1."""
         rng = np.random.default_rng(5)
-        dim = 6
-        a = rng.normal(size=(dim, dim))
-        cov0 = a @ a.T + np.eye(dim)
-        mean0 = rng.normal(size=dim)
-        kf_state = FilterState(mean0, cov0, 0)
-        rls_state = RlsState(mean0, cov0, 0)
+        sigma0 = random_spd(rng, 2) + np.eye(2)
+        mean0 = rng.normal(size=(2, 3))
+        kf_state = FilterState(mean0, sigma0)
+        rls_state = FilterState(mean0, sigma0)
         noise = NoiseConfig(0.0, 1.0)
         for _ in range(10):
             c = rng.dirichlet(np.ones(2))
@@ -177,20 +240,18 @@ class TestRlsUpdate:
             kf_state = kf_update(kf_state, c, y, noise)
             rls_state = rls_update(rls_state, c, y, forgetting=1.0)
             np.testing.assert_allclose(rls_state.mean, kf_state.mean, atol=1e-10)
-            np.testing.assert_allclose(
-                rls_state.p_matrix, kf_state.covariance, atol=1e-10
-            )
+            np.testing.assert_allclose(rls_state.matrix, kf_state.matrix, atol=1e-10)
 
     def test_scalar_convergence(self):
-        state = RlsState(np.zeros(1), 100.0 * np.eye(1), 0)
+        state = FilterState(np.zeros((1, 1)), 100.0 * np.eye(1))
         for _ in range(200):
             state = rls_update(state, np.array([1.0]), np.array([2.0]), 1.0)
-        np.testing.assert_allclose(state.mean, [2.0], atol=1e-3)
+        np.testing.assert_allclose(state.mean, [[2.0]], atol=1e-3)
 
     def test_small_forgetting_tracks_level_shift(self):
         """After a jump in the data, forgetting < 1 adapts faster."""
-        slow = RlsState(np.zeros(1), 10.0 * np.eye(1), 0)
-        fast = RlsState(np.zeros(1), 10.0 * np.eye(1), 0)
+        slow = FilterState(np.zeros((1, 1)), 10.0 * np.eye(1))
+        fast = FilterState(np.zeros((1, 1)), 10.0 * np.eye(1))
         c, lo, hi = np.array([1.0]), np.array([1.0]), np.array([5.0])
         for _ in range(30):
             slow = rls_update(slow, c, lo, 1.0)
@@ -198,10 +259,10 @@ class TestRlsUpdate:
         for _ in range(5):
             slow = rls_update(slow, c, hi, 1.0)
             fast = rls_update(fast, c, hi, 0.5)
-        assert abs(fast.mean[0] - 5.0) < abs(slow.mean[0] - 5.0)
+        assert abs(fast.mean[0, 0] - 5.0) < abs(slow.mean[0, 0] - 5.0)
 
     def test_forgetting_range(self):
-        state = RlsState(np.zeros(1), np.eye(1), 0)
+        state = FilterState(np.zeros((1, 1)), np.eye(1))
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="forgetting must be in"):
                 rls_update(state, np.array([1.0]), np.array([1.0]), bad)
@@ -212,33 +273,33 @@ class TestDlUpdate:
         """With c = [1] each step, the estimate is the mean of observations."""
         rng = np.random.default_rng(6)
         ys = rng.normal(size=(8, 3))
-        state = DlState(np.zeros(3), np.zeros((1, 1)), 0)
+        state = FilterState(np.zeros((1, 3)), np.zeros((1, 1)))
         for i, y in enumerate(ys, start=1):
             state = dl_update(state, np.array([1.0]), y)
-            np.testing.assert_allclose(state.mean, ys[:i].mean(axis=0), atol=1e-12)
-        assert state.gram[0, 0] == len(ys)
+            np.testing.assert_allclose(state.mean[0], ys[:i].mean(axis=0), atol=1e-12)
+        assert state.matrix[0, 0] == len(ys)
 
     def test_first_step_singular_gram_takes_ridge_path(self):
         """An unseen component leaves the Gram singular; the ridge keeps the
-        seen block moving onto its observation and the unseen one still."""
+        seen row moving onto its observation and the unseen one still."""
         y = np.array([1.5, -0.5])
-        state = DlState(np.zeros(4), np.zeros((2, 2)), 0)
+        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
         out = dl_update(state, np.array([1.0, 0.0]), y)
-        np.testing.assert_allclose(out.mean[:2], y, atol=1e-6)
-        np.testing.assert_allclose(out.mean[2:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.mean[0], y, atol=1e-6)
+        np.testing.assert_allclose(out.mean[1], 0.0, atol=1e-12)
 
     def test_gram_accumulates_outer_products(self):
         rng = np.random.default_rng(7)
         cs = [rng.dirichlet(np.ones(2)) for _ in range(5)]
-        state = DlState(np.zeros(4), np.zeros((2, 2)), 0)
+        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
         for c in cs:
             state = dl_update(state, c, rng.normal(size=2))
         expected = sum(np.outer(c, c) for c in cs)
-        np.testing.assert_allclose(state.gram, expected, atol=1e-12)
+        np.testing.assert_allclose(state.matrix, expected, atol=1e-12)
 
     def test_gram_shape_mismatch(self):
-        state = DlState(np.zeros(4), np.zeros((2, 2)), 0)
-        with pytest.raises(ValueError, match="does not equal K\\*2M"):
+        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
             dl_update(state, np.ones(4), np.zeros(2))
 
 
@@ -250,26 +311,27 @@ class TestStateValidation:
             NoiseConfig(0.0, 0.0)
 
     def test_filter_state_shape_checks(self):
-        with pytest.raises(ValueError, match="must be a vector"):
-            FilterState(np.zeros((2, 2)), np.eye(4), 0)
-        with pytest.raises(ValueError, match="covariance shape"):
-            FilterState(np.zeros(3), np.eye(2), 0)
+        with pytest.raises(ValueError, match=r"must be a \(K, 2M\) matrix"):
+            FilterState(np.zeros(4), np.eye(4))
+        with pytest.raises(ValueError, match="matrix shape"):
+            FilterState(np.zeros((3, 2)), np.eye(2))
         with pytest.raises(ValueError, match="not symmetric"):
-            FilterState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 0)
+            FilterState(np.zeros((2, 1)), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            FilterState(np.array([np.nan, 0.0]), np.eye(2), 0)
-        with pytest.raises(ValueError, match="t must be"):
-            FilterState(np.zeros(2), np.eye(2), -1)
+            FilterState(np.array([[np.nan], [0.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            FilterState(np.zeros((1, 2)), np.array([[np.inf]]))
 
     def test_validate_flags_indefinite_covariance(self):
-        state = FilterState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 0)
+        state = FilterState(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="eigenvalue"):
             state.validate()
 
     def test_dl_state_checks(self):
-        with pytest.raises(ValueError, match="square"):
-            DlState(np.zeros(4), np.zeros((2, 3)), 0)
-        with pytest.raises(ValueError, match="multiple"):
-            DlState(np.zeros(5), np.zeros((2, 2)), 0)
-        with pytest.raises(ValueError, match="symmetric"):
-            DlState(np.zeros(4), np.array([[1.0, 0.5], [0.0, 1.0]]), 0)
+        """A Gram matrix is held to the same checks as a covariance."""
+        with pytest.raises(ValueError, match="matrix shape"):
+            FilterState(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="matrix shape"):
+            FilterState(np.zeros((5, 1)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not symmetric"):
+            FilterState(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))

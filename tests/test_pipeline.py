@@ -5,7 +5,7 @@ import pytest
 
 from kfunmix.abundance import estimate_concentration
 from kfunmix.datamodel import DatasetBundle, EndmemberMatrix, SpectraMatrix
-from kfunmix.fourier import reduce_spectrum, select_num_harmonics
+from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonics
 from kfunmix.kalman import NumericalError, kf_update
 from kfunmix.metrics import read_trace_csv
 from kfunmix.pipeline import (
@@ -98,16 +98,13 @@ class TestInitPipeline:
     def test_starting_state_is_anchored_on_the_init_endmembers(self):
         truth, _, state = small_stream_setup()
         np.testing.assert_array_equal(state.endmembers.full.values, truth)
-        expected = state.endmembers.reduced.values.T.reshape(-1)
+        expected = reduce_columns(state.endmembers.full.values, state.basis).values.T
         np.testing.assert_array_equal(state.estimator.mean, expected)
         assert state.t == 8
 
     def test_kalman_covariance_is_scaled_identity(self):
         _, _, state = small_stream_setup(sigma_v2=0.25)
-        dim = state.estimator.mean.size
-        np.testing.assert_array_equal(
-            state.estimator.covariance, 0.25 * np.eye(dim)
-        )
+        np.testing.assert_array_equal(state.estimator.matrix, 0.25 * np.eye(2))
 
     def test_accepts_spectra_matrix(self):
         _, init_rows, _ = small_stream_setup()
@@ -154,7 +151,7 @@ class TestInitPipeline:
 
     def test_dl_gram_starts_from_init_abundances(self):
         _, _, state = small_stream_setup(updater="dl")
-        gram = state.estimator.gram
+        gram = state.estimator.matrix
         assert gram.shape == (2, 2)
         # Gram of 8 simplex rows: diagonal entries sum squared weights
         assert 0.0 < gram[0, 0] <= 8.0
@@ -207,7 +204,7 @@ class TestPipelineStep:
         rng = np.random.default_rng(2)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, _ = pipeline_step(state, mix)
-        expected = new_state.endmembers.reduced.values.T.reshape(-1)
+        expected = reduce_columns(new_state.endmembers.full.values, state.basis).values.T
         np.testing.assert_array_equal(new_state.estimator.mean, expected)
 
     def test_covariance_matches_a_bare_filter_update(self):
@@ -219,7 +216,7 @@ class TestPipelineStep:
         conc = estimate_concentration(mix, state.endmembers.full, state.config.fcls)
         observed = reduce_spectrum(mix, state.basis)
         bare = kf_update(state.estimator, conc, observed, state.noise)
-        np.testing.assert_array_equal(new_state.estimator.covariance, bare.covariance)
+        np.testing.assert_array_equal(new_state.estimator.matrix, bare.matrix)
 
     def test_full_estimate_stays_nonnegative(self):
         truth, _, state = small_stream_setup()
@@ -233,11 +230,12 @@ class TestPipelineStep:
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(4)
         mix = rng.dirichlet(np.ones(2), size=5) @ truth.T
-        red0 = state.endmembers.reduced.values.copy()
+        red0 = reduce_columns(state.endmembers.full.values, state.basis).values.T
         full0 = state.endmembers.full.values.copy()
         for row in mix:
             state, _ = pipeline_step(state, row)
-        assert np.abs(state.endmembers.reduced.values - red0).max() <= 1e-2
+        red = reduce_columns(state.endmembers.full.values, state.basis).values.T
+        assert np.abs(red - red0).max() <= 1e-2
         assert np.abs(state.endmembers.full.values - full0).max() <= 0.05
 
     def test_zero_process_noise_freezes_the_covariance(self):
@@ -247,7 +245,7 @@ class TestPipelineStep:
         mean0 = state.estimator.mean.copy()
         for row in wild:
             state, _ = pipeline_step(state, row)
-        np.testing.assert_array_equal(state.estimator.covariance, 0.0)
+        np.testing.assert_array_equal(state.estimator.matrix, 0.0)
         frozen_drift = np.abs(state.estimator.mean - mean0).max()
         assert frozen_drift <= 1e-2
 
@@ -282,13 +280,22 @@ class TestPipelineStep:
         assert np.all(np.isfinite(state.estimator.mean))
         assert state.endmembers.full.values.min() >= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("updater", ["kalman", "rls", "dl"])
+    def test_non_finite_spectrum_raises_numerical_error(self, updater, bad):
+        truth, _, state = small_stream_setup(updater=updater)
+        spectrum = truth @ np.array([0.5, 0.5])
+        spectrum[10] = bad
+        with pytest.raises(NumericalError):
+            pipeline_step(state, spectrum)
+
     def test_dl_gram_accumulates(self):
         truth, _, state = small_stream_setup(updater="dl")
-        trace0 = np.trace(state.estimator.gram)
+        trace0 = np.trace(state.estimator.matrix)
         rng = np.random.default_rng(8)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         state, _ = pipeline_step(state, mix)
-        assert np.trace(state.estimator.gram) > trace0
+        assert np.trace(state.estimator.matrix) > trace0
 
 
 def stream_dataset(seed: int = 7) -> DatasetBundle:
@@ -467,3 +474,15 @@ class TestRunExperiment:
         records, comments = read_trace_csv(out)
         assert [rec.t for rec in records] == [11, 12, 13]
         assert comments["n_stream"] == "60"
+
+    def test_non_finite_spectrum_aborts_and_flushes(self, tmp_path):
+        data = stream_dataset()
+        # Streamed rows start at t=11, so the 4th one is t=14 (row 13).
+        data.spectra.values[13, 5] = np.nan
+        out = tmp_path / "partial.csv"
+        with pytest.raises(NumericalError):
+            run_experiment(
+                data, protocol_p1(60), stream_config(), eval_stride=1, flush_path=out
+            )
+        records, _ = read_trace_csv(out)
+        assert [rec.t for rec in records] == [11, 12, 13]
