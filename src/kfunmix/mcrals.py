@@ -2,11 +2,12 @@
 
 Alternates a simplex-constrained abundance step (shared with the
 streaming solver) and a channel-wise nonnegative least-squares endmember
-step until the relative residual change stalls.  The abundance step is
-iterative rather than exact, so a trial update that fails to lower the
-Frobenius residual is discarded and the alternation stops at the last
-improving iterate; the recorded residual sequence is nonincreasing by
-construction.
+step until the relative residual change stalls.  Both steps are exact,
+but the abundance step carries a 1e-10 ridge and a rank-deficient design
+gets one too, so a trial update can still raise the Frobenius residual by
+rounding; such an update is discarded and the alternation stops at the
+last improving iterate.  The recorded residual sequence is nonincreasing
+by construction.
 """
 
 from __future__ import annotations
@@ -114,9 +115,12 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
     for _iteration in range(config.max_iters):
         trial_conc = estimate_concentrations(rows, s, config.fcls)
         trial_s = _endmember_step(rows, trial_conc)
+        # A component absent from every row has no data to fit; keep it.
+        absent = ~np.any(trial_s, axis=0)
+        trial_s[:, absent] = s[:, absent]
         trial_res = float(np.linalg.norm(rows - trial_conc @ trial_s.T))
-        # The C-step is inexact, so a trial pair can raise the residual;
-        # keep the last improving iterate instead of recording it.
+        # Rounding can make a trial pair raise the residual; keep the last
+        # improving iterate instead of recording it.
         if residuals and trial_res > residuals[-1] + 1e-12:
             break
         conc, s = trial_conc, trial_s

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abundance import FclsConfig, estimate_concentration, estimate_concentrations
+from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
 from .datamodel import ConcentrationMatrix, DatasetBundle, EndmemberMatrix, FloatArray
 from .fourier import (
     FourierBasis,
@@ -71,8 +71,8 @@ class PipelineConfig:
     fcls: FclsConfig = FclsConfig()
 
     def __post_init__(self) -> None:
-        if self.n_endmembers < 1:
-            raise ValueError("n_endmembers must be >= 1")
+        if not 1 <= self.n_endmembers <= MAX_ENDMEMBERS:
+            raise ValueError(f"n_endmembers must be in [1, {MAX_ENDMEMBERS}]")
         if self.n_init < self.n_endmembers:
             raise ValueError("n_init must be >= n_endmembers")
         if not 0.0 < self.eta <= 100.0:

@@ -9,13 +9,16 @@ stay nonnegative:
 
 with Y the (L, P) matrix of regressor spectra, Yr its reduced (2M, P)
 counterpart and T the (2M, K) target.  The ADMM iteration alternates a
-cached-Cholesky least-squares step, a clamp, and a dual ascent step.
+least-squares step, a clamp, and a dual ascent step.  The least-squares
+step is linear in T and in the split variables, so both maps are solved
+through the Cholesky factor once per stream and each iteration is two
+matrix products.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -49,17 +52,19 @@ class AdmmConfig:
 class RegressorSet:
     """The fixed regression system built from the first P spectra.
 
-    Holds the full-space regressors (L, P), their reduced form (2M, P),
-    and the Cholesky factor of ``2 Yr^T Yr + rho Y^T Y``, which depends
-    only on the regressors and rho and is therefore computed once per
-    stream.
+    Holds the full-space regressors Y (L, P), their reduced form Yr
+    (2M, P), and with N = 2 Yr^T Yr + rho Y^T Y the two maps of the ADMM
+    least-squares step: ``target_map = N^-1 2 Yr^T`` (P, 2M) and
+    ``lift = N^-1 Y^T`` (P, L).  Both depend only on the regressors and rho
+    and are therefore computed once per stream.
     """
 
     full_space: FloatArray
     reduced_space: FloatArray
     rho: float
     cache_cond: float
-    cho: tuple = field(repr=False, default=None)  # type: ignore[assignment]
+    target_map: FloatArray
+    lift: FloatArray
 
     def __post_init__(self) -> None:
         if self.full_space.ndim != 2 or self.reduced_space.ndim != 2:
@@ -77,7 +82,7 @@ class RegressorSet:
 def build_regressor_set(
     spectra: SpectraMatrix | FloatArray, basis: FourierBasis, rho: float
 ) -> RegressorSet:
-    """Assemble the regression system from row spectra and factor its normal matrix."""
+    """Assemble the regression system from row spectra and solve its two linear maps."""
     rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
@@ -97,7 +102,9 @@ def build_regressor_set(
             stacklevel=2,
         )
     factor = cho_factor(normal, lower=True)
-    return RegressorSet(full, reduced, rho, cond, factor)
+    return RegressorSet(
+        full, reduced, rho, cond, cho_solve(factor, 2.0 * reduced.T), cho_solve(factor, full.T)
+    )
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ def solve_regression(
     ----------
     regressors : RegressorSet
         System built by :func:`build_regressor_set`; its rho must match
-        the config, since the cached factorization depends on it.
+        the config, since the cached maps depend on it.
     target : ReducedMatrix
         Reduced endmember estimate, shape (2M, K).
     config : AdmmConfig
@@ -163,11 +170,12 @@ def solve_regression(
         if u.shape != (full.shape[0], n_out) or lam.shape != u.shape:
             raise ValueError("warm start shapes do not match (L, K)")
 
-    const = 2.0 * (reduced.T @ t)  # (P, K)
+    const = regressors.target_map @ t  # (P, K)
+    lift = regressors.lift
     coeff = np.zeros((regressors.n_regressors, n_out))
     recon = full @ coeff
     for _ in range(config.max_iters):
-        coeff = cho_solve(regressors.cho, const + full.T @ (lam + config.rho * u))
+        coeff = const + lift @ (lam + config.rho * u)
         recon = full @ coeff
         u = np.maximum(recon - lam / config.rho, 0.0)
         lam = lam + config.rho * (u - recon)

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from kfunmix.abundance import (
+    MAX_ENDMEMBERS,
+    RIDGE,
     FclsConfig,
     estimate_concentration,
     estimate_concentrations,
     project_simplex,
 )
 from kfunmix.datamodel import EndmemberMatrix
+from kfunmix.kalman import NumericalError
+from kfunmix.pipeline import PipelineConfig
 
 
 def grid_oracle_two_components(y, s, step=1e-4):
@@ -23,6 +27,24 @@ def grid_oracle_two_components(y, s, step=1e-4):
     candidates = np.outer(alphas, s[:, 0]) + np.outer(1.0 - alphas, s[:, 1])
     best = int(np.argmin(np.sum((candidates - y[None, :]) ** 2, axis=1)))
     return np.array([alphas[best], 1.0 - alphas[best]])
+
+
+def assert_kkt(rows, s, conc, tol=1e-10):
+    """Karush-Kuhn-Tucker conditions of the ridged simplex least squares.
+
+    With gradient g = (S^T S + ridge I) c - S^T y, a minimiser over the
+    simplex has equal g on its support (the equality multiplier) and g no
+    lower off it (nonnegative bound multipliers).
+    """
+    assert np.all(conc >= 0.0)
+    np.testing.assert_allclose(conc.sum(axis=1), 1.0, rtol=0.0, atol=tol)
+    gram = s.T @ s + RIDGE * np.eye(s.shape[1])
+    for y, c in zip(rows, conc):
+        grad = gram @ c - s.T @ y
+        support = c > 1e-8
+        level = grad[support].mean()
+        np.testing.assert_allclose(grad[support], level, rtol=0.0, atol=tol)
+        assert np.all(grad[~support] - level >= -tol)
 
 
 class TestProjectSimplex:
@@ -141,9 +163,45 @@ class TestEstimateConcentrations:
         assert np.all(np.isfinite(out))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="rho"):
-            FclsConfig(rho=0.0)
-        with pytest.raises(ValueError, match="max_iters"):
-            FclsConfig(max_iters=0)
-        with pytest.raises(ValueError, match="tol"):
-            FclsConfig(tol=-1e-3)
+        with pytest.raises(TypeError):
+            FclsConfig(max_iters=200)
+        too_many = MAX_ENDMEMBERS + 1
+        with pytest.raises(ValueError, match="at most 12 endmembers"):
+            estimate_concentrations(np.ones((2, 20)), np.ones((20, too_many)))
+        with pytest.raises(ValueError, match="n_endmembers"):
+            PipelineConfig(n_endmembers=too_many, n_init=30)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_kkt_oracle(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20):
+            n_channels = int(rng.integers(3 * k, 30))
+            s = rng.uniform(0.1, 1.0, size=(n_channels, k))
+            mix = rng.dirichlet(np.full(k, 0.5), size=15)
+            rows = mix @ s.T + 0.2 * rng.normal(size=(15, n_channels))
+            batch = estimate_concentrations(rows, s)
+            assert_kkt(rows, s, batch)
+            single = np.array([estimate_concentration(y, s) for y in rows])
+            assert_kkt(rows, s, single)
+
+    def test_largest_supported_k_spans_several_chunks(self):
+        rng = np.random.default_rng(11)
+        s = rng.uniform(0.1, 1.0, size=(40, MAX_ENDMEMBERS))
+        rows = rng.dirichlet(np.ones(MAX_ENDMEMBERS), size=50) @ s.T
+        rows += 0.05 * rng.normal(size=rows.shape)
+        assert_kkt(rows, s, estimate_concentrations(rows, s))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises(self, bad):
+        rng = np.random.default_rng(12)
+        s = rng.uniform(0.1, 1.0, size=(10, 3))
+        rows = rng.uniform(size=(4, 10))
+        rows[2, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="spectrum 2 is not finite"):
+                estimate_concentrations(rows, s)
+
+    def test_empty_batch(self):
+        out = estimate_concentrations(np.zeros((0, 6)), np.ones((6, 3)) + np.eye(6, 3))
+        assert out.shape == (0, 3)

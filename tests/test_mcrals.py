@@ -95,7 +95,8 @@ class TestMcrAls:
         rows = np.tile(row, (10, 1))
         init = EndmemberMatrix(np.column_stack([row, row[::-1]]))
         with pytest.warns(UserWarning, match="rank deficient"):
-            mcr_als(rows, McrConfig(init=init, max_iters=2))
+            result = mcr_als(rows, McrConfig(init=init, max_iters=2))
+        assert np.all(np.isfinite(result.endmembers.values))
 
     def test_rel_tol_stops_after_two_iterations(self):
         data = noisy_dataset()

@@ -1,5 +1,7 @@
 """Tests for the streaming pipeline and the experiment runner."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,8 +288,10 @@ class TestPipelineStep:
         truth, _, state = small_stream_setup(updater=updater)
         spectrum = truth @ np.array([0.5, 0.5])
         spectrum[10] = bad
-        with pytest.raises(NumericalError):
-            pipeline_step(state, spectrum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite"):
+                pipeline_step(state, spectrum)
 
     def test_dl_gram_accumulates(self):
         truth, _, state = small_stream_setup(updater="dl")

@@ -11,8 +11,6 @@ from kfunmix.regression import (
     solve_regression,
 )
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def make_instance(seed, n_regressors=5, n_channels=8, n_harmonics=2, n_out=2):
     """Random system plus a target that keeps the constraint active."""
@@ -28,6 +26,7 @@ def make_instance(seed, n_regressors=5, n_channels=8, n_harmonics=2, n_out=2):
 
 def qp_oracle(regressors, target):
     """Reference solution of the constrained quadratic program."""
+    cvxpy = pytest.importorskip("cvxpy")
     coeff = cvxpy.Variable((regressors.n_regressors, target.values.shape[1]))
     objective = cvxpy.Minimize(
         cvxpy.sum_squares(regressors.reduced_space @ coeff - target.values)
@@ -75,7 +74,9 @@ class TestBuildRegressorSet:
 
     def test_regressor_set_validation(self):
         with pytest.raises(ValueError, match="counts disagree"):
-            RegressorSet(np.ones((8, 3)), np.ones((4, 2)), 1.0, 10.0, (np.eye(3), True))
+            RegressorSet(
+                np.ones((8, 3)), np.ones((4, 2)), 1.0, 10.0, np.ones((2, 4)), np.ones((3, 8))
+            )
 
     def test_admm_config_validation(self):
         with pytest.raises(ValueError, match="rho"):
