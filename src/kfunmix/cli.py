@@ -93,8 +93,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eta=args.eta,
         n_harmonics=args.n_harmonics,
         sigma_v2=args.sigma_v2,
-        rho=args.rho,
-        admm_iters=args.admm_iters,
         updater=args.updater,
         rls_forgetting=args.rls_forgetting,
         seed=args.seed,
@@ -246,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-harmonics", type=int, default=None, help="override the eta-based choice"
     )
     p.add_argument("--sigma-v2", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--admm-iters", type=int, default=50)
     p.add_argument("--updater", choices=UPDATERS, default="kalman")
     p.add_argument("--rls-forgetting", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

@@ -45,7 +45,7 @@ from .metrics import (
     write_trace_csv,
 )
 from .protocols import AcquisitionOrder
-from .regression import AdmmConfig, RegressorSet, build_regressor_set, solve_regression
+from .regression import RegressorSet, build_regressor_set, solve_regression
 from .synthdata import estimate_noise_variance
 from .vca import VcaConfig, vca
 
@@ -62,8 +62,6 @@ class PipelineConfig:
     eta: float = 87.0
     n_harmonics: int | None = None
     sigma_v2: float = 1.0
-    rho: float = 1.0
-    admm_iters: int = 50
     updater: str = "kalman"
     rls_forgetting: float = 1.0
     init_endmembers: EndmemberMatrix | None = None
@@ -81,10 +79,6 @@ class PipelineConfig:
             raise ValueError("n_harmonics must be >= 1 when given")
         if self.sigma_v2 < 0.0:
             raise ValueError("sigma_v2 must be >= 0")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
-        if self.admm_iters < 1:
-            raise ValueError("admm_iters must be >= 1")
         if self.updater not in UPDATERS:
             raise ValueError(f"updater must be one of {UPDATERS}, got {self.updater!r}")
         if not 0.0 < self.rls_forgetting <= 1.0:
@@ -161,7 +155,7 @@ def init_pipeline(
             raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
         estimator = FilterState(mean, config.sigma_v2 * np.eye(config.n_endmembers))
 
-    regressors = build_regressor_set(rows, basis, config.rho)
+    regressors = build_regressor_set(rows, basis)
     return PipelineState(
         config=config,
         basis=basis,
@@ -200,11 +194,7 @@ def pipeline_step(
         estimator = dl_update(state.estimator, concentration, observed)
 
     target = ReducedMatrix(estimator.mean.T, state.basis.n_harmonics)
-    fit = solve_regression(
-        state.regressors,
-        target,
-        AdmmConfig(rho=config.rho, max_iters=config.admm_iters),
-    )
+    fit = solve_regression(state.regressors, target)
     constrained = reduce_columns(fit.endmembers.values, state.basis)
     estimator = replace(estimator, mean=constrained.values.T)
 
@@ -245,8 +235,6 @@ def _snapshot(config: PipelineConfig, state: PipelineState, extra: dict[str, str
         "n_init": str(config.n_init),
         "eta": str(config.eta),
         "sigma_v2": str(config.sigma_v2),
-        "rho": str(config.rho),
-        "admm_iters": str(config.admm_iters),
         "updater": config.updater,
         "rls_forgetting": str(config.rls_forgetting),
         "seed": str(config.seed),

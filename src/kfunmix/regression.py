@@ -8,11 +8,25 @@ stay nonnegative:
     minimize   || Yr R - T ||_F^2   subject to   Y R >= 0
 
 with Y the (L, P) matrix of regressor spectra, Yr its reduced (2M, P)
-counterpart and T the (2M, K) target.  The ADMM iteration alternates a
-least-squares step, a clamp, and a dual ascent step.  The least-squares
-step is linear in T and in the split variables, so both maps are solved
-through the Cholesky factor once per stream and each iteration is two
-matrix products.
+counterpart and T the (2M, K) target.  Scaled ADMM on the split
+Y R = U >= 0, with step ρ and dual λ, alternates a least-squares step in
+R, the clamp U = max(v, 0) of v = Y R - λ/ρ, and a dual ascent step that
+leaves λ' = ρ max(-v, 0).  So λ' + ρU = ρ|v| and the next v is
+Y R' - max(-v, 0): the iteration carries one L x K iterate v, from v = 0
+(U = λ = 0), as
+
+    R = N^-1 2 Yr^T T + ρ N^-1 Y^T |v|,    v = Y R + min(v, 0),
+
+with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream, so they
+are solved through one Cholesky factor at set-up and each iteration is two
+matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).
+
+The step ρ = RHO and the budget of ADMM_ITERS iterations are constants,
+not settings.  The zero-frequency harmonic has no sine row, so Yr has
+rank at most 2M - 1.  When that is below P, as at the default eta on
+200-channel data (M = 7-9 against P = 30), the objective does not
+determine R, and the fixed iteration from zero is what selects the
+estimate among the minimisers.
 """
 
 from __future__ import annotations
@@ -29,23 +43,8 @@ from .kalman import NumericalError
 
 CACHE_COND_LIMIT = 1e12
 CACHE_COND_WARN = 1e8
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Iteration settings; primal_tol = 0 disables the early exit."""
-
-    rho: float = 1.0
-    max_iters: int = 50
-    primal_tol: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.primal_tol < 0.0:
-            raise ValueError("primal_tol must be >= 0")
+ADMM_ITERS = 50
+RHO = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,14 @@ class RegressorSet:
     """The fixed regression system built from the first P spectra.
 
     Holds the full-space regressors Y (L, P), their reduced form Yr
-    (2M, P), and with N = 2 Yr^T Yr + rho Y^T Y the two maps of the ADMM
+    (2M, P), and with N = 2 Yr^T Yr + RHO Y^T Y the two maps of the ADMM
     least-squares step: ``target_map = N^-1 2 Yr^T`` (P, 2M) and
-    ``lift = N^-1 Y^T`` (P, L).  Both depend only on the regressors and rho
+    ``lift = RHO N^-1 Y^T`` (P, L).  Both depend only on the regressors
     and are therefore computed once per stream.
     """
 
     full_space: FloatArray
     reduced_space: FloatArray
-    rho: float
     cache_cond: float
     target_map: FloatArray
     lift: FloatArray
@@ -71,8 +69,6 @@ class RegressorSet:
             raise ValueError("regressor matrices must be 2-D")
         if self.full_space.shape[1] != self.reduced_space.shape[1]:
             raise ValueError("full and reduced regressor counts disagree")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
 
     @property
     def n_regressors(self) -> int:
@@ -80,7 +76,7 @@ class RegressorSet:
 
 
 def build_regressor_set(
-    spectra: SpectraMatrix | FloatArray, basis: FourierBasis, rho: float
+    spectra: SpectraMatrix | FloatArray, basis: FourierBasis
 ) -> RegressorSet:
     """Assemble the regression system from row spectra and solve its two linear maps."""
     rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
@@ -89,7 +85,7 @@ def build_regressor_set(
     full = np.array(rows.T, dtype=np.float64)  # (L, P)
     reduced = reduce_columns(full, basis).values  # (2M, P)
 
-    normal = 2.0 * (reduced.T @ reduced) + rho * (full.T @ full)
+    normal = 2.0 * (reduced.T @ reduced) + RHO * (full.T @ full)
     cond = float(np.linalg.cond(normal))
     if cond > CACHE_COND_LIMIT:
         raise ValueError(
@@ -103,7 +99,7 @@ def build_regressor_set(
         )
     factor = cho_factor(normal, lower=True)
     return RegressorSet(
-        full, reduced, rho, cond, cho_solve(factor, 2.0 * reduced.T), cho_solve(factor, full.T)
+        full, reduced, cond, cho_solve(factor, 2.0 * reduced.T), cho_solve(factor, RHO * full.T)
     )
 
 
@@ -117,25 +113,19 @@ class RegressionResult:
 
 
 def solve_regression(
-    regressors: RegressorSet,
-    target: ReducedMatrix,
-    config: AdmmConfig = AdmmConfig(),
-    warm_start: tuple[FloatArray, FloatArray] | None = None,
+    regressors: RegressorSet, target: ReducedMatrix, *, iterations: int = ADMM_ITERS
 ) -> RegressionResult:
     """Fit the reduced target as a nonnegative combination of the regressors.
 
     Parameters
     ----------
     regressors : RegressorSet
-        System built by :func:`build_regressor_set`; its rho must match
-        the config, since the cached maps depend on it.
+        System built by :func:`build_regressor_set`.
     target : ReducedMatrix
         Reduced endmember estimate, shape (2M, K).
-    config : AdmmConfig
-        Step size rho, iteration cap and optional primal tolerance.
-    warm_start : optional (U, lambda) pair
-        Duals from a previous call on the same regressors; both default
-        to zero.
+    iterations : int
+        ADMM iterations from zero; the pipeline always runs ADMM_ITERS,
+        and tests pass long runs to reach the converged limit.
 
     Returns
     -------
@@ -149,11 +139,8 @@ def solve_regression(
         If clamping zeroes out an entire column, leaving no usable
         endmember estimate for that component.
     """
-    if config.rho != regressors.rho:
-        raise ValueError(
-            f"config rho {config.rho} does not match the cached system rho "
-            f"{regressors.rho}"
-        )
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     full = regressors.full_space
     reduced = regressors.reduced_space
     t = target.values
@@ -161,27 +148,14 @@ def solve_regression(
         raise ValueError(
             f"target has {t.shape[0]} reduced rows, regressors have {reduced.shape[0]}"
         )
-    n_out = t.shape[1]
-    if warm_start is None:
-        u = np.zeros((full.shape[0], n_out))
-        lam = np.zeros((full.shape[0], n_out))
-    else:
-        u, lam = (np.array(w, dtype=np.float64) for w in warm_start)
-        if u.shape != (full.shape[0], n_out) or lam.shape != u.shape:
-            raise ValueError("warm start shapes do not match (L, K)")
 
     const = regressors.target_map @ t  # (P, K)
     lift = regressors.lift
-    coeff = np.zeros((regressors.n_regressors, n_out))
-    recon = full @ coeff
-    for _ in range(config.max_iters):
-        coeff = const + lift @ (lam + config.rho * u)
+    v = np.zeros((full.shape[0], t.shape[1]))
+    for _ in range(iterations):
+        coeff = const + lift @ np.abs(v)
         recon = full @ coeff
-        u = np.maximum(recon - lam / config.rho, 0.0)
-        lam = lam + config.rho * (u - recon)
-        if config.primal_tol > 0.0:
-            if float(np.linalg.norm(u - recon)) <= config.primal_tol:
-                break
+        v = recon + np.minimum(v, 0.0)
 
     clamped = np.maximum(recon, 0.0)
     dead = np.nonzero(np.max(clamped, axis=0) == 0.0)[0]
@@ -192,4 +166,4 @@ def solve_regression(
             f"regression collapsed endmember column {int(dead[0])} to zero"
         )
     estimate = EndmemberMatrix(clamped)
-    return RegressionResult(coeff, estimate, (u, lam))
+    return RegressionResult(coeff, estimate, (np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)))

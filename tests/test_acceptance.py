@@ -19,7 +19,7 @@ from kfunmix.mcrals import McrConfig, mcr_als
 from kfunmix.metrics import asad, pca_lower_bound
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step, run_experiment
 from kfunmix.protocols import P2Config, convex_hull_phasor, protocol_p1, protocol_p2
-from kfunmix.regression import AdmmConfig, build_regressor_set, solve_regression
+from kfunmix.regression import build_regressor_set, solve_regression
 from kfunmix.synthdata import (
     PeakSpec,
     SynthConfig,
@@ -46,9 +46,7 @@ def replicates():
     sd1_seconds = 0.0
     sd2_seconds = 0.0
     for seed in range(N_REPLICATES):
-        config = PipelineConfig(
-            n_endmembers=3, n_init=30, sigma_v2=1.0, rho=1.0, admm_iters=50, seed=seed
-        )
+        config = PipelineConfig(n_endmembers=3, n_init=30, sigma_v2=1.0, seed=seed)
         tic = time.perf_counter()
         sd1 = generate_dataset(
             SynthConfig(n_spectra=1000, n_channels=200, n_endmembers=3,
@@ -148,14 +146,12 @@ def test_03_constrained_regression_matches_qp(capsys):
         rng = np.random.default_rng(seed)
         rows = rng.uniform(0.1, 1.0, (5, 8))
         basis = build_basis(8, 2)
-        regressors = build_regressor_set(rows, basis, rho=1.0)
+        regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, (5, 2))
         target_vals = regressors.reduced_space @ mix + 0.05 * rng.standard_normal((4, 2))
         target = ReducedMatrix(target_vals, basis.n_harmonics)
 
-        fit = solve_regression(
-            regressors, target, AdmmConfig(rho=1.0, max_iters=10_000)
-        )
+        fit = solve_regression(regressors, target, iterations=10_000)
         admm_obj = np.linalg.norm(
             regressors.reduced_space @ fit.coefficients - target_vals
         ) ** 2

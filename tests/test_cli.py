@@ -30,7 +30,7 @@ def workspace(tmp_path_factory):
     assert main([
         "run", "--data", str(ds), "--order", str(order), "--out", str(trace),
         "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
-        "--admm-iters", "30", "--eval-stride", "16", "--baselines", "vca",
+        "--eval-stride", "16", "--baselines", "vca",
     ]) == 0
     return root
 
@@ -138,7 +138,7 @@ class TestRun:
         rc = main([
             "run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
             "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
-            "--admm-iters", "30", "--eval-stride", "32",
+            "--eval-stride", "32",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -149,7 +149,7 @@ class TestRun:
         rc = main([
             "run", "--data", str(workspace / "ds"), "--out", str(out),
             "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
-            "--admm-iters", "30", "--eval-stride", "32", "--abundance-stride", "0",
+            "--eval-stride", "32", "--abundance-stride", "0",
         ])
         assert rc == 0
         records, comments = read_trace_csv(out)
@@ -180,7 +180,6 @@ class TestRun:
         rc = main([
             "run", "--data", str(workspace / "ds"), "--out", str(out),
             "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
-            "--admm-iters", "30",
         ])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -191,6 +190,16 @@ class TestRun:
         assert main(["run", "--out", "t.csv", "--n-endmembers", "2"]) == 2
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_removed_regression_flags_exit_2(self, workspace, tmp_path, capsys):
+        """The regression budget and step are constants; old scripts that
+        still pass them fail loudly instead of being ignored."""
+        for flag, value in (("--admm-iters", "30"), ("--rho", "1.0")):
+            assert main([
+                "run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
+                "--n-endmembers", "2", "--n-init", "10", flag, value,
+            ]) == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestEval:
@@ -223,7 +232,7 @@ class TestEval:
         rc = main([
             "run", "--data", str(workspace / "ds"), "--out", str(trace),
             "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
-            "--admm-iters", "30", "--eval-stride", "32", "--abundance-stride", "0",
+            "--eval-stride", "32", "--abundance-stride", "0",
         ])
         assert rc == 0
         capsys.readouterr()

@@ -44,7 +44,6 @@ def small_stream_setup(sigma_v2: float = 1.0, updater: str = "kalman"):
         n_init=8,
         n_harmonics=6,
         sigma_v2=sigma_v2,
-        admm_iters=60,
         updater=updater,
         init_endmembers=EndmemberMatrix(truth),
     )
@@ -187,10 +186,6 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match="rls_forgetting"):
             PipelineConfig(n_endmembers=2, rls_forgetting=lam)
 
-    def test_rejects_bad_admm_budget(self):
-        with pytest.raises(ValueError, match="admm_iters"):
-            PipelineConfig(n_endmembers=2, admm_iters=0)
-
 
 class TestPipelineStep:
     def test_advances_time_and_returns_walltime(self):
@@ -309,7 +304,7 @@ def stream_dataset(seed: int = 7) -> DatasetBundle:
 
 
 def stream_config(**overrides) -> PipelineConfig:
-    base = dict(n_endmembers=2, n_init=10, n_harmonics=6, admm_iters=40, seed=0)
+    base = dict(n_endmembers=2, n_init=10, n_harmonics=6, seed=0)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -412,6 +407,8 @@ class TestRunExperiment:
         assert snap["n_stream"] == "60"
         assert snap["eval_stride"] == "16"
         assert float(snap["sigma_e2_hat"]) > 0.0
+        assert "rho" not in snap
+        assert "admm_iters" not in snap
 
     def test_final_concentrations_cover_the_stream(self):
         data = stream_dataset()

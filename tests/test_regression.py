@@ -5,23 +5,37 @@ import pytest
 from kfunmix.fourier import ReducedMatrix, build_basis
 from kfunmix.kalman import NumericalError
 from kfunmix.regression import (
-    AdmmConfig,
+    ADMM_ITERS,
+    RHO,
     RegressorSet,
     build_regressor_set,
     solve_regression,
 )
 
 
-def make_instance(seed, n_regressors=5, n_channels=8, n_harmonics=2, n_out=2):
+def make_instance(
+    seed, n_regressors=5, n_channels=8, n_harmonics=2, n_out=2, noise_scale=1.0
+):
     """Random system plus a target that keeps the constraint active."""
     rng = np.random.default_rng(seed)
     rows = rng.uniform(0.0, 1.0, size=(n_regressors, n_channels))
     basis = build_basis(n_channels, n_harmonics)
-    regressors = build_regressor_set(rows, basis, rho=1.0)
+    regressors = build_regressor_set(rows, basis)
     mix = rng.uniform(0.2, 1.0, size=(n_regressors, n_out))
-    noise = rng.normal(size=(2 * n_harmonics, n_out))
+    noise = noise_scale * rng.normal(size=(2 * n_harmonics, n_out))
     target = ReducedMatrix(regressors.reduced_space @ mix + noise, n_harmonics)
     return regressors, target
+
+
+# (seed, P, L, M, K, noise scale, iterations): the small instance, the L400
+# K5 stream operating point, and an L200 instance with 2M - 1 < P.  In the
+# two large cases the noise is about a tenth of the largest clean target
+# entry, enough to make the constraint active.
+DENSE_CASES = [
+    (4, 5, 8, 2, 2, 1.0, 30),
+    (13, 30, 400, 16, 5, 20.0, ADMM_ITERS),
+    (14, 30, 200, 8, 3, 12.0, ADMM_ITERS),
+]
 
 
 def qp_oracle(regressors, target):
@@ -46,17 +60,20 @@ class TestBuildRegressorSet:
         rng = np.random.default_rng(0)
         rows = rng.uniform(0.1, 1.0, size=(6, 20))
         basis = build_basis(20, 3)
-        regs = build_regressor_set(rows, basis, rho=2.0)
+        regs = build_regressor_set(rows, basis)
         assert regs.full_space.shape == (20, 6)
         assert regs.reduced_space.shape == (6, 6)
         assert regs.n_regressors == 6
-        assert regs.rho == 2.0
         np.testing.assert_array_equal(regs.full_space, rows.T)
+        full, reduced = regs.full_space, regs.reduced_space
+        normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
+        np.testing.assert_allclose(normal @ regs.target_map, 2.0 * reduced.T, atol=1e-10)
+        np.testing.assert_allclose(normal @ regs.lift, RHO * full.T, atol=1e-10)
 
     def test_duplicate_rows_are_singular(self):
         rows = np.vstack([np.linspace(0.1, 1.0, 12)] * 3)
         with pytest.raises(ValueError, match="regression system is singular"):
-            build_regressor_set(rows, build_basis(12, 2), rho=1.0)
+            build_regressor_set(rows, build_basis(12, 2))
 
     def test_near_duplicate_rows_warn(self):
         rng = np.random.default_rng(1)
@@ -65,26 +82,16 @@ class TestBuildRegressorSet:
             [base, base + 1e-4 * rng.uniform(0.1, 1.0, size=40), rng.uniform(size=40)]
         )
         with pytest.warns(UserWarning, match="poorly conditioned"):
-            regs = build_regressor_set(rows, build_basis(40, 4), rho=1.0)
+            regs = build_regressor_set(rows, build_basis(40, 4))
         assert 1e8 < regs.cache_cond < 1e12
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):
-            build_regressor_set(np.ones(8), build_basis(8, 2), rho=1.0)
+            build_regressor_set(np.ones(8), build_basis(8, 2))
 
     def test_regressor_set_validation(self):
         with pytest.raises(ValueError, match="counts disagree"):
-            RegressorSet(
-                np.ones((8, 3)), np.ones((4, 2)), 1.0, 10.0, np.ones((2, 4)), np.ones((3, 8))
-            )
-
-    def test_admm_config_validation(self):
-        with pytest.raises(ValueError, match="rho"):
-            AdmmConfig(rho=0.0)
-        with pytest.raises(ValueError, match="max_iters"):
-            AdmmConfig(max_iters=0)
-        with pytest.raises(ValueError, match="primal_tol"):
-            AdmmConfig(primal_tol=-1.0)
+            RegressorSet(np.ones((8, 3)), np.ones((4, 2)), 10.0, np.ones((2, 4)), np.ones((3, 8)))
 
 
 class TestSolveRegression:
@@ -92,7 +99,7 @@ class TestSolveRegression:
         """Long runs must close the objective gap to the QP reference."""
         for seed in range(5):
             regressors, target = make_instance(seed)
-            result = solve_regression(regressors, target, AdmmConfig(1.0, 10000))
+            result = solve_regression(regressors, target, iterations=10000)
             gap = admm_objective(regressors, target, result) - qp_oracle(
                 regressors, target
             )
@@ -100,7 +107,7 @@ class TestSolveRegression:
 
     def test_estimate_is_nonnegative(self):
         regressors, target = make_instance(11)
-        result = solve_regression(regressors, target, AdmmConfig(1.0, 50))
+        result = solve_regression(regressors, target)
         assert np.min(result.endmembers.values) >= 0.0
 
     def test_exact_representation_recovered(self):
@@ -108,74 +115,53 @@ class TestSolveRegression:
         rng = np.random.default_rng(2)
         rows = rng.uniform(0.1, 1.0, size=(5, 16))
         basis = build_basis(16, 3)
-        regressors = build_regressor_set(rows, basis, rho=1.0)
+        regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(5, 2))
         target = ReducedMatrix(regressors.reduced_space @ mix, 3)
-        result = solve_regression(regressors, target, AdmmConfig(1.0, 5000))
+        result = solve_regression(regressors, target, iterations=5000)
         assert admm_objective(regressors, target, result) < 1e-10
 
-    def test_feasible_warm_start_is_fixed_point(self):
-        """Warm-starting on a feasible optimum must not move the iterates."""
-        rng = np.random.default_rng(3)
-        rows = rng.uniform(0.1, 1.0, size=(5, 16))
-        basis = build_basis(16, 3)
-        regressors = build_regressor_set(rows, basis, rho=1.0)
-        mix = rng.uniform(0.2, 1.0, size=(5, 2))
-        recon = rows.T @ mix
-        target = ReducedMatrix(regressors.reduced_space @ mix, 3)
-        result = solve_regression(
-            regressors,
-            target,
-            AdmmConfig(1.0, 50),
-            warm_start=(recon, np.zeros_like(recon)),
-        )
-        np.testing.assert_allclose(result.coefficients, mix, atol=1e-10)
-        np.testing.assert_allclose(result.endmembers.values, recon, atol=1e-10)
-
     def test_matches_dense_reimplementation(self):
-        """The cached Cholesky path equals a from-scratch dense iteration."""
-        regressors, target = make_instance(4)
-        result = solve_regression(regressors, target, AdmmConfig(1.0, 30))
+        """The single-iterate recursion on cached maps equals the textbook
+        (U, lambda) iteration with a dense solve each step, from a small
+        instance up to the stream's operating points, including one where
+        2M - 1 < P leaves the objective without a unique minimiser."""
+        for seed, n_regressors, n_channels, n_harmonics, n_out, scale, iterations in DENSE_CASES:
+            regressors, target = make_instance(
+                seed, n_regressors, n_channels, n_harmonics, n_out, scale
+            )
+            result = solve_regression(regressors, target, iterations=iterations)
 
-        full, reduced = regressors.full_space, regressors.reduced_space
-        normal = 2.0 * reduced.T @ reduced + 1.0 * full.T @ full
-        t = target.values
-        u = np.zeros((full.shape[0], t.shape[1]))
-        lam = np.zeros_like(u)
-        for _ in range(30):
-            coeff = np.linalg.solve(normal, 2.0 * reduced.T @ t + full.T @ (lam + u))
-            recon = full @ coeff
-            u = np.maximum(recon - lam, 0.0)
-            lam = lam + u - recon
-        np.testing.assert_allclose(result.coefficients, coeff, atol=1e-10)
+            full, reduced = regressors.full_space, regressors.reduced_space
+            normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
+            t = target.values
+            u = np.zeros((full.shape[0], t.shape[1]))
+            lam = np.zeros_like(u)
+            for _ in range(iterations):
+                coeff = np.linalg.solve(
+                    normal, 2.0 * reduced.T @ t + full.T @ (lam + RHO * u)
+                )
+                recon = full @ coeff
+                u = np.maximum(recon - lam / RHO, 0.0)
+                lam = lam + RHO * (u - recon)
+            case = f"L={n_channels} M={n_harmonics} P={n_regressors} K={n_out}"
+            assert np.any(lam > 0.0), case
+            for got, want in zip((result.coefficients, *result.duals), (coeff, u, lam)):
+                gap = np.abs(got - want).max()
+                assert gap <= 1e-10 * np.abs(want).max(), case
 
     def test_feasibility_gap_closes_without_being_monotone(self):
-        """The split-variable gap converges to zero but may tick upward on
-        the way; chained warm starts expose the sampled trajectory."""
+        """The split-variable gap is open after 100 iterations and closed
+        after 10 000; the iteration state is exactly (U, lambda), so these
+        are two samples of one trajectory from zero."""
         regressors, target = make_instance(5)
         gaps = []
-        warm = None
-        for _ in range(100):
-            result = solve_regression(
-                regressors, target, AdmmConfig(1.0, 100), warm_start=warm
-            )
-            warm = result.duals
+        for iterations in (100, 10_000):
+            result = solve_regression(regressors, target, iterations=iterations)
             recon = regressors.full_space @ result.coefficients
             gaps.append(float(np.linalg.norm(result.duals[0] - recon)))
         assert gaps[0] > 0.0
         assert gaps[-1] <= 1e-10
-
-    def test_primal_tol_stops_early(self):
-        rng = np.random.default_rng(6)
-        rows = rng.uniform(0.1, 1.0, size=(5, 16))
-        basis = build_basis(16, 3)
-        regressors = build_regressor_set(rows, basis, rho=1.0)
-        mix = rng.uniform(0.2, 1.0, size=(5, 2))
-        target = ReducedMatrix(regressors.reduced_space @ mix, 3)
-        lazy = solve_regression(
-            regressors, target, AdmmConfig(1.0, 10**6, primal_tol=1e-6)
-        )
-        assert float(np.linalg.norm(lazy.duals[0] - regressors.full_space @ lazy.coefficients)) <= 1e-6
 
     def test_tiny_target_scales_down(self):
         """Positive homogeneity: a barely nonzero target gives a barely
@@ -183,10 +169,10 @@ class TestSolveRegression:
         rng = np.random.default_rng(7)
         rows = rng.uniform(0.1, 1.0, size=(4, 12))
         basis = build_basis(12, 2)
-        regressors = build_regressor_set(rows, basis, rho=1.0)
+        regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(4, 2))
         target = ReducedMatrix(1e-8 * (regressors.reduced_space @ mix), 2)
-        result = solve_regression(regressors, target, AdmmConfig(1.0, 200))
+        result = solve_regression(regressors, target, iterations=200)
         assert 0.0 < np.linalg.norm(result.endmembers.values) < 1e-6
         assert np.linalg.norm(result.coefficients) < 1e-6
 
@@ -194,23 +180,15 @@ class TestSolveRegression:
         regressors, _ = make_instance(8)
         target = ReducedMatrix(np.zeros((4, 2)), 2)
         with pytest.raises(NumericalError, match="collapsed endmember column"):
-            solve_regression(regressors, target, AdmmConfig(1.0, 50))
+            solve_regression(regressors, target)
 
-    def test_rho_mismatch(self):
+    def test_rejects_zero_iterations(self):
         regressors, target = make_instance(9)
-        with pytest.raises(ValueError, match="does not match the cached system rho"):
-            solve_regression(regressors, target, AdmmConfig(rho=2.0))
+        with pytest.raises(ValueError, match="iterations"):
+            solve_regression(regressors, target, iterations=0)
 
     def test_target_row_mismatch(self):
         regressors, _ = make_instance(10)
         bad = ReducedMatrix(np.zeros((6, 2)), 3)
         with pytest.raises(ValueError, match="reduced rows"):
             solve_regression(regressors, bad)
-
-    def test_warm_start_shape_mismatch(self):
-        regressors, target = make_instance(12)
-        wrong = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="warm start shapes"):
-            solve_regression(
-                regressors, target, AdmmConfig(1.0, 10), warm_start=(wrong, wrong)
-            )
