@@ -1,10 +1,14 @@
 """Evaluation metrics and trace serialization.
 
 Endmember error is the spectral angle in degrees, averaged after an
-optimal one-to-one alignment between estimated and true components.
-Abundance error is a root mean square over all entries after applying the
-same alignment.  Reconstruction error is relative in Frobenius norm, with
-a rank-K PCA projection giving the attainable lower bound.
+optimal one-to-one alignment between estimated and true components.  All
+K² angles come from one K×K matrix: the cross-Gram ``truthᵀ estimate``
+divided by the outer product of the column norms gives every cosine, one
+``linear_sum_assignment`` on the angles picks the alignment, and the
+average reads the matched entries of the same matrix.  Abundance error is
+a root mean square over all entries after applying the same alignment.
+Reconstruction error is relative in Frobenius norm, with a rank-K PCA
+projection giving the attainable lower bound.
 """
 
 from __future__ import annotations
@@ -40,34 +44,46 @@ def _columns(m: EndmemberMatrix | FloatArray) -> FloatArray:
     return m.values if isinstance(m, EndmemberMatrix) else np.asarray(m, dtype=np.float64)
 
 
-def align_components(
+def _angle_matrix(
     estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
-) -> np.ndarray:
-    """Permutation p minimizing the total angle, so column p[k] matches truth k."""
+) -> FloatArray:
+    """K×K spectral angles in degrees; entry (i, j) pairs truth i with estimate j."""
     est = _columns(estimated)
     ref = _columns(truth)
     if est.shape[1] != ref.shape[1]:
         raise ValueError("component counts differ")
-    k = ref.shape[1]
-    cost = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            cost[i, j] = sad(est[:, j], ref[:, i])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(k, dtype=int)
+    if est.shape[0] != ref.shape[0]:
+        raise ValueError("channel counts differ")
+    norm_est = np.linalg.norm(est, axis=0)
+    norm_ref = np.linalg.norm(ref, axis=0)
+    if np.any(norm_est == 0.0) or np.any(norm_ref == 0.0):
+        raise ValueError("spectral angle is undefined for zero vectors")
+    # the cosine is formed as in `sad`, dot(a, b) / (|a| |b|)
+    cosine = (ref.T @ est) / np.outer(norm_ref, norm_est)
+    return np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
+
+
+def _assign(angles: FloatArray) -> np.ndarray:
+    rows, cols = linear_sum_assignment(angles)
+    perm = np.empty(angles.shape[0], dtype=int)
     perm[rows] = cols
     return perm
+
+
+def align_components(
+    estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
+) -> np.ndarray:
+    """Permutation p minimizing the total angle, so column p[k] matches truth k."""
+    return _assign(_angle_matrix(estimated, truth))
 
 
 def asad(
     estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
 ) -> float:
     """Average spectral angle in degrees after optimal alignment."""
-    est = _columns(estimated)
-    ref = _columns(truth)
-    perm = align_components(est, ref)
-    angles = [sad(est[:, perm[i]], ref[:, i]) for i in range(ref.shape[1])]
-    return float(np.mean(angles))
+    angles = _angle_matrix(estimated, truth)
+    perm = _assign(angles)
+    return float(np.mean(angles[np.arange(perm.size), perm]))
 
 
 def rmse_concentrations(
@@ -98,7 +114,10 @@ def reconstruction_error(
     norm_y = float(np.linalg.norm(y))
     if norm_y == 0.0:
         raise ValueError("reconstruction error is undefined for all-zero data")
-    return float(np.linalg.norm(y - c @ s.T)) / norm_y
+    # one t×L temporary: the norm of (c sᵀ − y) equals that of (y − c sᵀ) bit for bit
+    residual = c @ s.T
+    residual -= y
+    return float(np.linalg.norm(residual)) / norm_y
 
 
 def pca_lower_bound(

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from kfunmix.datamodel import ConcentrationMatrix, EndmemberMatrix, SpectraMatrix
 from kfunmix.metrics import (
@@ -16,6 +17,16 @@ from kfunmix.metrics import (
     sad,
     write_trace_csv,
 )
+
+
+def oracle_angles(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-pair angle matrix from `sad`, the loop the metrics layer once ran."""
+    k = truth.shape[1]
+    cost = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            cost[i, j] = sad(est[:, j], truth[:, i])
+    return cost
 
 
 class TestSad:
@@ -71,6 +82,45 @@ class TestAlignComponents:
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="component counts differ"):
             align_components(np.ones((4, 2)), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("metric", [align_components, asad])
+    def test_channel_mismatch(self, metric):
+        with pytest.raises(ValueError, match="channel counts differ"):
+            metric(np.ones((200, 3)), np.ones((100, 3)))
+
+    @pytest.mark.parametrize("metric", [align_components, asad])
+    @pytest.mark.parametrize("zero_in", ["estimated", "truth"])
+    def test_zero_column_rejected(self, metric, zero_in):
+        est = np.ones((5, 3))
+        truth = np.eye(5)[:, :3] + 0.1
+        if zero_in == "estimated":
+            est[:, 1] = 0.0
+        else:
+            truth[:, 2] = 0.0
+        with pytest.raises(ValueError, match="zero vectors"):
+            metric(est, truth)
+
+
+class TestAngleMatrixOracle:
+    """align_components and asad against the per-pair `sad` loop."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_per_pair_loop(self, k):
+        rng = np.random.default_rng(100 + k)
+        perms = np.array(list(itertools.permutations(range(k))))
+        rows = np.arange(k)
+        for n_channels in (2, 3, 7, 40, 400):
+            for draw in (rng.uniform, rng.normal):
+                est = draw(size=(n_channels, k))
+                truth = draw(size=(n_channels, k))
+                cost = oracle_angles(est, truth)
+                _, oracle_perm = linear_sum_assignment(cost)  # rows come back as 0..k-1
+                oracle_asad = float(np.mean(cost[rows, oracle_perm]))
+
+                assert abs(asad(est, truth) - oracle_asad) < 1e-10
+                totals = np.sort(cost[rows, perms].sum(axis=1))
+                if k == 1 or totals[1] - totals[0] > 1e-6:
+                    np.testing.assert_array_equal(align_components(est, truth), oracle_perm)
 
 
 class TestAsad:
@@ -130,12 +180,17 @@ class TestReconstructionError:
         assert abs(reconstruction_error(y, c, s) - 1.0) < 1e-12
 
     def test_matches_formula(self):
+        """Bit for bit, and without writing to its inputs."""
         rng = np.random.default_rng(5)
-        y = rng.uniform(size=(6, 9))
-        c = rng.dirichlet(np.ones(2), size=6)
-        s = rng.uniform(size=(9, 2))
-        expected = np.linalg.norm(y - c @ s.T) / np.linalg.norm(y)
-        assert abs(reconstruction_error(y, c, s) - expected) < 1e-14
+        for n_rows, n_channels, k in [(6, 9, 2), (1, 5, 1), (40, 200, 3), (300, 17, 6)]:
+            y = rng.uniform(size=(n_rows, n_channels))
+            c = rng.dirichlet(np.ones(k), size=n_rows)
+            s = rng.uniform(size=(n_channels, k))
+            copies = (y.copy(), c.copy(), s.copy())
+            expected = np.linalg.norm(y - c @ s.T) / np.linalg.norm(y)
+            assert reconstruction_error(y, c, s) == expected
+            for before, after in zip(copies, (y, c, s)):
+                np.testing.assert_array_equal(before, after)
 
     def test_accepts_wrappers(self):
         y = SpectraMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))

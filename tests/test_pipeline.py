@@ -1,15 +1,16 @@
 """Tests for the streaming pipeline and the experiment runner."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from kfunmix.abundance import estimate_concentration
+from kfunmix.abundance import estimate_concentration, estimate_concentrations
 from kfunmix.datamodel import DatasetBundle, EndmemberMatrix, SpectraMatrix
 from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonics
 from kfunmix.kalman import NumericalError, kf_update
-from kfunmix.metrics import read_trace_csv
+from kfunmix.metrics import read_trace_csv, sad
 from kfunmix.pipeline import (
     PipelineConfig,
     init_pipeline,
@@ -335,6 +336,36 @@ class TestRunExperiment:
         assert with_ab == [11, 27, 43, 59, 60]
         for rec in result.trace.records:
             assert (rec.rmse is None) == (rec.re is None)
+
+    def test_every_record_matches_an_independent_recomputation(self):
+        """Replays the stream and recomputes each record without the metrics layer."""
+        k = 3
+        data = generate_dataset(
+            SynthConfig(n_spectra=60, n_channels=40, n_endmembers=k, snr_db=20.0, seed=5)
+        )
+        order = protocol_p1(60)
+        config = stream_config(n_endmembers=k)
+        result = run_experiment(data, order, config, eval_stride=1, abundance_stride=1)
+
+        stream = data.spectra.values[list(order.indices)]
+        truth_s = data.endmembers.values
+        truth_c = data.concentrations.values[list(order.indices)]
+        perms = list(itertools.permutations(range(k)))
+        state = init_pipeline(stream[: config.n_init], config)
+        records = result.trace.records
+        assert [rec.t for rec in records] == list(range(config.n_init + 1, 61))
+        for rec in records:
+            state, _ = pipeline_step(state, stream[rec.t - 1])
+            est = state.endmembers.full.values
+            totals = [sum(sad(est[:, p[i]], truth_s[:, i]) for i in range(k)) for p in perms]
+            best = perms[int(np.argmin(totals))]
+            acquired = stream[: rec.t]
+            conc = estimate_concentrations(acquired, est, config.fcls)
+            rmse = np.sqrt(np.mean((truth_c[: rec.t] - conc[:, best]) ** 2))
+            re = np.linalg.norm(acquired - conc @ est.T) / np.linalg.norm(acquired)
+            assert abs(rec.asad_deg - min(totals) / k) < 1e-10
+            assert abs(rec.rmse - rmse) < 1e-10
+            assert abs(rec.re - re) < 1e-10
 
     def test_zero_abundance_stride_disables_those_metrics(self):
         data = stream_dataset()
