@@ -38,17 +38,11 @@ class FclsConfig:
 
 def project_simplex(v: FloatArray) -> FloatArray:
     """Euclidean projection of a vector onto the probability simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    k = int(np.nonzero(cond)[0][-1])
-    tau = css[k] / float(k + 1)
-    return np.maximum(v - tau, 0.0)
+    return _project_simplex_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
 
 
 def _project_simplex_rows(rows: FloatArray) -> FloatArray:
+    """Project each row onto the probability simplex (sort-and-threshold)."""
     u = np.sort(rows, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
     ind = np.arange(1, rows.shape[1] + 1)[None, :]

@@ -75,25 +75,6 @@ def build_basis(n_channels: int, n_harmonics: int) -> FourierBasis:
     return FourierBasis(n_channels, n_harmonics, operator)
 
 
-@dataclass(frozen=True)
-class ReducedMatrix:
-    """Column-wise reduced representation, shape (2M, n_columns)."""
-
-    values: FloatArray
-    n_harmonics: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != 2 * self.n_harmonics:
-            raise ValueError(
-                f"reduced matrix must have 2M={2 * self.n_harmonics} rows, "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("reduced matrix contains non-finite entries")
-        object.__setattr__(self, "values", arr)
-
-
 def reduce_spectrum(y: FloatArray, basis: FourierBasis) -> FloatArray:
     """Map one spectrum (length L) to its 2M-dimensional representation."""
     y = np.asarray(y, dtype=np.float64)
@@ -102,14 +83,14 @@ def reduce_spectrum(y: FloatArray, basis: FourierBasis) -> FloatArray:
     return basis.operator @ y
 
 
-def reduce_columns(columns: FloatArray, basis: FourierBasis) -> ReducedMatrix:
+def reduce_columns(columns: FloatArray, basis: FourierBasis) -> FloatArray:
     """Reduce each column of an (L, Q) matrix, giving a (2M, Q) matrix."""
     columns = np.asarray(columns, dtype=np.float64)
     if columns.ndim != 2 or columns.shape[0] != basis.n_channels:
         raise ValueError(
             f"expected (L, Q) columns with L={basis.n_channels}, got {columns.shape}"
         )
-    return ReducedMatrix(basis.operator @ columns, basis.n_harmonics)
+    return basis.operator @ columns
 
 
 def select_num_harmonics(spectra: SpectraMatrix | FloatArray, eta: float) -> int:

@@ -1,14 +1,14 @@
 """Evaluation metrics and trace serialization.
 
 Endmember error is the spectral angle in degrees, averaged after an
-optimal one-to-one alignment between estimated and true components.  All
-K² angles come from one K×K matrix: the cross-Gram ``truthᵀ estimate``
-divided by the outer product of the column norms gives every cosine, one
-``linear_sum_assignment`` on the angles picks the alignment, and the
-average reads the matched entries of the same matrix.  Abundance error is
-a root mean square over all entries after applying the same alignment.
-Reconstruction error is relative in Frobenius norm, with a rank-K PCA
-projection giving the attainable lower bound.
+optimal one-to-one alignment between estimated and true components.  An
+angle is θ = 2·atan2(‖â − b̂‖, ‖â + b̂‖) on unit vectors, which is accurate
+at every angle, 0 included; the arccos of a rounded cosine is not near 0.
+All K² angles come from one K×K matrix, one ``linear_sum_assignment`` on it
+picks the alignment, and the average reads the matched entries of the same
+matrix.  Abundance error is a root mean square over all entries after
+applying the same alignment.  Reconstruction error is relative in Frobenius
+norm, with a rank-K PCA projection giving the attainable lower bound.
 """
 
 from __future__ import annotations
@@ -28,16 +28,29 @@ from .datamodel import (
 )
 
 
+def _angles(ref: FloatArray, est: FloatArray) -> FloatArray:
+    """Spectral angles in degrees between columns; entry (i, j) pairs ref i with est j."""
+    if ref.shape[0] != est.shape[0]:
+        raise ValueError("channel counts differ")
+    norm_ref = np.sqrt(np.einsum("lk,lk->k", ref, ref))
+    norm_est = np.sqrt(np.einsum("lk,lk->k", est, est))
+    if not (np.all(norm_ref) and np.all(norm_est)):
+        raise ValueError("spectral angle is undefined for zero vectors")
+    # unit columns as contiguous rows, shaped so each pair is a (1, L) row
+    unit_ref = np.ascontiguousarray(ref.T / norm_ref[:, None])[:, None, None, :]
+    unit_est = np.ascontiguousarray(est.T / norm_est[:, None])[:, None, :]
+    apart = unit_ref - unit_est  # (K, K, 1, L)
+    together = unit_ref + unit_est
+    apart_sq = (apart @ apart.swapaxes(-1, -2))[..., 0, 0]
+    together_sq = (together @ together.swapaxes(-1, -2))[..., 0, 0]
+    return np.degrees(2.0 * np.arctan2(np.sqrt(apart_sq), np.sqrt(together_sq)))
+
+
 def sad(a: FloatArray, b: FloatArray) -> float:
     """Spectral angle between two vectors, in degrees."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("spectral angle is undefined for zero vectors")
-    cosine = float(np.dot(a, b)) / (na * nb)
-    return float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))))
+    return float(_angles(a[:, None], b[:, None])[0, 0])
 
 
 def _columns(m: EndmemberMatrix | FloatArray) -> FloatArray:
@@ -52,15 +65,7 @@ def _angle_matrix(
     ref = _columns(truth)
     if est.shape[1] != ref.shape[1]:
         raise ValueError("component counts differ")
-    if est.shape[0] != ref.shape[0]:
-        raise ValueError("channel counts differ")
-    norm_est = np.linalg.norm(est, axis=0)
-    norm_ref = np.linalg.norm(ref, axis=0)
-    if np.any(norm_est == 0.0) or np.any(norm_ref == 0.0):
-        raise ValueError("spectral angle is undefined for zero vectors")
-    # the cosine is formed as in `sad`, dot(a, b) / (|a| |b|)
-    cosine = (ref.T @ est) / np.outer(norm_ref, norm_est)
-    return np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
+    return _angles(ref, est)
 
 
 def _assign(angles: FloatArray) -> np.ndarray:

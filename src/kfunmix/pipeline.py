@@ -21,7 +21,6 @@ from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estim
 from .datamodel import ConcentrationMatrix, DatasetBundle, EndmemberMatrix, FloatArray
 from .fourier import (
     FourierBasis,
-    ReducedMatrix,
     build_basis,
     reduce_columns,
     reduce_spectrum,
@@ -146,7 +145,7 @@ def init_pipeline(
         start = vca(rows, VcaConfig(config.n_endmembers, seed=config.seed))
 
     # Row k of the state mean is reduced endmember k.
-    mean = reduce_columns(start.values, basis).values.T
+    mean = reduce_columns(start.values, basis).T
     if config.updater == "dl":
         init_conc = estimate_concentrations(rows, start, config.fcls)
         estimator = FilterState(mean, init_conc.T @ init_conc)
@@ -193,10 +192,8 @@ def pipeline_step(
     else:
         estimator = dl_update(state.estimator, concentration, observed)
 
-    target = ReducedMatrix(estimator.mean.T, state.basis.n_harmonics)
-    fit = solve_regression(state.regressors, target)
-    constrained = reduce_columns(fit.endmembers.values, state.basis)
-    estimator = replace(estimator, mean=constrained.values.T)
+    fit = solve_regression(state.regressors, estimator.mean.T)
+    estimator = replace(estimator, mean=reduce_columns(fit.endmembers.values, state.basis).T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     new_state = replace(
@@ -252,19 +249,21 @@ def _evaluate(
     truth_concentrations: FloatArray | None,
     fcls: FclsConfig,
     with_abundances: bool,
-) -> tuple[float | None, float | None, float | None]:
+) -> tuple[float | None, float | None, float | None, FloatArray | None]:
+    """ASAD, RMSE and RE of one estimate, plus the abundances solved for them."""
     asad_val = None
     if truth_endmembers is not None:
         asad_val = asad(endmembers, truth_endmembers)
     rmse_val = None
     re_val = None
+    conc = None
     if with_abundances:
         conc = estimate_concentrations(acquired, endmembers, fcls)
         re_val = reconstruction_error(acquired, conc, endmembers)
         if truth_endmembers is not None and truth_concentrations is not None:
             perm = align_components(endmembers, truth_endmembers)
             rmse_val = rmse_concentrations(conc, truth_concentrations, perm)
-    return asad_val, rmse_val, re_val
+    return asad_val, rmse_val, re_val, conc
 
 
 def _baseline_endmembers(
@@ -354,9 +353,26 @@ def run_experiment(
     }
     snapshot = _snapshot(config, state, extra)
 
-    records: list[MetricRecord] = []
-    baseline_records: dict[str, list[MetricRecord]] = {name: [] for name in baselines}
-    baseline_final: dict[str, EndmemberMatrix] = {}
+    # One record list per trace: None is the stream, the rest are baselines.
+    records: dict[str | None, list[MetricRecord]] = {None: []}
+    records.update((name, []) for name in baselines)
+    # Each trace's latest endmembers, and the abundances solved against them.
+    latest: dict[str | None, tuple[EndmemberMatrix, FloatArray | None]] = {}
+
+    def record(
+        name: str | None, t: int, endmembers: EndmemberMatrix, with_ab: bool, wall_ms: float
+    ) -> None:
+        asad_val, rmse_val, re_val, conc = _evaluate(
+            stream[:t],
+            endmembers,
+            truth_s,
+            truth_c[:t] if truth_c is not None else None,
+            config.fcls,
+            with_ab,
+        )
+        records[name].append(MetricRecord(t, asad_val, rmse_val, re_val, wall_ms))
+        latest[name] = (endmembers, conc)
+
     try:
         for t in range(n_init + 1, n_stream + 1):
             state, wall_ms = pipeline_step(state, stream[t - 1])
@@ -367,51 +383,30 @@ def run_experiment(
                 with_ab = abundance_stride > 0 and (
                     offset % abundance_stride == 0 or is_final
                 )
-                asad_val, rmse_val, re_val = _evaluate(
-                    stream[:t],
-                    state.endmembers.full,
-                    truth_s,
-                    truth_c[:t] if truth_c is not None else None,
-                    config.fcls,
-                    with_ab,
-                )
-                records.append(MetricRecord(t, asad_val, rmse_val, re_val, wall_ms))
+                record(None, t, state.endmembers.full, with_ab, wall_ms)
 
             for name in baselines:
                 if offset % baseline_stride == 0 or is_final:
                     tic = time.perf_counter()
                     ref = _baseline_endmembers(name, stream[:t], config)
-                    ref_ms = (time.perf_counter() - tic) * 1e3
-                    asad_val, rmse_val, re_val = _evaluate(
-                        stream[:t],
-                        ref,
-                        truth_s,
-                        truth_c[:t] if truth_c is not None else None,
-                        config.fcls,
-                        with_abundances=True,
-                    )
-                    baseline_records[name].append(
-                        MetricRecord(t, asad_val, rmse_val, re_val, ref_ms)
-                    )
-                    baseline_final[name] = ref
+                    record(name, t, ref, True, (time.perf_counter() - tic) * 1e3)
     except NumericalError:
         if flush_path is not None:
-            write_trace_csv(records, flush_path, comments=snapshot)
+            write_trace_csv(records[None], flush_path, comments=snapshot)
         raise
 
-    final_conc = ConcentrationMatrix(
-        estimate_concentrations(stream, state.endmembers.full, config.fcls)
-    )
-    trace = RunTrace(tuple(records), state.endmembers.full, final_conc, snapshot)
-
-    baseline_traces: dict[str, RunTrace] = {}
-    for name in baselines:
-        ref = baseline_final[name]
-        ref_conc = ConcentrationMatrix(estimate_concentrations(stream, ref, config.fcls))
-        ref_snap = dict(snapshot)
-        ref_snap["baseline"] = name
-        ref_snap["baseline_stride"] = str(baseline_stride)
-        baseline_traces[name] = RunTrace(
-            tuple(baseline_records[name]), ref, ref_conc, ref_snap
+    # Every trace is recorded at the final index, so its last record solved
+    # the abundances of the whole stream, unless abundance_stride is 0.
+    traces: dict[str | None, RunTrace] = {}
+    for name, trace_records in records.items():
+        endmembers, conc = latest[name]
+        if conc is None:
+            conc = estimate_concentrations(stream, endmembers, config.fcls)
+        snap = dict(snapshot)
+        if name is not None:
+            snap["baseline"] = name
+            snap["baseline_stride"] = str(baseline_stride)
+        traces[name] = RunTrace(
+            tuple(trace_records), endmembers, ConcentrationMatrix(conc), snap
         )
-    return ExperimentResult(trace, baseline_traces)
+    return ExperimentResult(traces.pop(None), traces)

@@ -28,7 +28,6 @@ class AcquisitionOrder:
     """A permutation prefix: the order spectra should be acquired in."""
 
     indices: tuple[int, ...]
-    n_essential: int
 
     def __post_init__(self) -> None:
         if len(self.indices) < 1:
@@ -37,8 +36,6 @@ class AcquisitionOrder:
             raise ValueError("order contains duplicate indices")
         if min(self.indices) < 0:
             raise ValueError("order contains negative indices")
-        if not 1 <= self.n_essential <= len(self.indices):
-            raise ValueError("n_essential must be in [1, len(indices)]")
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def protocol_p1(n: int, shuffle_seed: int | None = None) -> AcquisitionOrder:
     idx = np.arange(n)
     if shuffle_seed is not None:
         idx = np.random.default_rng(shuffle_seed).permutation(n)
-    return AcquisitionOrder(tuple(int(i) for i in idx), n)
+    return AcquisitionOrder(tuple(int(i) for i in idx))
 
 
 def _orientation(o: FloatArray, a: FloatArray, b: FloatArray) -> float:
@@ -227,9 +224,7 @@ def protocol_p2(
             taken[chosen] = True
             round_indices.append(int(cand[chosen]))
         ordered.extend(int(i) for i in rng.permutation(round_indices))
-    ordered = ordered[:n_essential]
-
-    return AcquisitionOrder(tuple(ordered), n_essential)
+    return AcquisitionOrder(tuple(ordered[:n_essential]))
 
 
 def save_order_csv(order: AcquisitionOrder, path: str | os.PathLike[str]) -> None:
@@ -239,7 +234,7 @@ def save_order_csv(order: AcquisitionOrder, path: str | os.PathLike[str]) -> Non
 
 
 def load_order_csv(path: str | os.PathLike[str]) -> AcquisitionOrder:
-    """Read a single-column order file; n_essential is the line count."""
+    """Read a single-column order file, one index per line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     indices = []
@@ -248,4 +243,4 @@ def load_order_csv(path: str | os.PathLike[str]) -> AcquisitionOrder:
             indices.append(int(line))
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: non-integer index {line!r}") from None
-    return AcquisitionOrder(tuple(indices), len(indices))
+    return AcquisitionOrder(tuple(indices))

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
-from .fourier import FourierBasis, ReducedMatrix, reduce_columns
+from .fourier import FourierBasis, reduce_columns
 from .kalman import NumericalError
 
 CACHE_COND_LIMIT = 1e12
@@ -83,7 +83,7 @@ def build_regressor_set(
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     full = np.array(rows.T, dtype=np.float64)  # (L, P)
-    reduced = reduce_columns(full, basis).values  # (2M, P)
+    reduced = reduce_columns(full, basis)  # (2M, P)
 
     normal = 2.0 * (reduced.T @ reduced) + RHO * (full.T @ full)
     cond = float(np.linalg.cond(normal))
@@ -113,7 +113,7 @@ class RegressionResult:
 
 
 def solve_regression(
-    regressors: RegressorSet, target: ReducedMatrix, *, iterations: int = ADMM_ITERS
+    regressors: RegressorSet, target: FloatArray, *, iterations: int = ADMM_ITERS
 ) -> RegressionResult:
     """Fit the reduced target as a nonnegative combination of the regressors.
 
@@ -121,8 +121,9 @@ def solve_regression(
     ----------
     regressors : RegressorSet
         System built by :func:`build_regressor_set`.
-    target : ReducedMatrix
-        Reduced endmember estimate, shape (2M, K).
+    target : (2M, K) array
+        Reduced endmember estimate, one column per component; every entry
+        must be finite.
     iterations : int
         ADMM iterations from zero; the pipeline always runs ADMM_ITERS,
         and tests pass long runs to reach the converged limit.
@@ -135,6 +136,9 @@ def solve_regression(
 
     Raises
     ------
+    ValueError
+        If the target is not a (2M, K) matrix matching the regressors, or
+        holds a NaN or an infinity.
     NumericalError
         If clamping zeroes out an entire column, leaving no usable
         endmember estimate for that component.
@@ -143,11 +147,14 @@ def solve_regression(
         raise ValueError("iterations must be >= 1")
     full = regressors.full_space
     reduced = regressors.reduced_space
-    t = target.values
-    if t.shape[0] != reduced.shape[0]:
+    t = np.asarray(target, dtype=np.float64)
+    if t.ndim != 2 or t.shape[0] != reduced.shape[0]:
         raise ValueError(
-            f"target has {t.shape[0]} reduced rows, regressors have {reduced.shape[0]}"
+            f"target of shape {t.shape} does not have the {reduced.shape[0]} reduced "
+            "rows of the regressors"
         )
+    if not np.all(np.isfinite(t)):
+        raise ValueError("target contains non-finite entries")
 
     const = regressors.target_map @ t  # (P, K)
     lift = regressors.lift

@@ -84,7 +84,6 @@ class TestOrder:
         assert rc == 0
         order = load_order_csv(out)
         assert order.indices == tuple(range(80))
-        assert order.n_essential == 80
 
     def test_p1_shuffle_permutes(self, workspace, tmp_path):
         out = tmp_path / "p1s.csv"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kfunmix.fourier import (
     FourierBasis,
-    ReducedMatrix,
     build_basis,
     max_harmonics,
     reduce_columns,
@@ -121,25 +120,16 @@ class TestBasisValidation:
             FourierBasis(6, 2, bad)
 
 
-class TestReducedMatrix:
-    def test_row_count_enforced(self):
-        with pytest.raises(ValueError, match="2M=4 rows"):
-            ReducedMatrix(np.ones((3, 2)), 2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ReducedMatrix(np.array([[np.nan], [0.0]]), 1)
-
+class TestReduceColumns:
     def test_reduce_columns_matches_per_spectrum(self):
         rng = np.random.default_rng(4)
         cols = rng.normal(size=(15, 3))
         basis = build_basis(15, 4)
         reduced = reduce_columns(cols, basis)
-        assert reduced.values.shape == (8, 3)
+        assert isinstance(reduced, np.ndarray)
+        assert reduced.shape == (8, 3)
         for q in range(3):
-            np.testing.assert_allclose(
-                reduced.values[:, q], reduce_spectrum(cols[:, q], basis)
-            )
+            np.testing.assert_allclose(reduced[:, q], reduce_spectrum(cols[:, q], basis))
 
     def test_reduce_shape_errors(self):
         basis = build_basis(15, 4)

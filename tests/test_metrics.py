@@ -31,8 +31,26 @@ def oracle_angles(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 class TestSad:
     def test_identical_vectors(self):
-        """arccos loses precision near cosine 1, so zero is only approximate."""
-        assert sad(np.array([1.0, 2.0]), np.array([2.0, 4.0])) < 1e-5
+        """Scaling by 2 is exact, so the unit vectors coincide and the angle is 0."""
+        assert sad(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == 0.0
+
+    def test_angle_to_itself_is_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            a = rng.uniform(0.0, 1.0, size=200)
+            assert sad(a, a) == 0.0
+            assert sad(a, 2.0 * a) == 0.0
+            assert sad(a, 3.0 * a) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-9, 1e-12])
+    def test_small_angles_are_accurate(self, eps):
+        """The angle between e1 and e1 + eps e2 is atan(eps), far below the
+        resolution of the arccos of a rounded cosine."""
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([1.0, eps, 0.0])
+        want = np.degrees(np.arctan(eps))
+        assert sad(a, b) == pytest.approx(want, rel=1e-12)
+        assert sad(b, a) == pytest.approx(want, rel=1e-12)
 
     def test_orthogonal_vectors(self):
         assert abs(sad(np.array([1.0, 0.0]), np.array([0.0, 3.0])) - 90.0) < 1e-12
@@ -138,6 +156,13 @@ class TestAsad:
     def test_accepts_endmember_matrices(self):
         m = EndmemberMatrix(np.array([[1.0, 0.2], [0.1, 1.0]]))
         assert asad(m, m) < 1e-12
+
+    def test_matrix_against_itself_is_exactly_zero(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            x = rng.uniform(0.0, 1.0, size=(200, 3))
+            assert asad(x, x) == 0.0
+            assert np.array_equal(align_components(x, x), [0, 1, 2])
 
 
 class TestRmse:

@@ -100,7 +100,7 @@ class TestInitPipeline:
     def test_starting_state_is_anchored_on_the_init_endmembers(self):
         truth, _, state = small_stream_setup()
         np.testing.assert_array_equal(state.endmembers.full.values, truth)
-        expected = reduce_columns(state.endmembers.full.values, state.basis).values.T
+        expected = reduce_columns(state.endmembers.full.values, state.basis).T
         np.testing.assert_array_equal(state.estimator.mean, expected)
         assert state.t == 8
 
@@ -202,7 +202,7 @@ class TestPipelineStep:
         rng = np.random.default_rng(2)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, _ = pipeline_step(state, mix)
-        expected = reduce_columns(new_state.endmembers.full.values, state.basis).values.T
+        expected = reduce_columns(new_state.endmembers.full.values, state.basis).T
         np.testing.assert_array_equal(new_state.estimator.mean, expected)
 
     def test_covariance_matches_a_bare_filter_update(self):
@@ -228,11 +228,11 @@ class TestPipelineStep:
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(4)
         mix = rng.dirichlet(np.ones(2), size=5) @ truth.T
-        red0 = reduce_columns(state.endmembers.full.values, state.basis).values.T
+        red0 = reduce_columns(state.endmembers.full.values, state.basis).T
         full0 = state.endmembers.full.values.copy()
         for row in mix:
             state, _ = pipeline_step(state, row)
-        red = reduce_columns(state.endmembers.full.values, state.basis).values.T
+        red = reduce_columns(state.endmembers.full.values, state.basis).T
         assert np.abs(red - red0).max() <= 1e-2
         assert np.abs(state.endmembers.full.values - full0).max() <= 0.05
 
@@ -449,6 +449,55 @@ class TestRunExperiment:
         assert conc.shape == (60, 2)
         np.testing.assert_allclose(conc.sum(axis=1), 1.0, atol=1e-9)
 
+    @staticmethod
+    def count_batch_fcls(monkeypatch):
+        """Record the row count of every batch FCLS the runner makes."""
+        rows = []
+
+        def counted(spectra_rows, endmembers, config):
+            rows.append(len(spectra_rows))
+            return estimate_concentrations(spectra_rows, endmembers, config)
+
+        monkeypatch.setattr("kfunmix.pipeline.estimate_concentrations", counted)
+        return rows
+
+    def test_final_abundances_come_from_the_last_record(self, monkeypatch):
+        """One batch FCLS per record with abundances and none after the
+        loop: the final record already solved the whole stream."""
+        rows = self.count_batch_fcls(monkeypatch)
+        data = stream_dataset()
+        order = protocol_p1(60)
+        config = stream_config()
+        result = run_experiment(
+            data, order, config, eval_stride=8, abundance_stride=1,
+            baselines=("vca",), baseline_stride=25,
+        )
+        main = [rec.t for rec in result.trace.records if rec.rmse is not None]
+        ref = [rec.t for rec in result.baselines["vca"].records]
+        assert main == [11, 19, 27, 35, 43, 51, 59, 60]
+        assert ref == [11, 36, 60]
+        assert sorted(rows) == sorted(main + ref)
+
+        stream = data.spectra.values[list(order.indices)]
+        for trace in (result.trace, result.baselines["vca"]):
+            np.testing.assert_array_equal(
+                trace.final_concentrations.values,
+                estimate_concentrations(stream, trace.final_endmembers, config.fcls),
+            )
+
+    def test_zero_abundance_stride_solves_the_final_abundances_once(self, monkeypatch):
+        rows = self.count_batch_fcls(monkeypatch)
+        data = stream_dataset()
+        order = protocol_p1(60)
+        config = stream_config()
+        result = run_experiment(data, order, config, eval_stride=8, abundance_stride=0)
+        assert rows == [60]
+        stream = data.spectra.values[list(order.indices)]
+        np.testing.assert_array_equal(
+            result.trace.final_concentrations.values,
+            estimate_concentrations(stream, result.trace.final_endmembers, config.fcls),
+        )
+
     def test_deterministic_apart_from_walltime(self):
         data = stream_dataset()
         order = protocol_p1(60, shuffle_seed=3)
@@ -464,13 +513,13 @@ class TestRunExperiment:
 
     def test_rejects_order_beyond_the_dataset(self):
         data = stream_dataset()
-        order = AcquisitionOrder(tuple(range(1, 61)), n_essential=60)
+        order = AcquisitionOrder(tuple(range(1, 61)))
         with pytest.raises(ValueError, match="beyond the dataset"):
             run_experiment(data, order, stream_config())
 
     def test_rejects_stream_not_longer_than_init(self):
         data = stream_dataset()
-        order = AcquisitionOrder(tuple(range(10)), n_essential=10)
+        order = AcquisitionOrder(tuple(range(10)))
         with pytest.raises(ValueError, match="need more than n_init"):
             run_experiment(data, order, stream_config())
 

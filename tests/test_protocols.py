@@ -162,7 +162,6 @@ class TestProtocolP1:
     def test_native_order(self):
         order = protocol_p1(5)
         assert order.indices == (0, 1, 2, 3, 4)
-        assert order.n_essential == 5
 
     def test_seeded_shuffle_is_deterministic_permutation(self):
         a = protocol_p1(20, shuffle_seed=3)
@@ -205,7 +204,6 @@ class TestProtocolP2:
         basis = build_basis(rows.shape[1], 2)
         order = protocol_p2(rows, basis, P2Config(n_essential=30, n_clusters=5, seed=1))
         assert len(order.indices) == 30
-        assert order.n_essential == 30
         assert len(set(order.indices)) == 30
         assert all(0 <= i < rows.shape[0] for i in order.indices)
 
@@ -255,22 +253,20 @@ class TestProtocolP2:
 class TestAcquisitionOrder:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one index"):
-            AcquisitionOrder((), 1)
+            AcquisitionOrder(())
         with pytest.raises(ValueError, match="duplicate"):
-            AcquisitionOrder((1, 1), 2)
+            AcquisitionOrder((1, 1))
         with pytest.raises(ValueError, match="negative"):
-            AcquisitionOrder((0, -1), 2)
-        with pytest.raises(ValueError, match="n_essential must be in"):
-            AcquisitionOrder((0, 1), 3)
+            AcquisitionOrder((0, -1))
 
     def test_csv_round_trip(self, tmp_path):
-        order = AcquisitionOrder((4, 0, 2), 3)
+        order = AcquisitionOrder((4, 0, 2))
         path = tmp_path / "order.csv"
         save_order_csv(order, path)
         assert path.read_text() == "4\n0\n2\n"
         loaded = load_order_csv(path)
         assert loaded.indices == (4, 0, 2)
-        assert loaded.n_essential == 3
+        assert loaded == order
 
     def test_csv_skips_blank_and_comments(self, tmp_path):
         path = tmp_path / "order.csv"

@@ -1,8 +1,9 @@
 """Tests for the cone-constrained subspace regression and its cached solver."""
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from kfunmix.fourier import ReducedMatrix, build_basis
+from kfunmix.fourier import build_basis
 from kfunmix.kalman import NumericalError
 from kfunmix.regression import (
     ADMM_ITERS,
@@ -11,6 +12,7 @@ from kfunmix.regression import (
     build_regressor_set,
     solve_regression,
 )
+from qp_oracle import cvxpy_minimum, qp_minimum
 
 
 def make_instance(
@@ -23,7 +25,7 @@ def make_instance(
     regressors = build_regressor_set(rows, basis)
     mix = rng.uniform(0.2, 1.0, size=(n_regressors, n_out))
     noise = noise_scale * rng.normal(size=(2 * n_harmonics, n_out))
-    target = ReducedMatrix(regressors.reduced_space @ mix + noise, n_harmonics)
+    target = regressors.reduced_space @ mix + noise
     return regressors, target
 
 
@@ -39,19 +41,12 @@ DENSE_CASES = [
 
 
 def qp_oracle(regressors, target):
-    """Reference solution of the constrained quadratic program."""
-    cvxpy = pytest.importorskip("cvxpy")
-    coeff = cvxpy.Variable((regressors.n_regressors, target.values.shape[1]))
-    objective = cvxpy.Minimize(
-        cvxpy.sum_squares(regressors.reduced_space @ coeff - target.values)
-    )
-    problem = cvxpy.Problem(objective, [regressors.full_space @ coeff >= 0])
-    problem.solve()
-    return float(problem.value)
+    """Optimal objective of the constrained quadratic program, exact by enumeration."""
+    return qp_minimum(regressors.reduced_space, regressors.full_space, target)[1]
 
 
 def admm_objective(regressors, target, result):
-    resid = regressors.reduced_space @ result.coefficients - target.values
+    resid = regressors.reduced_space @ result.coefficients - target
     return float(np.sum(resid**2))
 
 
@@ -94,16 +89,77 @@ class TestBuildRegressorSet:
             RegressorSet(np.ones((8, 3)), np.ones((4, 2)), 10.0, np.ones((2, 4)), np.ones((3, 8)))
 
 
+class TestQpOracle:
+    """The enumeration oracle against an independent solver and known optima."""
+
+    @staticmethod
+    def slsqp_objective(regressors, target):
+        total = 0.0
+        full, reduced = regressors.full_space, regressors.reduced_space
+        start = np.linalg.lstsq(full, np.ones(full.shape[0]), rcond=None)[0]
+        for col in target.T:
+            res = minimize(
+                lambda r: np.sum((reduced @ r - col) ** 2),
+                start,
+                jac=lambda r: 2.0 * reduced.T @ (reduced @ r - col),
+                constraints=[{"type": "ineq", "fun": lambda r: full @ r, "jac": lambda r: full}],
+                method="SLSQP",
+                options={"ftol": 1e-15, "maxiter": 1000},
+            )
+            assert res.success
+            total += float(res.fun)
+        return total
+
+    def test_matches_slsqp(self):
+        """On instances with an active constraint, no feasible point found
+        by SLSQP beats the oracle, and the oracle's own point is feasible
+        with the objective it reports."""
+        active = 0
+        for seed in range(20):
+            regressors, target = make_instance(seed)
+            coeff, optimum = qp_minimum(regressors.reduced_space, regressors.full_space, target)
+            assert np.min(regressors.full_space @ coeff) >= -1e-9
+            resid = regressors.reduced_space @ coeff - target
+            assert np.sum(resid**2) == pytest.approx(optimum, rel=1e-12)
+            reference = self.slsqp_objective(regressors, target)
+            assert optimum <= reference + 1e-10 * max(1.0, reference)
+            assert reference - optimum <= 1e-6 * max(1.0, reference)
+            unconstrained = np.linalg.lstsq(regressors.reduced_space, target, rcond=None)[0]
+            active += np.min(regressors.full_space @ unconstrained) < 0.0
+        assert active >= 10
+
+    def test_target_in_the_cone_image_has_zero_objective(self):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.1, 1.0, size=(5, 8))
+        regressors = build_regressor_set(rows, build_basis(8, 2))
+        target = regressors.reduced_space @ rng.uniform(0.2, 1.0, size=(5, 2))
+        _, optimum = qp_minimum(regressors.reduced_space, regressors.full_space, target)
+        assert optimum <= 1e-20
+
+    def test_infeasible_unconstrained_fit_is_rejected(self):
+        """Targets whose least-squares fit needs a negative spectrum: the
+        optimum is the nearest point of the cone, not the free fit, and for
+        an all-negative target it is the apex, where all P constraints bind."""
+        full = np.eye(3)
+        reduced = np.eye(3)
+        target = np.array([[1.0, -1.0], [-2.0, -2.0], [0.5, -0.5]])
+        coeff, optimum = qp_minimum(reduced, full, target)
+        np.testing.assert_allclose(coeff, [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]], atol=1e-15)
+        assert optimum == pytest.approx(4.0 + 5.25, rel=1e-14)
+
+
 class TestSolveRegression:
     def test_matches_quadratic_program(self):
         """Long runs must close the objective gap to the QP reference."""
         for seed in range(5):
             regressors, target = make_instance(seed)
             result = solve_regression(regressors, target, iterations=10000)
-            gap = admm_objective(regressors, target, result) - qp_oracle(
-                regressors, target
-            )
+            optimum = qp_oracle(regressors, target)
+            gap = admm_objective(regressors, target, result) - optimum
             assert abs(gap) <= 1e-4
+            reference = cvxpy_minimum(regressors.reduced_space, regressors.full_space, target)
+            if reference is not None:
+                assert abs(reference - optimum) <= 1e-4
 
     def test_estimate_is_nonnegative(self):
         regressors, target = make_instance(11)
@@ -117,7 +173,7 @@ class TestSolveRegression:
         basis = build_basis(16, 3)
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(5, 2))
-        target = ReducedMatrix(regressors.reduced_space @ mix, 3)
+        target = regressors.reduced_space @ mix
         result = solve_regression(regressors, target, iterations=5000)
         assert admm_objective(regressors, target, result) < 1e-10
 
@@ -134,7 +190,7 @@ class TestSolveRegression:
 
             full, reduced = regressors.full_space, regressors.reduced_space
             normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
-            t = target.values
+            t = target
             u = np.zeros((full.shape[0], t.shape[1]))
             lam = np.zeros_like(u)
             for _ in range(iterations):
@@ -171,14 +227,14 @@ class TestSolveRegression:
         basis = build_basis(12, 2)
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(4, 2))
-        target = ReducedMatrix(1e-8 * (regressors.reduced_space @ mix), 2)
+        target = 1e-8 * (regressors.reduced_space @ mix)
         result = solve_regression(regressors, target, iterations=200)
         assert 0.0 < np.linalg.norm(result.endmembers.values) < 1e-6
         assert np.linalg.norm(result.coefficients) < 1e-6
 
     def test_zero_target_collapses_to_numerical_error(self):
         regressors, _ = make_instance(8)
-        target = ReducedMatrix(np.zeros((4, 2)), 2)
+        target = np.zeros((4, 2))
         with pytest.raises(NumericalError, match="collapsed endmember column"):
             solve_regression(regressors, target)
 
@@ -189,6 +245,13 @@ class TestSolveRegression:
 
     def test_target_row_mismatch(self):
         regressors, _ = make_instance(10)
-        bad = ReducedMatrix(np.zeros((6, 2)), 3)
-        with pytest.raises(ValueError, match="reduced rows"):
-            solve_regression(regressors, bad)
+        for bad in (np.ones((6, 2)), np.ones((3, 2)), np.ones(4)):
+            with pytest.raises(ValueError, match="reduced rows"):
+                solve_regression(regressors, bad)
+
+    def test_non_finite_target_rejected(self):
+        regressors, target = make_instance(10)
+        for bad in (np.nan, np.inf, -np.inf):
+            target[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_regression(regressors, target)
