@@ -238,10 +238,19 @@ def load_dataset(directory: str | os.PathLike[str]) -> DatasetBundle:
                 if not line:
                     continue
                 key, _, value = line.partition(",")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "noise_variance_true":
-                    noise_var = float(value)
-                else:
+                if key not in ("seed", "noise_variance_true"):
                     raise ValueError(f"{meta_path}: line {line_no}: unknown key {key!r}")
+                try:
+                    if key == "seed":
+                        seed = int(value)
+                    else:
+                        noise_var = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{meta_path}: line {line_no}: bad {key} value {value!r}"
+                    ) from None
+                if not 0.0 <= noise_var < np.inf:
+                    raise ValueError(
+                        f"{meta_path}: line {line_no}: noise_variance_true must be finite and >= 0"
+                    )
     return DatasetBundle(spectra, conc, ends, noise_var, seed)

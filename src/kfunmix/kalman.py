@@ -12,6 +12,8 @@ Three gain rules share this structure: a Kalman filter on a random-walk
 state, exponentially weighted recursive least squares, and a normalized
 gradient step driven by the concentration Gram matrix.  Each computes a
 K-vector gain g and moves every row of the mean by ``g_k (y - c @ mean)``.
+The first two are one covariance-form step: RLS is the Kalman step on the
+inflated prior P / forgetting with unit observation variance.
 """
 
 from __future__ import annotations
@@ -103,18 +105,29 @@ def _residual(
     return c, y - c @ state.mean
 
 
-def _innovation_scale(value: float) -> float:
-    if not (np.isfinite(value) and value > 0.0):
-        raise NumericalError(f"innovation variance {value} is not finite and positive")
-    return value
-
-
 def _advance(
     state: FilterState, gain: FloatArray, residual: FloatArray, matrix: FloatArray
 ) -> FilterState:
     if not np.all(np.isfinite(gain)):
         raise NumericalError("gain has non-finite entries")
     return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
+
+
+def _kalman_step(
+    state: FilterState, c: FloatArray, residual: FloatArray, prior: FloatArray, obs_var: float
+) -> FilterState:
+    """Covariance-form step on a K x K prior with innovation variance s.
+
+    s = c^T prior c + obs_var; the gain is prior c / s and the posterior
+    matrix prior - (prior c)(prior c)^T / s.
+    """
+    prior_c = prior @ c
+    scale = float(c @ prior_c) + obs_var
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise NumericalError(f"innovation variance {scale} is not finite and positive")
+    return _advance(
+        state, prior_c / scale, residual, prior - np.outer(prior_c, prior_c) / scale
+    )
 
 
 def kf_update(
@@ -148,11 +161,8 @@ def kf_update(
         c^T Sigma c + sigma_e2 is not finite and positive.
     """
     c, residual = _residual(state, concentration, observation)
-    sigma = state.matrix + noise.sigma_v2 * np.eye(c.size)
-    sigma_c = sigma @ c
-    scale = _innovation_scale(float(c @ sigma_c) + noise.sigma_e2)
-    return _advance(
-        state, sigma_c / scale, residual, sigma - np.outer(sigma_c, sigma_c) / scale
+    return _kalman_step(
+        state, c, residual, state.matrix + noise.sigma_v2 * np.eye(c.size), noise.sigma_e2
     )
 
 
@@ -162,23 +172,19 @@ def rls_update(
     observation: FloatArray,
     forgetting: float,
 ) -> FilterState:
-    """Exponentially weighted RLS step with forgetting factor in (0, 1].
+    """Exponentially weighted RLS step with forgetting factor lambda in (0, 1].
 
-    At forgetting = 1 this recursion coincides with :func:`kf_update` run
-    with sigma_v2 = 0 and sigma_e2 = 1 when P is initialized to the prior
-    covariance.
+    With M = P / lambda, the RLS update (P - P c c^T P / (c^T P c + lambda))
+    / lambda equals M - M c c^T M / (c^T M c + 1), and the gain
+    P c / (c^T P c + lambda) equals M c / (c^T M c + 1).  So this is the
+    Kalman step of :func:`kf_update` on the inflated prior M with unit
+    observation variance; at lambda = 1 it is kf_update with sigma_v2 = 0
+    and sigma_e2 = 1.
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
     c, residual = _residual(state, concentration, observation)
-    p_c = state.matrix @ c
-    scale = _innovation_scale(float(c @ p_c) + forgetting)
-    return _advance(
-        state,
-        p_c / scale,
-        residual,
-        (state.matrix - np.outer(p_c, p_c) / scale) / forgetting,
-    )
+    return _kalman_step(state, c, residual, state.matrix / forgetting, 1.0)
 
 
 def dl_update(

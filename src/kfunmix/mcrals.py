@@ -28,20 +28,15 @@ from .datamodel import (
 from .vca import VcaConfig, vca
 
 RANK_COND_LIMIT = 1e12
+# Alternation budget, and the relative residual change that ends it early.
+MAX_ITERS = 60
+REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class McrConfig:
     init: EndmemberMatrix
-    max_iters: int = 60
-    rel_tol: float = 1e-8
     fcls: FclsConfig = FclsConfig()
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +89,8 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
     spectra : (n, L) rows
         All spectra acquired so far.
     config : McrConfig
-        Initial endmembers, iteration cap (default 60) and the relative
-        residual-change tolerance that stops the alternation.
+        Initial endmembers.  The alternation runs at most MAX_ITERS times
+        and stops once the relative residual change falls below REL_TOL.
 
     Returns
     -------
@@ -112,7 +107,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
     s = config.init.values
     residuals: list[float] = []
     conc = None
-    for _iteration in range(config.max_iters):
+    for _iteration in range(MAX_ITERS):
         trial_conc = estimate_concentrations(rows, s, config.fcls)
         trial_s = _endmember_step(rows, trial_conc)
         # A component absent from every row has no data to fit; keep it.
@@ -128,7 +123,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
         if len(residuals) > 1:
             prev = residuals[-2]
             change = abs(prev - residuals[-1]) / max(prev, np.finfo(float).tiny)
-            if change < config.rel_tol:
+            if change < REL_TOL:
                 break
 
     return McrResult(

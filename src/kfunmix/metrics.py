@@ -125,14 +125,12 @@ def reconstruction_error(
     return float(np.linalg.norm(residual)) / norm_y
 
 
-def pca_lower_bound(
-    spectra_rows: SpectraMatrix | FloatArray, n_components: int, centered: bool = False
-) -> float:
+def pca_lower_bound(spectra_rows: SpectraMatrix | FloatArray, n_components: int) -> float:
     """Relative error of the best rank-K linear reconstruction.
 
     Projects the rows onto the span of the first K right singular vectors;
-    by default the data is not mean-centered, matching the reconstruction
-    error definition above.  centered=True reports the affine variant.
+    the data is not mean-centered, matching the reconstruction error
+    definition above.
     """
     if isinstance(spectra_rows, SpectraMatrix):
         spectra_rows = spectra_rows.values
@@ -142,16 +140,9 @@ def pca_lower_bound(
     norm_y = float(np.linalg.norm(y))
     if norm_y == 0.0:
         raise ValueError("lower bound is undefined for all-zero data")
-    if centered:
-        mean = y.mean(axis=0, keepdims=True)
-        shifted = y - mean
-        _, _, vt = np.linalg.svd(shifted, full_matrices=False)
-        loadings = vt[:n_components].T
-        recon = mean + (shifted @ loadings) @ loadings.T
-    else:
-        _, _, vt = np.linalg.svd(y, full_matrices=False)
-        loadings = vt[:n_components].T
-        recon = (y @ loadings) @ loadings.T
+    _, _, vt = np.linalg.svd(y, full_matrices=False)
+    loadings = vt[:n_components].T
+    recon = (y @ loadings) @ loadings.T
     return float(np.linalg.norm(y - recon)) / norm_y
 
 
@@ -228,14 +219,17 @@ def read_trace_csv(
         fields = line.split(",")
         if len(fields) != 5:
             raise ValueError(f"{path}: line {line_no}: expected 5 fields")
-        vals = [float(f) for f in fields[1:]]
-        records.append(
-            MetricRecord(
-                t=int(fields[0]),
-                asad_deg=None if np.isnan(vals[0]) else vals[0],
-                rmse=None if np.isnan(vals[1]) else vals[1],
-                re=None if np.isnan(vals[2]) else vals[2],
-                wall_ms=vals[3],
+        try:
+            vals = [float(f) for f in fields[1:]]
+            records.append(
+                MetricRecord(
+                    t=int(fields[0]),
+                    asad_deg=None if np.isnan(vals[0]) else vals[0],
+                    rmse=None if np.isnan(vals[1]) else vals[1],
+                    re=None if np.isnan(vals[2]) else vals[2],
+                    wall_ms=vals[3],
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return tuple(records), comments

@@ -236,9 +236,11 @@ def save_order_csv(order: AcquisitionOrder, path: str | os.PathLike[str]) -> Non
 def load_order_csv(path: str | os.PathLike[str]) -> AcquisitionOrder:
     """Read a single-column order file, one index per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+        lines = fh.read().splitlines()
     indices = []
     for line_no, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
         try:
             indices.append(int(line))
         except ValueError:

@@ -33,22 +33,11 @@ from .metrics import sad
 MIN_PAIRWISE_SAD_DEG = 10.0
 MAX_ENDMEMBER_ATTEMPTS = 100
 MAX_CONCENTRATION_DRAWS = 10**6
-
-
-@dataclass(frozen=True)
-class PeakSpec:
-    """Per-endmember Gaussian peak counts and widths (in channels)."""
-
-    n_peaks_min: int = 8
-    n_peaks_max: int = 16
-    width_min: float = 2.0
-    width_max: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.n_peaks_min < 1 or self.n_peaks_max < self.n_peaks_min:
-            raise ValueError("peak counts must satisfy 1 <= min <= max")
-        if self.width_min <= 0.0 or self.width_max < self.width_min:
-            raise ValueError("widths must satisfy 0 < min <= max")
+# Inclusive ranges of the Gaussian peak count and width (in channels) per endmember.
+N_PEAKS = (8, 16)
+PEAK_WIDTH = (2.0, 5.0)
+# Channels per residual segment in the noise estimate.
+SEGMENT_LEN = 10
 
 
 @dataclass(frozen=True)
@@ -60,7 +49,6 @@ class SynthConfig:
     alpha: float | tuple[float, ...] = 1.0
     purity_cap: float | None = None
     seed: int = 0
-    peaks: PeakSpec = PeakSpec()
 
     def __post_init__(self) -> None:
         if self.n_spectra < 1:
@@ -81,12 +69,10 @@ class SynthConfig:
                 )
 
 
-def _draw_peak_spectrum(
-    n_channels: int, peaks: PeakSpec, rng: np.random.Generator
-) -> FloatArray:
-    n_peaks = int(rng.integers(peaks.n_peaks_min, peaks.n_peaks_max + 1))
+def _draw_peak_spectrum(n_channels: int, rng: np.random.Generator) -> FloatArray:
+    n_peaks = int(rng.integers(N_PEAKS[0], N_PEAKS[1] + 1))
     centers = rng.uniform(0.05 * n_channels, 0.95 * n_channels, size=n_peaks)
-    widths = rng.uniform(peaks.width_min, peaks.width_max, size=n_peaks)
+    widths = rng.uniform(PEAK_WIDTH[0], PEAK_WIDTH[1], size=n_peaks)
     amplitudes = rng.uniform(0.2, 1.0, size=n_peaks)
     grid = np.arange(n_channels)[None, :]
     shapes = amplitudes[:, None] * np.exp(
@@ -96,15 +82,13 @@ def _draw_peak_spectrum(
     return spectrum / np.max(spectrum)
 
 
-def generate_pure_spectra(
-    n_channels: int, n_endmembers: int, peaks: PeakSpec, seed: int
-) -> EndmemberMatrix:
+def generate_pure_spectra(n_channels: int, n_endmembers: int, seed: int) -> EndmemberMatrix:
     """Draw K unit-maximum peak spectra with pairwise angles >= 10 degrees."""
     rng = np.random.default_rng(seed)
     accepted: list[FloatArray] = []
     for _ in range(n_endmembers):
         for _attempt in range(MAX_ENDMEMBER_ATTEMPTS):
-            candidate = _draw_peak_spectrum(n_channels, peaks, rng)
+            candidate = _draw_peak_spectrum(n_channels, rng)
             if all(sad(candidate, prev) >= MIN_PAIRWISE_SAD_DEG for prev in accepted):
                 accepted.append(candidate)
                 break
@@ -149,9 +133,7 @@ def _draw_concentrations(
 
 def generate_dataset(config: SynthConfig) -> DatasetBundle:
     """Generate a full synthetic bundle: spectra, ground truth, noise level."""
-    endmembers = generate_pure_spectra(
-        config.n_channels, config.n_endmembers, config.peaks, config.seed
-    )
+    endmembers = generate_pure_spectra(config.n_channels, config.n_endmembers, config.seed)
     rng = np.random.default_rng(config.seed + 1)
     concentrations = _draw_concentrations(config, rng)
     clean = concentrations.values @ endmembers.values.T
@@ -185,28 +167,26 @@ def savitzky_golay(y: FloatArray, order: int = 3, window: int = 5) -> FloatArray
     return savgol_filter(y, window_length=window, polyorder=order, mode="interp")
 
 
-def estimate_noise_variance(
-    spectra: SpectraMatrix | FloatArray, segment_len: int = 10
-) -> float:
+def estimate_noise_variance(spectra: SpectraMatrix | FloatArray) -> float:
     """Noise variance from smoothing residuals, robust to sparse peaks.
 
     Each spectrum's residual against its Savitzky-Golay smooth (order 3,
-    window 5) is split into floor(L / segment_len) segments; the statistic
+    window 5) is split into floor(L / SEGMENT_LEN) segments; the statistic
     is the mean over spectra of the median per-segment sample variance,
     which suppresses segments sitting on sharp signal features.
     """
     rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
     rows = np.atleast_2d(rows)
     n_channels = rows.shape[1]
-    n_segments = n_channels // segment_len
+    n_segments = n_channels // SEGMENT_LEN
     if n_segments < 1:
         raise ValueError(
-            f"need at least {segment_len} channels for one segment, got {n_channels}"
+            f"need at least {SEGMENT_LEN} channels for one segment, got {n_channels}"
         )
     smooth = savgol_filter(rows, window_length=5, polyorder=3, mode="interp", axis=1)
     residual = rows - smooth
-    segments = residual[:, : n_segments * segment_len].reshape(
-        rows.shape[0], n_segments, segment_len
+    segments = residual[:, : n_segments * SEGMENT_LEN].reshape(
+        rows.shape[0], n_segments, SEGMENT_LEN
     )
     seg_var = np.var(segments, axis=2, ddof=1)
     return float(np.mean(np.median(seg_var, axis=1)))

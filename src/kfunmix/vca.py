@@ -23,7 +23,6 @@ from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
 class VcaConfig:
     n_endmembers: int
     seed: int = 0
-    snr_estimate: float | None = None  # dB; None means estimate from the data
 
     def __post_init__(self) -> None:
         if self.n_endmembers < 1:
@@ -78,9 +77,7 @@ def vca(spectra: SpectraMatrix | FloatArray, config: VcaConfig) -> EndmemberMatr
         )
     proj_k = u_c[:, :k].T @ centered  # (K, N)
 
-    snr = config.snr_estimate
-    if snr is None:
-        snr = _estimate_snr_db(data, mean, proj_k)
+    snr = _estimate_snr_db(data, mean, proj_k)
     snr_threshold = 15.0 + 10.0 * np.log10(k)
 
     if snr < snr_threshold:

@@ -21,7 +21,6 @@ from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step, run_e
 from kfunmix.protocols import P2Config, convex_hull_phasor, protocol_p1, protocol_p2
 from kfunmix.regression import build_regressor_set, solve_regression
 from kfunmix.synthdata import (
-    PeakSpec,
     SynthConfig,
     estimate_noise_variance,
     generate_dataset,
@@ -286,7 +285,7 @@ def test_10_noise_floor_estimate_in_range(capsys):
     ratios = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        truth = generate_pure_spectra(340, 3, PeakSpec(), seed=seed)
+        truth = generate_pure_spectra(340, 3, seed=seed)
         rows = rng.dirichlet(np.ones(3), size=30) @ truth.values.T
         estimates.append(estimate_noise_variance(rows + rng.normal(0.0, 5.0, rows.shape)))
         z = rng.standard_normal(rows.shape)

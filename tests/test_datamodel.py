@@ -1,4 +1,6 @@
 """Tests for the typed matrices and the headered-CSV persistence layer."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,4 +243,21 @@ class TestDatasetIo:
         meta = tmp_path / "d" / "meta.csv"
         meta.write_text(meta.read_text() + "flavor,unknown\n")
         with pytest.raises(ValueError, match="line 3: unknown key 'flavor'"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize(
+        "meta_text, line_no",
+        [
+            ("seed,abc\nnoise_variance_true,0.04\n", 1),
+            ("seed,3\nnoise_variance_true,abc\n", 2),
+            ("seed,3\nnoise_variance_true,-1\n", 2),
+            ("seed,3\nnoise_variance_true,nan\n", 2),
+        ],
+        ids=["seed", "noise-variance", "negative-noise-variance", "nan-noise-variance"],
+    )
+    def test_bad_meta_value_names_path_and_line(self, tmp_path, meta_text, line_no):
+        save_dataset(self._bundle(), tmp_path / "d")
+        meta = tmp_path / "d" / "meta.csv"
+        meta.write_text(meta_text)
+        with pytest.raises(ValueError, match=re.escape(f"{meta}: line {line_no}: ")):
             load_dataset(tmp_path / "d")

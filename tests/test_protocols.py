@@ -1,4 +1,6 @@
 """Tests for acquisition ordering: hull geometry, embedding, and protocols."""
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as QhullConvexHull
@@ -277,4 +279,10 @@ class TestAcquisitionOrder:
         path = tmp_path / "order.csv"
         path.write_text("3\nx\n")
         with pytest.raises(ValueError, match="line 2: non-integer index 'x'"):
+            load_order_csv(path)
+
+    def test_csv_error_counts_comment_and_blank_lines(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("# comment\n\n0\n1\nx\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: non-integer index 'x'")):
             load_order_csv(path)

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from kfunmix import synthdata
 from kfunmix.metrics import sad
 from kfunmix.synthdata import (
-    PeakSpec,
     SynthConfig,
     estimate_noise_variance,
     generate_dataset,
@@ -53,37 +53,28 @@ class TestSavitzkyGolay:
 
 class TestGeneratePureSpectra:
     def test_unit_maximum_columns(self):
-        out = generate_pure_spectra(120, 4, PeakSpec(), seed=0)
+        out = generate_pure_spectra(120, 4, seed=0)
         np.testing.assert_allclose(out.values.max(axis=0), 1.0, atol=1e-12)
         assert np.min(out.values) >= 0.0
 
     def test_pairwise_angles_separated(self):
-        out = generate_pure_spectra(200, 5, PeakSpec(), seed=1).values
+        out = generate_pure_spectra(200, 5, seed=1).values
         for i in range(5):
             for j in range(i + 1, 5):
                 assert sad(out[:, i], out[:, j]) >= 10.0
 
     def test_deterministic(self):
-        a = generate_pure_spectra(80, 3, PeakSpec(), seed=7).values
-        b = generate_pure_spectra(80, 3, PeakSpec(), seed=7).values
+        a = generate_pure_spectra(80, 3, seed=7).values
+        b = generate_pure_spectra(80, 3, seed=7).values
         np.testing.assert_array_equal(a, b)
 
-    def test_impossible_separation_raises(self):
-        """Huge peak widths on a short grid make every draw nearly flat, so
-        no pair can reach the required angle."""
-        flat = PeakSpec(n_peaks_min=1, n_peaks_max=1, width_min=1000.0, width_max=1000.0)
+    def test_impossible_separation_raises(self, monkeypatch):
+        """When every draw is the same spectrum, no second one can reach
+        the required angle to the first."""
+        fixed = np.linspace(0.5, 1.0, 8)
+        monkeypatch.setattr(synthdata, "_draw_peak_spectrum", lambda n_channels, rng: fixed)
         with pytest.raises(RuntimeError, match="pairwise angle"):
-            generate_pure_spectra(8, 2, flat, seed=0)
-
-    def test_peak_spec_validation(self):
-        with pytest.raises(ValueError, match="peak counts"):
-            PeakSpec(n_peaks_min=0)
-        with pytest.raises(ValueError, match="peak counts"):
-            PeakSpec(n_peaks_min=4, n_peaks_max=2)
-        with pytest.raises(ValueError, match="widths"):
-            PeakSpec(width_min=0.0)
-        with pytest.raises(ValueError, match="widths"):
-            PeakSpec(width_min=3.0, width_max=2.0)
+            generate_pure_spectra(8, 2, seed=0)
 
 
 class TestGenerateDataset:
