@@ -7,6 +7,15 @@ Every one of the 2^K - 1 supports is solved in closed form for all spectra
 at once, and each spectrum keeps its lowest-objective nonnegative candidate
 (Heinz & Chang 2001 solve the same problem by an active-set search).  The
 result is projected onto the simplex at exit so closure holds to rounding.
+
+The ill-conditioning warning is screened on the K x K Gram G = S^T S that
+the solve forms anyway.  cond(S)^2 = cond(G), so lambda_min(G) >
+SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two orders of magnitude
+under COND_WARN.  Flipping that takes errors in G near 1e-12 lambda_max(G),
+about 4500 ulps of it, far beyond the rounding of a Gram product, so no
+warning is possible.  Only when the screen fails, or G is not finite, does
+the SVD of the L x K matrix S run, and it decides the warning exactly as it
+always has.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .kalman import NumericalError
 # Ridge added to S^T S so near-duplicate endmember columns stay solvable.
 RIDGE = 1e-10
 COND_WARN = 1e8
+# lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
+SCREEN_RATIO = 1e-12
 # 2^12 - 1 = 4095 supports; the enumeration grows as 2^K.
 MAX_ENDMEMBERS = 12
 # Rows per chunk keep the (supports, K, rows) candidate array near this size.
@@ -61,6 +72,14 @@ def _support_masks(k: int) -> tuple[FloatArray, FloatArray]:
     block.flags.writeable = False
     pad.flags.writeable = False
     return block, pad
+
+
+def _screened_well_conditioned(gram: FloatArray) -> bool:
+    """True when lambda_min(G) > SCREEN_RATIO lambda_max(G), so cond(S) < 1e6."""
+    if not np.all(np.isfinite(gram)):
+        return False
+    eig = np.linalg.eigvalsh(gram)
+    return bool(eig[0] > SCREEN_RATIO * eig[-1])
 
 
 def estimate_concentrations(
@@ -115,18 +134,20 @@ def estimate_concentrations(
     if k == 1:
         return np.ones((n, 1))
 
-    cond_s = np.linalg.cond(s)
-    if cond_s > COND_WARN:
-        warnings.warn(
-            f"endmember matrix is ill-conditioned (cond={cond_s:.3g}); "
-            "abundances may be unstable",
-            stacklevel=2,
-        )
+    gram = s.T @ s
+    if not _screened_well_conditioned(gram):
+        cond_s = np.linalg.cond(s)
+        if cond_s > COND_WARN:
+            warnings.warn(
+                f"endmember matrix is ill-conditioned (cond={cond_s:.3g}); "
+                "abundances may be unstable",
+                stacklevel=2,
+            )
 
     block, pad = _support_masks(k)
     # G on each support's block and the identity off it: one batched inverse
     # gives every H_A, zero outside its block.
-    inv = np.linalg.inv((s.T @ s + RIDGE * np.eye(k)) * block + pad) * block
+    inv = np.linalg.inv((gram + RIDGE * np.eye(k)) * block + pad) * block
     h = inv.sum(axis=2)  # (supports, K)
     h_sum = h.sum(axis=1)[:, None]
     sty = s.T @ rows.T  # (K, n)

@@ -121,8 +121,8 @@ class DatasetBundle:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.noise_variance_true < 0.0:
-            raise ValueError("noise_variance_true must be >= 0")
+        if not 0.0 <= self.noise_variance_true < np.inf:
+            raise ValueError("noise_variance_true must be finite and >= 0")
         if self.concentrations is not None:
             if self.concentrations.n_spectra != self.spectra.n_spectra:
                 raise ValueError("concentration rows do not match spectra rows")

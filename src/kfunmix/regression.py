@@ -21,6 +21,20 @@ with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream, so they
 are solved through one Cholesky factor at set-up and each iteration is two
 matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).
 
+The iteration runs at the BLAS level.  Y and the lift are stored in
+Fortran order once per stream, and v lives in a Fortran-ordered (L, K)
+buffer next to one buffer for |v|.  Each iteration is four calls: |v| into
+its buffer; R = lift |v| + C by dgemm with β = 1, which writes into a copy
+of the constant term C, the only allocation; min(v, 0) in place; and
+v = Y R + min(v, 0) by dgemm with β = 1, written over v.  BLAS adds βC to
+the finished product once, so both sums round exactly as a separate
+product and addition do, and the iterates are bit for bit those of the
+same products formed on their own.  The last iteration keeps Y R apart,
+since the estimate is max(Y R, 0).  NumPy's ``@`` runs on NumPy's own BLAS
+build, which may form a product in another order (it takes gemv when
+K = 1), so a loop written with ``@`` agrees bit for bit only where the two
+builds agree on the product.
+
 The step ρ = RHO and the budget of ADMM_ITERS iterations are constants,
 not settings.  The zero-frequency harmonic has no sine row, so Yr has
 rank at most 2M - 1.  When that is below P, as at the default eta on
@@ -35,7 +49,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, cho_factor, cho_solve
 
 from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
 from .fourier import FourierBasis, reduce_columns
@@ -55,7 +69,10 @@ class RegressorSet:
     (2M, P), and with N = 2 Yr^T Yr + RHO Y^T Y the two maps of the ADMM
     least-squares step: ``target_map = N^-1 2 Yr^T`` (P, 2M) and
     ``lift = RHO N^-1 Y^T`` (P, L).  Both depend only on the regressors
-    and are therefore computed once per stream.
+    and are therefore computed once per stream.  :func:`build_regressor_set`
+    stores ``full_space`` and ``lift``, the two matrices of every ADMM
+    iteration, in Fortran order, so BLAS reads them in place; a set built
+    from C-ordered arrays gives the same iterates, copied at each product.
     """
 
     full_space: FloatArray
@@ -82,7 +99,7 @@ def build_regressor_set(
     rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
-    full = np.array(rows.T, dtype=np.float64)  # (L, P)
+    full = np.array(rows.T, dtype=np.float64, order="F")  # (L, P)
     reduced = reduce_columns(full, basis)  # (2M, P)
 
     normal = 2.0 * (reduced.T @ reduced) + RHO * (full.T @ full)
@@ -98,9 +115,8 @@ def build_regressor_set(
             stacklevel=2,
         )
     factor = cho_factor(normal, lower=True)
-    return RegressorSet(
-        full, reduced, cond, cho_solve(factor, 2.0 * reduced.T), cho_solve(factor, RHO * full.T)
-    )
+    lift = np.asfortranarray(cho_solve(factor, RHO * full.T))
+    return RegressorSet(full, reduced, cond, cho_solve(factor, 2.0 * reduced.T), lift)
 
 
 @dataclass(frozen=True)
@@ -158,11 +174,21 @@ def solve_regression(
 
     const = regressors.target_map @ t  # (P, K)
     lift = regressors.lift
-    v = np.zeros((full.shape[0], t.shape[1]))
-    for _ in range(iterations):
-        coeff = const + lift @ np.abs(v)
-        recon = full @ coeff
-        v = recon + np.minimum(v, 0.0)
+    v = np.zeros((full.shape[0], t.shape[1]), order="F")
+    a = np.empty_like(v)
+    # coeff = const + lift @ |v| and v = full @ coeff + min(v, 0), with each
+    # sum taken by dgemm's beta = 1 (const is copied, v is overwritten).
+    for _ in range(iterations - 1):
+        np.abs(v, out=a)
+        coeff = blas.dgemm(1.0, lift, a, 1.0, const)
+        np.minimum(v, 0.0, out=v)
+        v = blas.dgemm(1.0, full, coeff, 1.0, v, overwrite_c=True)
+    # The results leave in C order, as NumPy products are: later BLAS calls
+    # on them round differently when handed the other layout.
+    np.abs(v, out=a)
+    coeff = np.ascontiguousarray(blas.dgemm(1.0, lift, a, 1.0, const))
+    recon = np.ascontiguousarray(blas.dgemm(1.0, full, coeff))
+    v = recon + np.minimum(v, 0.0)
 
     clamped = np.maximum(recon, 0.0)
     dead = np.nonzero(np.max(clamped, axis=0) == 0.0)[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kfunmix.abundance import (
+    COND_WARN,
     MAX_ENDMEMBERS,
     RIDGE,
     FclsConfig,
@@ -27,6 +28,21 @@ def grid_oracle_two_components(y, s, step=1e-4):
     candidates = np.outer(alphas, s[:, 0]) + np.outer(1.0 - alphas, s[:, 1])
     best = int(np.argmin(np.sum((candidates - y[None, :]) ** 2, axis=1)))
     return np.array([alphas[best], 1.0 - alphas[best]])
+
+
+def with_condition(cond, n_channels=40, k=3, seed=0):
+    """An (L, K) matrix whose singular values run from 1 down to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n_channels, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+
+
+def ill_conditioning_warnings(rows, s):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_concentrations(rows, s)
+    return [str(w.message) for w in caught if "ill-conditioned" in str(w.message)]
 
 
 def assert_kkt(rows, s, conc, tol=1e-10):
@@ -205,3 +221,57 @@ class TestEstimateConcentrations:
     def test_empty_batch(self):
         out = estimate_concentrations(np.zeros((0, 6)), np.ones((6, 3)) + np.eye(6, 3))
         assert out.shape == (0, 3)
+
+
+class TestConditionScreen:
+    """The Gram eigenvalue screen in front of the SVD that decides the warning."""
+
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        calls = []
+        svd_cond = np.linalg.cond
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return svd_cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return calls
+
+    def test_just_above_the_threshold_warns_with_the_same_message(self, cond_calls):
+        s = with_condition(1.5e8)
+        rows = np.random.default_rng(1).normal(size=(4, 40))
+        assert ill_conditioning_warnings(rows, s) == [
+            "endmember matrix is ill-conditioned (cond=1.5e+08); abundances may be unstable"
+        ]
+        assert cond_calls == [(40, 3)]
+
+    def test_inside_the_fallback_band_the_svd_runs_and_does_not_warn(self, cond_calls):
+        s = with_condition(1e7)
+        rows = np.random.default_rng(2).normal(size=(4, 40))
+        assert ill_conditioning_warnings(rows, s) == []
+        assert cond_calls == [(40, 3)]
+
+    def test_well_conditioned_endmembers_run_no_svd(self, cond_calls):
+        rng = np.random.default_rng(3)
+        s = rng.uniform(0.1, 1.0, size=(200, 5))
+        rows = rng.dirichlet(np.ones(5), size=6) @ s.T
+        estimate_concentrations(rows, s)
+        estimate_concentration(rows[0], s)
+        assert cond_calls == []
+
+    def test_infinite_endmember_entry_is_left_to_the_svd(self, cond_calls):
+        """A non-finite Gram skips the eigenvalue screen, so the SVD decides
+        as it always has: cond = inf warns."""
+        s = with_condition(10.0)
+        s[0, 0] = np.inf
+        rows = np.random.default_rng(5).normal(size=(2, 40))
+        assert any("cond=inf" in m for m in ill_conditioning_warnings(rows, s))
+        assert cond_calls == [(40, 3)]
+
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 3e6, 1e7, 9e7, 1.1e8, 1e10, 1e14])
+    def test_warns_exactly_when_the_svd_condition_passes_the_bound(self, cond):
+        s = with_condition(cond, k=4, seed=int(np.log10(cond)))
+        rows = np.random.default_rng(4).normal(size=(3, 40))
+        warned = bool(ill_conditioning_warnings(rows, s))
+        assert warned == (np.linalg.cond(s) > COND_WARN)

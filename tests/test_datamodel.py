@@ -118,6 +118,12 @@ class TestDatasetBundle:
         with pytest.raises(ValueError, match="noise_variance_true"):
             DatasetBundle(y, None, None, -1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_noise(self, bad):
+        y = SpectraMatrix(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="noise_variance_true must be finite and >= 0"):
+            DatasetBundle(y, None, None, bad, 0)
+
 
 class TestMatrixCsv:
     def test_identity_file_content(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the cone-constrained subspace regression and its cached solver."""
 import numpy as np
 import pytest
+from scipy.linalg import blas
 from scipy.optimize import minimize
 
 from kfunmix.fourier import build_basis
@@ -38,6 +39,45 @@ DENSE_CASES = [
     (13, 30, 400, 16, 5, 20.0, ADMM_ITERS),
     (14, 30, 200, 8, 3, 12.0, ADMM_ITERS),
 ]
+
+
+# (seed, P, L, M, K, noise scale) of the kernel checks: the L400 K5 and L200
+# K3 stream operating points (2M - 1 < P in the second) and a single
+# component, whose (P, 1) and (L, 1) arrays are both C- and F-contiguous.
+KERNEL_CASES = [
+    (13, 30, 400, 16, 5, 20.0),
+    (14, 30, 200, 8, 3, 12.0),
+    (15, 30, 200, 8, 1, 12.0),
+]
+
+
+def admm_loop(regressors, target, iterations, product):
+    """The ADMM recursion with one allocating call per operation, as
+    ``solve_regression`` ran it before the BLAS kernel, with the two
+    products of each iteration formed by ``product``."""
+    const = regressors.target_map @ target
+    v = np.zeros((regressors.full_space.shape[0], target.shape[1]))
+    for _ in range(iterations):
+        coeff = const + product(regressors.lift, np.abs(v))
+        recon = product(regressors.full_space, coeff)
+        v = recon + np.minimum(v, 0.0)
+    return coeff, np.maximum(recon, 0.0), np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)
+
+
+def c_ordered(regressors):
+    """The same regressor set built by hand from C-ordered arrays."""
+    return RegressorSet(
+        np.ascontiguousarray(regressors.full_space),
+        np.ascontiguousarray(regressors.reduced_space),
+        regressors.cache_cond,
+        np.ascontiguousarray(regressors.target_map),
+        np.ascontiguousarray(regressors.lift),
+    )
+
+
+def kernel_outputs(regressors, target, iterations):
+    result = solve_regression(regressors, target, iterations=iterations)
+    return result.coefficients, result.endmembers.values, *result.duals
 
 
 def qp_oracle(regressors, target):
@@ -255,3 +295,74 @@ class TestSolveRegression:
             target[1, 0] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 solve_regression(regressors, target)
+
+
+class TestBlasKernel:
+    """The dgemm kernel of ``solve_regression`` against the loop it replaced."""
+
+    @pytest.mark.parametrize("iterations", [1, 50, 500])
+    @pytest.mark.parametrize("layout", ["fortran", "c"])
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
+    def test_bit_identical_to_the_loop_on_the_same_blas(self, case, layout, iterations):
+        """With the products formed by the same BLAS, the beta = 1 sums, the
+        in-place buffers and the peeled last iteration change no bit of the
+        coefficients, the estimate or either dual, whatever the layout."""
+        seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
+        regressors, target = make_instance(
+            seed, n_regressors, n_channels, n_harmonics, n_out, scale
+        )
+        if layout == "c":
+            regressors = c_ordered(regressors)
+        want = admm_loop(
+            regressors, target, iterations, lambda a, b: blas.dgemm(1.0, a, b)
+        )
+        got = kernel_outputs(regressors, target, iterations)
+        for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
+            assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("iterations", [1, 50, 500])
+    @pytest.mark.parametrize("case", KERNEL_CASES[:2], ids=["L400-M16-K5", "L200-M8-K3"])
+    def test_bit_identical_to_the_numpy_loop_at_the_operating_points(self, case, iterations):
+        """NumPy and SciPy each ship a BLAS build; at the stream's operating
+        points, with the Fortran-ordered set ``build_regressor_set`` returns,
+        the ``@`` loop and the kernel agree bit for bit."""
+        seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
+        regressors, target = make_instance(
+            seed, n_regressors, n_channels, n_harmonics, n_out, scale
+        )
+        assert regressors.full_space.flags.f_contiguous
+        assert regressors.lift.flags.f_contiguous
+        want = admm_loop(regressors, target, iterations, np.matmul)
+        got = kernel_outputs(regressors, target, iterations)
+        for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
+            assert np.array_equal(g, w), name
+            # Later BLAS calls round differently on the other memory layout.
+            assert g.flags.c_contiguous == w.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("layout", ["fortran", "c"])
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
+    def test_numpy_loop_within_rounding_anywhere(self, case, layout):
+        """Where NumPy's BLAS forms a product in another order (gemv at
+        K = 1, other kernels for C-ordered operands) the two stay within
+        rounding: 500 iterations move no entry by 1e-12 of the largest."""
+        seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
+        regressors, target = make_instance(
+            seed, n_regressors, n_channels, n_harmonics, n_out, scale
+        )
+        if layout == "c":
+            regressors = c_ordered(regressors)
+        want = admm_loop(regressors, target, 500, np.matmul)
+        got = kernel_outputs(regressors, target, 500)
+        for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+    def test_inputs_are_left_untouched(self):
+        """The beta = 1 product writes into a copy of the constant term and
+        into the kernel's own iterate, never into the caller's arrays."""
+        regressors, target = make_instance(15, 30, 200, 8, 1, 12.0)
+        saved = [a.copy() for a in (regressors.full_space, regressors.lift,
+                                    regressors.target_map, target)]
+        solve_regression(regressors, target)
+        for before, after in zip(saved, (regressors.full_space, regressors.lift,
+                                         regressors.target_map, target)):
+            assert np.array_equal(before, after)
