@@ -1,4 +1,12 @@
-"""Streaming linear spectral unmixing in a truncated Fourier subspace."""
+"""Streaming linear spectral unmixing in a truncated Fourier subspace.
+
+The package re-exports the public names of its submodules.  One of them
+shadows its own submodule: ``kfunmix.vca`` is the function, so
+``import kfunmix.vca as m`` binds the function, and a patch by dotted path
+such as ``"kfunmix.vca._estimate_snr_db"`` cannot reach the module.  Fetch
+the module itself with ``importlib.import_module("kfunmix.vca")`` or
+``sys.modules["kfunmix.vca"]``.
+"""
 
 from .abundance import (
     FclsConfig,

@@ -13,9 +13,14 @@ the solve forms anyway.  cond(S)^2 = cond(G), so lambda_min(G) >
 SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two orders of magnitude
 under COND_WARN.  Flipping that takes errors in G near 1e-12 lambda_max(G),
 about 4500 ulps of it, far beyond the rounding of a Gram product, so no
-warning is possible.  Only when the screen fails, or G is not finite, does
-the SVD of the L x K matrix S run, and it decides the warning exactly as it
-always has.
+warning is possible.  Only when the screen fails does the SVD of the L x K
+matrix S run, and it decides the warning exactly as it always has.
+
+G also guards the endmembers: a NaN or an infinity in column j of S
+reaches G_jj, so S is rejected on the K diagonal entries of G, with no scan
+of the L x K matrix.  A diagonal that overflows from finite entries of
+magnitude near 1e154 is rejected too, since no solve could use it.  Once
+the diagonal is finite, so is every entry of G, as |G_ij| <= sqrt(G_ii G_jj).
 """
 
 from __future__ import annotations
@@ -76,8 +81,6 @@ def _support_masks(k: int) -> tuple[FloatArray, FloatArray]:
 
 def _screened_well_conditioned(gram: FloatArray) -> bool:
     """True when lambda_min(G) > SCREEN_RATIO lambda_max(G), so cond(S) < 1e6."""
-    if not np.all(np.isfinite(gram)):
-        return False
     eig = np.linalg.eigvalsh(gram)
     return bool(eig[0] > SCREEN_RATIO * eig[-1])
 
@@ -115,8 +118,12 @@ def estimate_concentrations(
 
     Raises
     ------
+    ValueError
+        If the endmember matrix holds a NaN or an infinity.
     NumericalError
-        If a spectrum holds a NaN or an infinity.
+        If a spectrum holds a NaN or an infinity, or if the Gram on some
+        support is singular in floating point, as it is for two identical
+        endmember columns whose squared norms dwarf the ridge.
     """
     s = endmembers.values if isinstance(endmembers, EndmemberMatrix) else np.asarray(endmembers)
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
@@ -131,10 +138,12 @@ def estimate_concentrations(
     finite = np.all(np.isfinite(rows), axis=1)
     if not np.all(finite):
         raise NumericalError(f"spectrum {int(np.argmin(finite))} is not finite")
+    gram = s.T @ s
+    if not np.all(np.isfinite(np.diag(gram))):
+        raise ValueError("endmember matrix holds a NaN or an infinity")
     if k == 1:
         return np.ones((n, 1))
 
-    gram = s.T @ s
     if not _screened_well_conditioned(gram):
         cond_s = np.linalg.cond(s)
         if cond_s > COND_WARN:
@@ -147,7 +156,13 @@ def estimate_concentrations(
     block, pad = _support_masks(k)
     # G on each support's block and the identity off it: one batched inverse
     # gives every H_A, zero outside its block.
-    inv = np.linalg.inv((gram + RIDGE * np.eye(k)) * block + pad) * block
+    try:
+        inv = np.linalg.inv((gram + RIDGE * np.eye(k)) * block + pad) * block
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(
+            "endmember Gram is singular on some support; the endmember "
+            "columns are linearly dependent"
+        ) from err
     h = inv.sum(axis=2)  # (supports, K)
     h_sum = h.sum(axis=1)[:, None]
     sty = s.T @ rows.T  # (K, n)

@@ -21,19 +21,28 @@ with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream, so they
 are solved through one Cholesky factor at set-up and each iteration is two
 matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).
 
-The iteration runs at the BLAS level.  Y and the lift are stored in
-Fortran order once per stream, and v lives in a Fortran-ordered (L, K)
-buffer next to one buffer for |v|.  Each iteration is four calls: |v| into
-its buffer; R = lift |v| + C by dgemm with β = 1, which writes into a copy
-of the constant term C, the only allocation; min(v, 0) in place; and
-v = Y R + min(v, 0) by dgemm with β = 1, written over v.  BLAS adds βC to
-the finished product once, so both sums round exactly as a separate
-product and addition do, and the iterates are bit for bit those of the
-same products formed on their own.  The last iteration keeps Y R apart,
-since the estimate is max(Y R, 0).  NumPy's ``@`` runs on NumPy's own BLAS
-build, which may form a product in another order (it takes gemv when
-K = 1), so a loop written with ``@`` agrees bit for bit only where the two
-builds agree on the product.
+The iteration runs at the BLAS level.  Y is stored in Fortran order and
+the lift in C order, once per stream, and v lives in a Fortran-ordered
+(L, K) buffer next to one buffer for |v|.  Each iteration is four calls:
+|v| into its buffer; R = lift |v| + C by dgemm with β = 1, which writes into
+a copy of the constant term C, the only allocation; min(v, 0) in place; and
+v = Y R + min(v, 0) by dgemm with β = 1, written over v.  The lift product
+is taken in transposed form: the C-ordered (P, L) lift is an F-ordered
+(L, P) view of its transpose, handed to dgemm with trans_a, so each entry
+of R is one contiguous length-L dot product.  OpenBLAS forms this short,
+wide product 2-2.5 times faster than from a Fortran-ordered lift.  Y R is
+taller than it is deep and stays untransposed, where that form is the
+faster one.  C is made Fortran-ordered once per solve, so dgemm copies it
+as it is instead of transposing it on each call; BLAS adds βC to the
+finished product once, so both sums round exactly as a separate product
+and addition do, and the iterates are bit for bit those of the same
+products formed on their own by the same BLAS.  The last iteration keeps
+Y R apart, since the estimate is max(Y R, 0).  NumPy's ``@`` runs on
+NumPy's own BLAS build, which may form a product in another order (it
+takes gemv when K = 1, and its kernel for the C-ordered lift sums in
+another order at L = 400), so a loop written with ``@`` agrees bit for bit
+only where the two builds agree on the product, and within rounding
+elsewhere.
 
 The step ρ = RHO and the budget of ADMM_ITERS iterations are constants,
 not settings.  The zero-frequency harmonic has no sine row, so Yr has
@@ -70,9 +79,11 @@ class RegressorSet:
     least-squares step: ``target_map = N^-1 2 Yr^T`` (P, 2M) and
     ``lift = RHO N^-1 Y^T`` (P, L).  Both depend only on the regressors
     and are therefore computed once per stream.  :func:`build_regressor_set`
-    stores ``full_space`` and ``lift``, the two matrices of every ADMM
-    iteration, in Fortran order, so BLAS reads them in place; a set built
-    from C-ordered arrays gives the same iterates, copied at each product.
+    stores ``full_space``, the left operand of Y R, in Fortran order and
+    ``lift`` in C order, so that ``lift.T`` is the Fortran-ordered (L, P)
+    operand of the transposed product lift |v| and BLAS reads both in
+    place.  A set built by hand in another layout gives the same iterates,
+    since BLAS copies an operand that is not Fortran-ordered at each product.
     """
 
     full_space: FloatArray
@@ -115,7 +126,7 @@ def build_regressor_set(
             stacklevel=2,
         )
     factor = cho_factor(normal, lower=True)
-    lift = np.asfortranarray(cho_solve(factor, RHO * full.T))
+    lift = np.ascontiguousarray(cho_solve(factor, RHO * full.T))
     return RegressorSet(full, reduced, cond, cho_solve(factor, 2.0 * reduced.T), lift)
 
 
@@ -172,21 +183,22 @@ def solve_regression(
     if not np.all(np.isfinite(t)):
         raise ValueError("target contains non-finite entries")
 
-    const = regressors.target_map @ t  # (P, K)
-    lift = regressors.lift
+    const = np.asfortranarray(regressors.target_map @ t)  # (P, K)
+    lift_t = regressors.lift.T  # (L, P), Fortran-ordered for a C-ordered lift
     v = np.zeros((full.shape[0], t.shape[1]), order="F")
     a = np.empty_like(v)
     # coeff = const + lift @ |v| and v = full @ coeff + min(v, 0), with each
-    # sum taken by dgemm's beta = 1 (const is copied, v is overwritten).
+    # sum taken by dgemm's beta = 1 (const is copied, v is overwritten), and
+    # lift @ |v| formed as (lift^T)^T |v|.
     for _ in range(iterations - 1):
         np.abs(v, out=a)
-        coeff = blas.dgemm(1.0, lift, a, 1.0, const)
+        coeff = blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1)
         np.minimum(v, 0.0, out=v)
         v = blas.dgemm(1.0, full, coeff, 1.0, v, overwrite_c=True)
     # The results leave in C order, as NumPy products are: later BLAS calls
     # on them round differently when handed the other layout.
     np.abs(v, out=a)
-    coeff = np.ascontiguousarray(blas.dgemm(1.0, lift, a, 1.0, const))
+    coeff = np.ascontiguousarray(blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1))
     recon = np.ascontiguousarray(blas.dgemm(1.0, full, coeff))
     v = recon + np.minimum(v, 0.0)
 

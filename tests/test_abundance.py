@@ -218,6 +218,25 @@ class TestEstimateConcentrations:
             with pytest.raises(NumericalError, match="spectrum 2 is not finite"):
                 estimate_concentrations(rows, s)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4])
+    def test_duplicate_columns_solve_or_raise_numerical_error(self, scale):
+        """Two identical columns leave a support Gram singular up to the
+        1e-10 ridge; once their squared norms dwarf it, the batched inverse
+        fails in floating point, which surfaces as NumericalError."""
+        rng = np.random.default_rng(13)
+        s = rng.uniform(0.1, 1.0, size=(40, 3))
+        s[:, 1] = s[:, 0]
+        s *= scale
+        rows = rng.dirichlet(np.ones(3), size=4) @ s.T
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "endmember matrix is ill-conditioned")
+            try:
+                out = estimate_concentrations(rows, s)
+            except NumericalError:
+                return
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out.sum(axis=1), 1.0)
+
     def test_empty_batch(self):
         out = estimate_concentrations(np.zeros((0, 6)), np.ones((6, 3)) + np.eye(6, 3))
         assert out.shape == (0, 3)
@@ -260,14 +279,19 @@ class TestConditionScreen:
         estimate_concentration(rows[0], s)
         assert cond_calls == []
 
-    def test_infinite_endmember_entry_is_left_to_the_svd(self, cond_calls):
-        """A non-finite Gram skips the eigenvalue screen, so the SVD decides
-        as it always has: cond = inf warns."""
-        s = with_condition(10.0)
-        s[0, 0] = np.inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_finite_endmember_entry_is_rejected_before_the_svd(self, cond_calls, bad, k):
+        """A NaN or an infinity in S reaches the diagonal of the Gram, which
+        rejects it before the screen, the SVD or the solve can run."""
+        s = with_condition(10.0, k=k)
+        s[7, k - 1] = bad
         rows = np.random.default_rng(5).normal(size=(2, 40))
-        assert any("cond=inf" in m for m in ill_conditioning_warnings(rows, s))
-        assert cond_calls == [(40, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or an infinity"):
+                estimate_concentrations(rows, s)
+        assert cond_calls == []
 
     @pytest.mark.parametrize("cond", [1e3, 1e6, 3e6, 1e7, 9e7, 1.1e8, 1e10, 1e14])
     def test_warns_exactly_when_the_svd_condition_passes_the_bound(self, cond):

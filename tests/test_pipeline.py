@@ -556,6 +556,25 @@ class TestRunExperiment:
         assert [rec.t for rec in records] == [11, 12, 13]
         assert comments["n_stream"] == "60"
 
+    def test_singular_init_endmembers_abort_and_flush(self, tmp_path):
+        """Two identical init endmembers at scale 1e3 make the FCLS support
+        inverse singular at the first step; the stream fails with
+        NumericalError after flushing its (empty) trace.  Whether LAPACK
+        meets an exact zero pivot depends on the rounding of the column's
+        squared norm: on this dataset it does, while on the default seed 7
+        the inverse comes back finite and the stream runs on."""
+        data = stream_dataset(seed=1)
+        column = data.endmembers.values[:, :1] * 1e3
+        config = stream_config(init_endmembers=EndmemberMatrix(np.hstack([column, column])))
+        out = tmp_path / "partial.csv"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "endmember matrix is ill-conditioned")
+            with pytest.raises(NumericalError, match="singular"):
+                run_experiment(data, protocol_p1(60), config, eval_stride=1, flush_path=out)
+        records, comments = read_trace_csv(out)
+        assert len(records) == 0
+        assert comments["n_stream"] == "60"
+
     def test_non_finite_spectrum_aborts_and_flushes(self, tmp_path):
         data = stream_dataset()
         # Streamed rows start at t=11, so the 4th one is t=14 (row 13).

@@ -4,15 +4,20 @@ import pytest
 from scipy.linalg import blas
 from scipy.optimize import minimize
 
+from kfunmix.datamodel import EndmemberMatrix
 from kfunmix.fourier import build_basis
 from kfunmix.kalman import NumericalError
+from kfunmix.metrics import asad
+from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step
 from kfunmix.regression import (
     ADMM_ITERS,
     RHO,
+    RegressionResult,
     RegressorSet,
     build_regressor_set,
     solve_regression,
 )
+from kfunmix.synthdata import SynthConfig, generate_dataset
 from qp_oracle import cvxpy_minimum, qp_minimum
 
 
@@ -51,27 +56,42 @@ KERNEL_CASES = [
 ]
 
 
-def admm_loop(regressors, target, iterations, product):
+def admm_loop(regressors, target, iterations, lift_product, full_product):
     """The ADMM recursion with one allocating call per operation, as
     ``solve_regression`` ran it before the BLAS kernel, with the two
-    products of each iteration formed by ``product``."""
+    products of each iteration formed by ``lift_product`` and
+    ``full_product``."""
     const = regressors.target_map @ target
     v = np.zeros((regressors.full_space.shape[0], target.shape[1]))
     for _ in range(iterations):
-        coeff = const + product(regressors.lift, np.abs(v))
-        recon = product(regressors.full_space, coeff)
+        coeff = const + lift_product(regressors.lift, np.abs(v))
+        recon = full_product(regressors.full_space, coeff)
         v = recon + np.minimum(v, 0.0)
     return coeff, np.maximum(recon, 0.0), np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)
 
 
-def c_ordered(regressors):
-    """The same regressor set built by hand from C-ordered arrays."""
+def dgemm_nn(a, b):
+    return blas.dgemm(1.0, a, b)
+
+
+def dgemm_tn(a, b):
+    """a @ b as dgemm's transposed op on a's transpose, the kernel's form of
+    the lift product."""
+    return blas.dgemm(1.0, a.T, b, trans_a=1)
+
+
+def relaid(regressors, layout):
+    """The same regressor set as ``build_regressor_set`` returns it
+    ("built") or rebuilt by hand from all C- or all Fortran-ordered arrays."""
+    if layout == "built":
+        return regressors
+    order = np.ascontiguousarray if layout == "c" else np.asfortranarray
     return RegressorSet(
-        np.ascontiguousarray(regressors.full_space),
-        np.ascontiguousarray(regressors.reduced_space),
+        order(regressors.full_space),
+        order(regressors.reduced_space),
         regressors.cache_cond,
-        np.ascontiguousarray(regressors.target_map),
-        np.ascontiguousarray(regressors.lift),
+        order(regressors.target_map),
+        order(regressors.lift),
     )
 
 
@@ -301,57 +321,57 @@ class TestBlasKernel:
     """The dgemm kernel of ``solve_regression`` against the loop it replaced."""
 
     @pytest.mark.parametrize("iterations", [1, 50, 500])
-    @pytest.mark.parametrize("layout", ["fortran", "c"])
+    @pytest.mark.parametrize("layout", ["built", "c", "fortran"])
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
     def test_bit_identical_to_the_loop_on_the_same_blas(self, case, layout, iterations):
-        """With the products formed by the same BLAS, the beta = 1 sums, the
-        in-place buffers and the peeled last iteration change no bit of the
-        coefficients, the estimate or either dual, whatever the layout."""
+        """With the products formed by the same BLAS in the kernel's forms
+        (the lift product transposed, Y R untransposed), the beta = 1 sums,
+        the in-place buffers and the peeled last iteration change no bit of
+        the coefficients, the estimate or either dual, whatever the layout."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
         regressors, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
-        if layout == "c":
-            regressors = c_ordered(regressors)
-        want = admm_loop(
-            regressors, target, iterations, lambda a, b: blas.dgemm(1.0, a, b)
-        )
+        regressors = relaid(regressors, layout)
+        want = admm_loop(regressors, target, iterations, dgemm_tn, dgemm_nn)
         got = kernel_outputs(regressors, target, iterations)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.array_equal(g, w), name
 
     @pytest.mark.parametrize("iterations", [1, 50, 500])
-    @pytest.mark.parametrize("case", KERNEL_CASES[:2], ids=["L400-M16-K5", "L200-M8-K3"])
+    @pytest.mark.parametrize("case", KERNEL_CASES[1:2], ids=["L200-M8-K3"])
     def test_bit_identical_to_the_numpy_loop_at_the_operating_points(self, case, iterations):
-        """NumPy and SciPy each ship a BLAS build; at the stream's operating
-        points, with the Fortran-ordered set ``build_regressor_set`` returns,
-        the ``@`` loop and the kernel agree bit for bit."""
+        """NumPy and SciPy each ship a BLAS build; at the L200 K3 operating
+        point, with the set ``build_regressor_set`` returns, the ``@`` loop
+        and the kernel agree bit for bit.  At L400 K5 NumPy's kernel for the
+        C-ordered lift sums in another order, and only the rounding bound
+        of the next test holds."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
         regressors, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
         assert regressors.full_space.flags.f_contiguous
-        assert regressors.lift.flags.f_contiguous
-        want = admm_loop(regressors, target, iterations, np.matmul)
+        assert regressors.lift.flags.c_contiguous
+        want = admm_loop(regressors, target, iterations, np.matmul, np.matmul)
         got = kernel_outputs(regressors, target, iterations)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.array_equal(g, w), name
             # Later BLAS calls round differently on the other memory layout.
             assert g.flags.c_contiguous == w.flags.c_contiguous, name
 
-    @pytest.mark.parametrize("layout", ["fortran", "c"])
+    @pytest.mark.parametrize("layout", ["built", "c", "fortran"])
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
     def test_numpy_loop_within_rounding_anywhere(self, case, layout):
         """Where NumPy's BLAS forms a product in another order (gemv at
-        K = 1, other kernels for C-ordered operands) the two stay within
-        rounding: 500 iterations move no entry by 1e-12 of the largest."""
+        K = 1, other kernels for the C-ordered lift at L400) the two stay
+        within rounding: 500 iterations move no entry by 1e-12 of the
+        largest."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
         regressors, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
-        if layout == "c":
-            regressors = c_ordered(regressors)
-        want = admm_loop(regressors, target, 500, np.matmul)
+        regressors = relaid(regressors, layout)
+        want = admm_loop(regressors, target, 500, np.matmul, np.matmul)
         got = kernel_outputs(regressors, target, 500)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
@@ -366,3 +386,49 @@ class TestBlasKernel:
         for before, after in zip(saved, (regressors.full_space, regressors.lift,
                                          regressors.target_map, target)):
             assert np.array_equal(before, after)
+
+
+def nn_form_solve(regressors, target):
+    """``solve_regression`` with the lift product in the NN form it took
+    before: SciPy's dgemm on a Fortran-ordered copy of the lift."""
+    coeff, estimate, u, lam = admm_loop(
+        regressors, np.asarray(target, dtype=np.float64), ADMM_ITERS, dgemm_nn, dgemm_nn
+    )
+    return RegressionResult(coeff, EndmemberMatrix(estimate), (u, lam))
+
+
+class TestStreamEquivalence:
+    """Whole streams through the kernel and through the NN-form solve."""
+
+    def test_build_stores_fortran_regressors_and_a_c_ordered_lift(self):
+        regressors, _ = make_instance(*KERNEL_CASES[0])
+        assert regressors.full_space.flags.f_contiguous
+        assert regressors.lift.flags.c_contiguous
+        assert not regressors.lift.flags.f_contiguous
+
+    # (L, K, M or None for the eta criterion, data seed): the two stream
+    # operating points, 300 acquisitions after 30 init spectra each.
+    @pytest.mark.parametrize(
+        "n_channels, n_out, n_harmonics, seed",
+        [(400, 5, 16, 1), (200, 3, None, 2)],
+        ids=["L400-K5-M16", "L200-K3"],
+    )
+    def test_stream_matches_the_nn_form(self, monkeypatch, n_channels, n_out, n_harmonics, seed):
+        data = generate_dataset(
+            SynthConfig(n_spectra=330, n_channels=n_channels, n_endmembers=n_out, seed=seed)
+        )
+        rows = data.spectra.values
+        config = PipelineConfig(n_endmembers=n_out, n_harmonics=n_harmonics)
+
+        def final_endmembers():
+            state = init_pipeline(rows[:30], config)
+            for row in rows[30:]:
+                state, _ = pipeline_step(state, row)
+            return state.endmembers.full.values
+
+        got = final_endmembers()
+        monkeypatch.setattr("kfunmix.pipeline.solve_regression", nn_form_solve)
+        want = final_endmembers()
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert abs(asad(got, data.endmembers) - asad(want, data.endmembers)) <= 1e-9
+
