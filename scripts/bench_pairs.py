@@ -7,11 +7,14 @@ metric's better direction come from the change's BENCHMARK.json.  The
 parent goes first on odd seeds and the change on even ones, so drift of a
 shared machine's speed does not favour one side.
 Each run's final stdout line (the benchmark's JSON result) and its
-``run_info`` line are kept.  The output file holds every pair and, per
-metric and side, the median and quartiles, plus the number of pairs the
-change won (ties count for neither) and whether the gain rule holds: at
-least nine tenths of the pairs won and a median gap wider than the
-parent's interquartile distance.
+``run_info`` line are kept.  A run that exits non-zero or prints no result
+line also keeps the last STDERR_TAIL lines of its stderr, which are echoed
+as it ends.  The output file holds every pair and, per metric and side, the
+median and quartiles, plus the number of pairs the change won (ties count
+for neither) and whether the gain rule holds: at least nine tenths of the
+pairs won and a median gap wider than the parent's interquartile distance.
+The script exits 1 when any run exited non-zero, printed no result line or
+read ``correct: false``.
 
 An existing output file keeps its other groups, so one file can collect
 several workloads; a group with the same workload, seeds and trace flag is
@@ -36,6 +39,7 @@ import sys
 
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
+STDERR_TAIL = 20
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -106,6 +110,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One benchmark run: its exit status, result and run_info lines, and why it failed."""
     cmd = [
         "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
@@ -121,7 +126,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
     for line in lines:
         if line.startswith("run_info "):
             run_info = json.loads(line[len("run_info "):])
-    return {"returncode": proc.returncode, "result": result, "run_info": run_info}
+    run = {"returncode": proc.returncode, "result": result, "run_info": run_info}
+    if proc.returncode != 0 or result is None:
+        run["stderr_tail"] = proc.stderr.splitlines()[-STDERR_TAIL:]
+        for line in run["stderr_tail"]:
+            print(f"  {checkout}: {line}", file=sys.stderr)
+    return run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,7 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    failed = sum(p[side]["result"] is None for p in pairs for side in SIDES)
+    runs = [p[side] for p in pairs for side in SIDES]
+    failed = sum(
+        run["returncode"] != 0 or run["result"] is None or not run["result"]["correct"]
+        for run in runs
+    )
     return 1 if failed else 0
 
 

@@ -5,16 +5,38 @@ enumerating supports.  The minimiser lies on some nonempty support A, where
 it is the equality-constrained least-squares solution of the columns in A.
 Every one of the 2^K - 1 supports is solved in closed form for all spectra
 at once, and each spectrum keeps its lowest-objective nonnegative candidate
-(Heinz & Chang 2001 solve the same problem by an active-set search).  The
-result is projected onto the simplex at exit so closure holds to rounding.
+(Heinz & Chang 2001 solve the same problem by an active-set search).
 
-The ill-conditioning warning is screened on the K x K Gram G = S^T S that
-the solve forms anyway.  cond(S)^2 = cond(G), so lambda_min(G) >
-SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two orders of magnitude
-under COND_WARN.  Flipping that takes errors in G near 1e-12 lambda_max(G),
-about 4500 ulps of it, far beyond the rounding of a Gram product, so no
-warning is possible.  Only when the screen fails does the SVD of the L x K
-matrix S run, and it decides the warning exactly as it always has.
+With G = S^T S and b = S^T y, the candidate on A and its sum-to-one
+multiplier nu solve the bordered KKT system
+
+    [[G_A + RIDGE I, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1].
+
+The 2^K - 1 bordered matrices, each with the identity off its support, are
+inverted in one batched call per endmember matrix and masked back to their
+supports, so each inverse maps [b; 1] straight to [c_A; nu] with exact zeros
+off A.  Stacked as one (supports (K+1), K+1) matrix, they give every
+candidate and multiplier of every spectrum from one product with the
+(K+1, n) right-hand side [S^T Y^T; 1^T].  A candidate's objective
+``0.5 c^T (G + RIDGE I) c - b^T c`` equals ``-0.5 (b^T c + nu)``, so each
+spectrum keeps the nonnegative candidate with the largest b^T c + nu, the
+first in support order on a tie.  The singletons are always nonnegative, so
+one exists.  The chosen row sums to 1 up to rounding and lies within
+FEASIBLE_TOL of the simplex, so the exit clamps it at 0 and divides it by
+its sum, which moves it by O(K 1e-12) at most.
+
+The ill-conditioning warning is screened on the eigenvalues of the K x K
+Gram G = S^T S that the solve forms anyway.  cond(S)^2 = cond(G), so
+lambda_min(G) > SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two
+orders of magnitude under COND_WARN.  Flipping that takes errors in G near
+1e-12 lambda_max(G), about 4500 ulps of it, far beyond the rounding of a
+Gram product, so no warning is possible.  Only when the screen fails does
+the SVD of the L x K matrix S run, and it decides the warning exactly as it
+always has.  The same eigenvalues decide singularity: when lambda_min(G) +
+RIDGE <= K eps lambda_max(G), the ridged Gram is singular to working
+precision (two identical columns whose squared norms dwarf the ridge), and
+the solve raises NumericalError rather than return whatever the rounding of
+an LU factorisation makes of it.
 
 G also guards the endmembers: a NaN or an infinity in column j of S
 reaches G_jj, so S is rejected on the K diagonal entries of G, with no scan
@@ -41,7 +63,7 @@ COND_WARN = 1e8
 SCREEN_RATIO = 1e-12
 # 2^12 - 1 = 4095 supports; the enumeration grows as 2^K.
 MAX_ENDMEMBERS = 12
-# Rows per chunk keep the (supports, K, rows) candidate array near this size.
+# Rows per chunk keep the (supports (K+1), rows) solution array near this size.
 CHUNK_BYTES = 8 * 2**20
 # A candidate entry above -FEASIBLE_TOL counts as nonnegative.
 FEASIBLE_TOL = 1e-12
@@ -53,36 +75,35 @@ class FclsConfig:
 
 
 def project_simplex(v: FloatArray) -> FloatArray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    return _project_simplex_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
-
-
-def _project_simplex_rows(rows: FloatArray) -> FloatArray:
-    """Project each row onto the probability simplex (sort-and-threshold)."""
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, rows.shape[1] + 1)[None, :]
-    cond = u - css / ind > 0
-    k = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(rows.shape[0]), k] / (k + 1.0)
-    return np.maximum(rows - tau[:, None], 0.0)
+    """Euclidean projection of a vector onto the probability simplex (sort-and-threshold)."""
+    v = np.asarray(v, dtype=np.float64)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    return np.maximum(v - css[k] / (k + 1.0), 0.0)
 
 
 @functools.lru_cache(maxsize=MAX_ENDMEMBERS)
-def _support_masks(k: int) -> tuple[FloatArray, FloatArray]:
-    """Block masks of the 2^K - 1 nonempty supports and the identity off each block."""
-    masks = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1  # (supports, K)
-    block = (masks[:, :, None] * masks[:, None, :]).astype(np.float64)
-    pad = np.eye(k) * (1 - masks)[:, None, :]
+def _bordered_layout(k: int) -> tuple[FloatArray, FloatArray]:
+    """Masks of the 2^K - 1 bordered KKT matrices and the constant part of each.
+
+    ``block[a]`` is 1 on support a's rows and columns and on the border row
+    and column, 0 elsewhere.  ``offset[a]`` holds RIDGE on the support's
+    diagonal, the identity off it and the border's ones.  With G_pad the
+    Gram with a zero row and column appended, ``G_pad * block + offset`` is
+    support a's bordered matrix, invertible whatever G is off the support.
+    """
+    supports = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1  # (supports, K)
+    bordered = np.hstack([supports, np.ones((supports.shape[0], 1), dtype=supports.dtype)])
+    block = (bordered[:, :, None] * bordered[:, None, :]).astype(np.float64)
+    offset = np.zeros_like(block)
+    diag = np.arange(k)
+    offset[:, diag, diag] = np.where(supports == 1, RIDGE, 1.0)
+    offset[:, k, :k] = supports
+    offset[:, :k, k] = supports
     block.flags.writeable = False
-    pad.flags.writeable = False
-    return block, pad
-
-
-def _screened_well_conditioned(gram: FloatArray) -> bool:
-    """True when lambda_min(G) > SCREEN_RATIO lambda_max(G), so cond(S) < 1e6."""
-    eig = np.linalg.eigvalsh(gram)
-    return bool(eig[0] > SCREEN_RATIO * eig[-1])
+    offset.flags.writeable = False
+    return block, offset
 
 
 def estimate_concentrations(
@@ -92,12 +113,18 @@ def estimate_concentrations(
 ) -> FloatArray:
     """Solve the simplex-constrained least-squares problem for many spectra.
 
-    With G = S^T S + ridge I and b = S^T y, the minimiser on support A is
-    ``c = H_A b - nu h_A`` with H_A the inverse of G on A (zero elsewhere),
-    h_A = H_A 1 and nu = (h_A^T b - 1) / (1^T h_A).  Its objective
-    ``0.5 c^T G c - b^T c`` equals ``-0.5 (b^T c + nu)``.  Each row takes the
-    lowest-objective candidate that is nonnegative; the singletons always
-    are, so one exists.
+    With G = S^T S + ridge I and b = S^T y, the minimiser on support A and
+    its multiplier solve ``[[G_A, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1]``
+    (G_A is G on A).
+    The inverses of all 2^K - 1 such bordered matrices, zero off their
+    supports, are stacked into one matrix and applied to ``[S^T Y^T; 1^T]``
+    in a single product per chunk of rows.  The objective
+    ``0.5 c^T G c - b^T c`` of a candidate equals ``-0.5 (b^T c + nu)``, so
+    each row takes the nonnegative candidate (entries above -FEASIBLE_TOL)
+    with the largest ``b^T c + nu``, the first support on a tie; the
+    singletons always qualify.  The chosen rows are clamped at 0 and divided
+    by their sums, which moves them by O(K 1e-12) at most, so every row is
+    nonnegative and sums to 1 to rounding.
 
     Parameters
     ----------
@@ -113,17 +140,20 @@ def estimate_concentrations(
 
     Returns
     -------
-    (n, K) array
-        One abundance row per spectrum, each on the simplex.
+    (n, K) C-ordered float64 array
+        One abundance row per spectrum, each on the simplex, with exact
+        zeros off its support.
 
     Raises
     ------
     ValueError
         If the endmember matrix holds a NaN or an infinity.
     NumericalError
-        If a spectrum holds a NaN or an infinity, or if the Gram on some
-        support is singular in floating point, as it is for two identical
-        endmember columns whose squared norms dwarf the ridge.
+        If a spectrum holds a NaN or an infinity, or if the ridged Gram is
+        singular to working precision, lambda_min(S^T S) + ridge <=
+        K eps lambda_max(S^T S), as it is for two identical endmember
+        columns whose squared norms dwarf the ridge.  A support inverse
+        that LAPACK finds singular all the same raises it too.
     """
     s = endmembers.values if isinstance(endmembers, EndmemberMatrix) else np.asarray(endmembers)
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
@@ -135,16 +165,22 @@ def estimate_concentrations(
     k = s.shape[1]
     if k > MAX_ENDMEMBERS:
         raise ValueError(f"at most {MAX_ENDMEMBERS} endmembers are supported, got {k}")
-    finite = np.all(np.isfinite(rows), axis=1)
-    if not np.all(finite):
-        raise NumericalError(f"spectrum {int(np.argmin(finite))} is not finite")
+    if not np.isfinite(rows).all():
+        bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise NumericalError(f"spectrum {bad} is not finite")
     gram = s.T @ s
     if not np.all(np.isfinite(np.diag(gram))):
         raise ValueError("endmember matrix holds a NaN or an infinity")
     if k == 1:
         return np.ones((n, 1))
 
-    if not _screened_well_conditioned(gram):
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] + RIDGE <= k * np.finfo(np.float64).eps * eig[-1]:
+        raise NumericalError(
+            "endmember Gram is singular to working precision; the endmember "
+            "columns are linearly dependent"
+        )
+    if not eig[0] > SCREEN_RATIO * eig[-1]:
         cond_s = np.linalg.cond(s)
         if cond_s > COND_WARN:
             warnings.warn(
@@ -153,30 +189,31 @@ def estimate_concentrations(
                 stacklevel=2,
             )
 
-    block, pad = _support_masks(k)
-    # G on each support's block and the identity off it: one batched inverse
-    # gives every H_A, zero outside its block.
+    block, offset = _bordered_layout(k)
+    padded = np.zeros((k + 1, k + 1))
+    padded[:k, :k] = gram
     try:
-        inv = np.linalg.inv((gram + RIDGE * np.eye(k)) * block + pad) * block
+        inv = np.linalg.inv(padded * block + offset) * block
     except np.linalg.LinAlgError as err:
         raise NumericalError(
             "endmember Gram is singular on some support; the endmember "
             "columns are linearly dependent"
         ) from err
-    h = inv.sum(axis=2)  # (supports, K)
-    h_sum = h.sum(axis=1)[:, None]
-    sty = s.T @ rows.T  # (K, n)
+    stacked = inv.reshape(-1, k + 1)  # (supports (K+1), K+1)
+    rhs = np.empty((k + 1, n))
+    rhs[:k] = s.T @ rows.T
+    rhs[k] = 1.0
     out = np.empty((n, k))
-    chunk = max(1, CHUNK_BYTES // (8 * k * inv.shape[0]))
+    chunk = max(1, CHUNK_BYTES // (8 * stacked.shape[0]))
     for lo in range(0, n, chunk):
-        b = sty[:, lo : lo + chunk]
-        nu = (h @ b - 1.0) / h_sum  # (supports, rows)
-        cand = inv @ b - h[:, :, None] * nu[:, None, :]  # (supports, K, rows)
-        objective = -0.5 * (np.sum(b * cand, axis=1) + nu)
-        objective[np.min(cand, axis=1) < -FEASIBLE_TOL] = np.inf
-        best = np.argmin(objective, axis=0)
-        out[lo : lo + chunk] = cand[best, :, np.arange(b.shape[1])]
-    return _project_simplex_rows(out)
+        b = rhs[:, lo : lo + chunk]
+        sol = (stacked @ b).reshape(inv.shape[0], k + 1, b.shape[1])  # [c_A; nu]
+        score = np.einsum("skn,kn->sn", sol, b)  # b^T c + nu
+        score[sol[:, :k].min(axis=1) < -FEASIBLE_TOL] = -np.inf
+        out[lo : lo + chunk] = sol[score.argmax(axis=0), :k, np.arange(b.shape[1])]
+    np.maximum(out, 0.0, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def estimate_concentration(

@@ -1,6 +1,7 @@
-"""Tests for the pairing script's seed parsing, run order and summary."""
+"""Tests for the pairing script's seed parsing, run order, summary and run records."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -95,3 +96,87 @@ class TestSummarise:
 
     def test_metrics_without_a_direction_are_skipped(self):
         assert set(bench_pairs.summarise(self.pairs(), {"run_s": "lower"})) == {"run_s"}
+
+
+class FakeProc:
+    def __init__(self, returncode, stdout, stderr):
+        self.returncode = returncode
+        self.stdout = stdout
+        self.stderr = stderr
+
+
+class TestRunRecords:
+    """``run_once`` and ``main`` with ``subprocess.run`` stubbed out."""
+
+    def stub(self, monkeypatch, procs):
+        calls = []
+
+        def fake_run(cmd, cwd, capture_output, text):
+            calls.append(cwd)
+            return procs[len(calls) - 1] if isinstance(procs, list) else procs
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        return calls
+
+    def test_a_failed_run_keeps_its_last_stderr_lines(self, monkeypatch, capsys):
+        stderr = "\n".join(f"line {i}" for i in range(30)) + "\n"
+        self.stub(monkeypatch, FakeProc(2, "", stderr))
+        run = bench_pairs.run_once("ckout", "p2-rls-baselines", 1, 20, 0)
+        assert run["returncode"] == 2 and run["result"] is None
+        assert run["stderr_tail"] == [f"line {i}" for i in range(10, 30)]
+        echoed = capsys.readouterr().err.splitlines()
+        assert echoed == [f"  ckout: line {i}" for i in range(10, 30)]
+
+    def test_a_run_without_a_result_line_keeps_stderr(self, monkeypatch):
+        self.stub(monkeypatch, FakeProc(0, "not json\n", "Traceback\nValueError: x\n"))
+        run = bench_pairs.run_once("ckout", "w", 1, 20, 0)
+        assert run["result"] is None
+        assert run["stderr_tail"] == ["Traceback", "ValueError: x"]
+
+    def test_a_good_run_keeps_no_stderr(self, monkeypatch, capsys):
+        line = json.dumps(result_line(0.5, 2.0))
+        self.stub(monkeypatch, FakeProc(0, f'run_info {{"cpus": 2}}\n{line}\n', "noise\n"))
+        run = bench_pairs.run_once("ckout", "w", 1, 20, 0)
+        assert run["result"]["metrics"]["run_s"]["value"] == 0.5
+        assert run["run_info"] == {"cpus": 2}
+        assert "stderr_tail" not in run
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "change, status",
+        [
+            ({"correct": True, "code": 0}, 0),
+            ({"correct": False, "code": 1}, 1),
+            ({"correct": False, "code": 0}, 1),
+            ({"correct": True, "code": 2}, 1),
+        ],
+    )
+    def test_main_fails_on_an_incorrect_or_failed_run(self, monkeypatch, tmp_path, change, status):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "change" / "BENCHMARK.json").write_text(
+            json.dumps(
+                {
+                    "run_seconds": 20,
+                    "end_to_end": [{"name": "run_s", "better": "lower"}],
+                    "per_layer": [],
+                }
+            )
+        )
+        good = json.dumps(result_line(0.5, 2.0))
+        bad = dict(result_line(0.4, 2.5), correct=change["correct"])
+        self.stub(
+            monkeypatch,
+            # seed 1: the parent runs first
+            [FakeProc(0, good + "\n", ""), FakeProc(change["code"], json.dumps(bad) + "\n", "")],
+        )
+        out = tmp_path / "out.json"
+        got = bench_pairs.main(
+            [
+                "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--workload", "w", "--seeds", "1", "--out", str(out),
+            ]
+        )
+        assert got == status
+        group = json.loads(out.read_text())["groups"][0]
+        assert group["correct_runs"] == {"parent": 1, "change": int(change["correct"])}
