@@ -12,12 +12,27 @@ multiplier nu solve the bordered KKT system
 
     [[G_A + RIDGE I, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1].
 
-The 2^K - 1 bordered matrices, each with the identity off its support, are
-inverted in one batched call per endmember matrix and masked back to their
-supports, so each inverse maps [b; 1] straight to [c_A; nu] with exact zeros
-off A.  Stacked as one (supports (K+1), K+1) matrix, they give every
-candidate and multiplier of every spectrum from one product with the
-(K+1, n) right-hand side [S^T Y^T; 1^T].  A candidate's objective
+Each of the 2^K - 1 bordered matrices holds the identity off its support,
+and no other row or column couples to those rows.  How they are applied
+depends on the row count n alone:
+
+- n <= (K + 1) // 2, a single spectrum among them: one batched LU solve of
+  all the systems against [b; 1] masked to each support.  Partial pivoting
+  never takes an off-support row as the pivot of another column, and its
+  multipliers and right-hand-side entries stay exactly 0, so the candidate
+  is exactly 0 off A, not merely small.
+- larger n: the bordered matrices are inverted in one batched call and
+  masked back to their supports, so each inverse maps [b; 1] straight to
+  [c_A; nu] with exact zeros off A.  Stacked as one (supports (K+1), K+1)
+  matrix, they give every candidate and multiplier of every spectrum from
+  one product with the (K+1, n) right-hand side [S^T Y^T; 1^T].
+
+In flops the solve is always cheaper: an inversion costs about three LU
+factorisations, and the triangular solves cost what the product does.  But
+the product is one large BLAS call, while the triangular solves run per
+small matrix, so the solve loses once n grows.  Timed at L = 400 with one
+BLAS thread, the crossover fell between n = K / 2 and n = K + 1 at K = 3,
+5, 8 and 12, so the rule keeps to its low end.  A candidate's objective
 ``0.5 c^T (G + RIDGE I) c - b^T c`` equals ``-0.5 (b^T c + nu)``, so each
 spectrum keeps the nonnegative candidate with the largest b^T c + nu, the
 first in support order on a tie.  The singletons are always nonnegative, so
@@ -106,6 +121,29 @@ def _bordered_layout(k: int) -> tuple[FloatArray, FloatArray]:
     return block, offset
 
 
+def _lapack(solver, *args) -> FloatArray:
+    """``solver(*args)`` on the bordered matrices, a singular one raising NumericalError."""
+    try:
+        return solver(*args)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(
+            "endmember Gram is singular on some support; the endmember "
+            "columns are linearly dependent"
+        ) from err
+
+
+def _best_candidates(sol: FloatArray, rhs: FloatArray) -> FloatArray:
+    """Each column's nonnegative candidate with the largest b^T c + nu.
+
+    ``sol`` is (supports, K+1, n) with [c_A; nu] per support and spectrum,
+    ``rhs`` the (K+1, n) right-hand side [b; 1]; returns the (n, K) rows.
+    """
+    k = sol.shape[1] - 1
+    score = np.einsum("skn,kn->sn", sol, rhs)  # b^T c + nu
+    score[sol[:, :k].min(axis=1) < -FEASIBLE_TOL] = -np.inf
+    return sol[score.argmax(axis=0), :k, np.arange(rhs.shape[1])]
+
+
 def estimate_concentrations(
     spectra_rows: FloatArray,
     endmembers: EndmemberMatrix | FloatArray,
@@ -116,9 +154,12 @@ def estimate_concentrations(
     With G = S^T S + ridge I and b = S^T y, the minimiser on support A and
     its multiplier solve ``[[G_A, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1]``
     (G_A is G on A).
-    The inverses of all 2^K - 1 such bordered matrices, zero off their
-    supports, are stacked into one matrix and applied to ``[S^T Y^T; 1^T]``
-    in a single product per chunk of rows.  The objective
+    A call of at most (K + 1) // 2 rows solves all 2^K - 1 such bordered
+    systems, each with the identity off its support, in one batched LU
+    solve against ``[b; 1]`` masked to the support; the identity rows keep
+    the candidate exactly 0 off it.  A larger call stacks their inverses,
+    zero off their supports, into one matrix and applies it to
+    ``[S^T Y^T; 1^T]`` in a single product per chunk of rows.  The objective
     ``0.5 c^T G c - b^T c`` of a candidate equals ``-0.5 (b^T c + nu)``, so
     each row takes the nonnegative candidate (entries above -FEASIBLE_TOL)
     with the largest ``b^T c + nu``, the first support on a tie; the
@@ -152,8 +193,9 @@ def estimate_concentrations(
         If a spectrum holds a NaN or an infinity, or if the ridged Gram is
         singular to working precision, lambda_min(S^T S) + ridge <=
         K eps lambda_max(S^T S), as it is for two identical endmember
-        columns whose squared norms dwarf the ridge.  A support inverse
-        that LAPACK finds singular all the same raises it too.
+        columns whose squared norms dwarf the ridge.  A bordered system
+        that LAPACK finds singular all the same, in the solve or the
+        inverse, raises it too.
     """
     s = endmembers.values if isinstance(endmembers, EndmemberMatrix) else np.asarray(endmembers)
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
@@ -169,7 +211,7 @@ def estimate_concentrations(
         bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"spectrum {bad} is not finite")
     gram = s.T @ s
-    if not np.all(np.isfinite(np.diag(gram))):
+    if not np.isfinite(gram.diagonal()).all():
         raise ValueError("endmember matrix holds a NaN or an infinity")
     if k == 1:
         return np.ones((n, 1))
@@ -192,25 +234,23 @@ def estimate_concentrations(
     block, offset = _bordered_layout(k)
     padded = np.zeros((k + 1, k + 1))
     padded[:k, :k] = gram
-    try:
-        inv = np.linalg.inv(padded * block + offset) * block
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(
-            "endmember Gram is singular on some support; the endmember "
-            "columns are linearly dependent"
-        ) from err
-    stacked = inv.reshape(-1, k + 1)  # (supports (K+1), K+1)
     rhs = np.empty((k + 1, n))
     rhs[:k] = s.T @ rows.T
     rhs[k] = 1.0
-    out = np.empty((n, k))
-    chunk = max(1, CHUNK_BYTES // (8 * stacked.shape[0]))
-    for lo in range(0, n, chunk):
-        b = rhs[:, lo : lo + chunk]
-        sol = (stacked @ b).reshape(inv.shape[0], k + 1, b.shape[1])  # [c_A; nu]
-        score = np.einsum("skn,kn->sn", sol, b)  # b^T c + nu
-        score[sol[:, :k].min(axis=1) < -FEASIBLE_TOL] = -np.inf
-        out[lo : lo + chunk] = sol[score.argmax(axis=0), :k, np.arange(b.shape[1])]
+    if n <= (k + 1) // 2:
+        # [b; 1] masked to each support: the identity rows off A, which no
+        # other row couples to, give exact zeros there.
+        sol = _lapack(np.linalg.solve, padded * block + offset, rhs * block[:, :, k:])
+        out = _best_candidates(sol, rhs)
+    else:
+        inv = _lapack(np.linalg.inv, padded * block + offset) * block
+        stacked = inv.reshape(-1, k + 1)  # (supports (K+1), K+1)
+        out = np.empty((n, k))
+        chunk = max(1, CHUNK_BYTES // (8 * stacked.shape[0]))
+        for lo in range(0, n, chunk):
+            b = rhs[:, lo : lo + chunk]
+            sol = (stacked @ b).reshape(inv.shape[0], k + 1, b.shape[1])  # [c_A; nu]
+            out[lo : lo + chunk] = _best_candidates(sol, b)
     np.maximum(out, 0.0, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out

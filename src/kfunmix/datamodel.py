@@ -27,7 +27,7 @@ def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -61,13 +61,12 @@ class ConcentrationMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_float_matrix(self.values, "concentrations")
-        if np.min(arr) < -NONNEG_TOL:
+        smallest = arr.min()
+        if smallest < -NONNEG_TOL:
             raise ValueError(
-                f"concentration entries must be >= -{NONNEG_TOL}, "
-                f"found {np.min(arr)}"
+                f"concentration entries must be >= -{NONNEG_TOL}, found {smallest}"
             )
-        row_sums = arr.sum(axis=1)
-        worst = np.max(np.abs(row_sums - 1.0))
+        worst = np.abs(arr.sum(axis=1) - 1.0).max()
         if worst > CLOSURE_TOL:
             raise ValueError(
                 f"concentration rows must sum to 1 within {CLOSURE_TOL}, "
@@ -91,13 +90,22 @@ class EndmemberMatrix:
     values: FloatArray
 
     def __post_init__(self) -> None:
-        arr = _as_float_matrix(self.values, "endmembers")
-        if np.min(arr) < -NONNEG_TOL:
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"endmembers must be 2-dimensional, got ndim={arr.ndim}")
+        # Two passes check all three invariants: a NaN or an infinity reaches
+        # its column's largest magnitude, which is also zero only for an
+        # all-zero column.  The magnitudes are taken on a (K, L) C-ordered
+        # copy, so each column reduces over contiguous memory.
+        smallest = arr.min()
+        col_max = np.abs(arr.T, order="C").max(axis=1)
+        if not np.isfinite(col_max).all():
+            raise ValueError("endmembers contains non-finite entries")
+        if smallest < -NONNEG_TOL:
             raise ValueError(
-                f"endmember entries must be >= -{NONNEG_TOL}, found {np.min(arr)}"
+                f"endmember entries must be >= -{NONNEG_TOL}, found {smallest}"
             )
-        col_max = np.max(np.abs(arr), axis=0)
-        if np.any(col_max == 0.0):
+        if (col_max == 0.0).any():
             raise ValueError("endmember matrix has an all-zero column")
         object.__setattr__(self, "values", arr)
 

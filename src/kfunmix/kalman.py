@@ -66,16 +66,16 @@ class FilterState:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if mean.ndim != 2:
             raise ValueError("state mean must be a (K, 2M) matrix")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("state mean contains non-finite entries")
         n_rows = mean.shape[0]
         if matrix.shape != (n_rows, n_rows):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match K = {n_rows} state rows"
             )
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise ValueError("matrix contains non-finite entries")
-        if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+        if np.abs(matrix - matrix.T).max() > 1e-10:
             raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "matrix", matrix)
@@ -100,7 +100,7 @@ def _residual(
             f"state mean shape {state.mean.shape} does not equal (K, 2M) = "
             f"({c.size}, {y.size})"
         )
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(c).all() and np.isfinite(y).all()):
         raise NumericalError("concentration or observation has non-finite entries")
     return c, y - c @ state.mean
 
@@ -108,7 +108,7 @@ def _residual(
 def _advance(
     state: FilterState, gain: FloatArray, residual: FloatArray, matrix: FloatArray
 ) -> FilterState:
-    if not np.all(np.isfinite(gain)):
+    if not np.isfinite(gain).all():
         raise NumericalError("gain has non-finite entries")
     return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
 

@@ -12,37 +12,43 @@ counterpart and T the (2M, K) target.  Scaled ADMM on the split
 Y R = U >= 0, with step ρ and dual λ, alternates a least-squares step in
 R, the clamp U = max(v, 0) of v = Y R - λ/ρ, and a dual ascent step that
 leaves λ' = ρ max(-v, 0).  So λ' + ρU = ρ|v| and the next v is
-Y R' - max(-v, 0): the iteration carries one L x K iterate v, from v = 0
-(U = λ = 0), as
+Y R' - max(-v, 0): the iteration carries one L x K iterate v as
 
     R = N^-1 2 Yr^T T + ρ N^-1 Y^T |v|,    v = Y R + min(v, 0),
 
 with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream, so they
 are solved through one Cholesky factor at set-up and each iteration is two
-matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).
+matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).  The
+iteration starts at v = 0 (U = λ = 0), where |v| and min(v, 0) vanish, so
+the first iteration is R = C exactly, with C = N^-1 2 Yr^T T the constant
+term, and v = Y C: it is peeled off as that one product.
 
 The iteration runs at the BLAS level.  Y is stored in Fortran order and
 the lift in C order, once per stream, and v lives in a Fortran-ordered
-(L, K) buffer next to one buffer for |v|.  Each iteration is four calls:
-|v| into its buffer; R = lift |v| + C by dgemm with β = 1, which writes into
-a copy of the constant term C, the only allocation; min(v, 0) in place; and
-v = Y R + min(v, 0) by dgemm with β = 1, written over v.  The lift product
-is taken in transposed form: the C-ordered (P, L) lift is an F-ordered
-(L, P) view of its transpose, handed to dgemm with trans_a, so each entry
-of R is one contiguous length-L dot product.  OpenBLAS forms this short,
-wide product 2-2.5 times faster than from a Fortran-ordered lift.  Y R is
-taller than it is deep and stays untransposed, where that form is the
-faster one.  C is made Fortran-ordered once per solve, so dgemm copies it
-as it is instead of transposing it on each call; BLAS adds βC to the
-finished product once, so both sums round exactly as a separate product
-and addition do, and the iterates are bit for bit those of the same
-products formed on their own by the same BLAS.  The last iteration keeps
-Y R apart, since the estimate is max(Y R, 0).  NumPy's ``@`` runs on
-NumPy's own BLAS build, which may form a product in another order (it
-takes gemv when K = 1, and its kernel for the C-ordered lift sums in
-another order at L = 400), so a loop written with ``@`` agrees bit for bit
-only where the two builds agree on the product, and within rounding
-elsewhere.
+(L, K) buffer next to one buffer for |v| and one of zeros.  After the peeled
+start, each iteration is four calls: |v| into its buffer; R = lift |v| + C
+by dgemm with β = 1, which writes into a copy of C, the only allocation;
+min(v, 0) in place against the zero buffer, which spares NumPy the
+conversion of a Python scalar on every call; and v = Y R + min(v, 0) by
+dgemm with β = 1, written over v.  The lift product is taken in transposed
+form: the C-ordered (P, L) lift is an F-ordered (L, P) view of its
+transpose, handed to dgemm with trans_a, so each entry of R is one
+contiguous length-L dot product.  OpenBLAS forms this short, wide product
+2-2.5 times faster than from a Fortran-ordered lift.  Y R is taller than
+it is deep and stays untransposed, where that form is the faster one.  C
+is made Fortran-ordered once per solve, so dgemm copies it as it is
+instead of transposing it on each call; BLAS adds βC to the finished
+product once, so both sums round exactly as a separate product and
+addition do, and the iterates are bit for bit those of the same products
+formed on their own by the same BLAS.  The peeled start drops only a zero
+product and a zero summand, so it changes no bit either.  The last
+iteration keeps Y R apart, since the estimate is max(Y R, 0), and its
+columns, still contiguous in Fortran order, give the check for a column
+the clamp zeroes.  NumPy's ``@`` runs on NumPy's own BLAS build, which may
+form a product in another order (it takes gemv when K = 1, and its kernel
+for the C-ordered lift sums in another order at L = 400), so a loop
+written with ``@`` agrees bit for bit only where the two builds agree on
+the product, and within rounding elsewhere.
 
 The step ρ = RHO and the budget of ADMM_ITERS iterations are constants,
 not settings.  The zero-frequency harmonic has no sine row, so Yr has
@@ -180,35 +186,38 @@ def solve_regression(
             f"target of shape {t.shape} does not have the {reduced.shape[0]} reduced "
             "rows of the regressors"
         )
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("target contains non-finite entries")
 
     const = np.asfortranarray(regressors.target_map @ t)  # (P, K)
     lift_t = regressors.lift.T  # (L, P), Fortran-ordered for a C-ordered lift
-    v = np.zeros((full.shape[0], t.shape[1]), order="F")
-    a = np.empty_like(v)
+    zero = np.zeros((full.shape[0], t.shape[1]), order="F")
+    # From v = 0 the first iteration gives coeff = const and v = full @ const.
+    v = zero if iterations == 1 else blas.dgemm(1.0, full, const)
+    a = np.empty_like(zero)
     # coeff = const + lift @ |v| and v = full @ coeff + min(v, 0), with each
     # sum taken by dgemm's beta = 1 (const is copied, v is overwritten), and
     # lift @ |v| formed as (lift^T)^T |v|.
-    for _ in range(iterations - 1):
+    for _ in range(iterations - 2):
         np.abs(v, out=a)
         coeff = blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1)
-        np.minimum(v, 0.0, out=v)
+        np.minimum(v, zero, out=v)
         v = blas.dgemm(1.0, full, coeff, 1.0, v, overwrite_c=True)
     # The results leave in C order, as NumPy products are: later BLAS calls
     # on them round differently when handed the other layout.
     np.abs(v, out=a)
     coeff = np.ascontiguousarray(blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1))
-    recon = np.ascontiguousarray(blas.dgemm(1.0, full, coeff))
-    v = recon + np.minimum(v, 0.0)
-
-    clamped = np.maximum(recon, 0.0)
-    dead = np.nonzero(np.max(clamped, axis=0) == 0.0)[0]
+    recon = blas.dgemm(1.0, full, coeff)
+    # A column whose constrained fit max(Y R, 0) is identically zero cannot
+    # serve as an endmember downstream; treat it as a degenerate-stream
+    # failure.  Y R is still Fortran-ordered, so each column's maximum reads
+    # contiguous memory.
+    dead = np.nonzero(recon.max(axis=0) <= 0.0)[0]
     if dead.size:
-        # A column whose constrained fit is identically zero cannot serve as
-        # an endmember downstream; treat it as a degenerate-stream failure.
         raise NumericalError(
             f"regression collapsed endmember column {int(dead[0])} to zero"
         )
-    estimate = EndmemberMatrix(clamped)
+    recon = np.ascontiguousarray(recon)
+    v = recon + np.minimum(v, zero)
+    estimate = EndmemberMatrix(np.maximum(recon, 0.0))
     return RegressionResult(coeff, estimate, (np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)))

@@ -380,6 +380,42 @@ def design(kind, k, n, seed):
     return rows, s
 
 
+def assert_matches_reference(rows, s):
+    """Wherever the reference's best objective beats its second best by more
+    than 1e-9, the support is the same, with exact zeros off it, and the
+    rows agree within 1e-12, or within 10 eps cond(G) where the Gram's
+    conditioning makes either formulation's rounding larger.  On a closer
+    call the solver may take the other support, whose objective is then
+    within 1e-9."""
+    k = s.shape[1]
+    got = estimate_concentrations(rows, s)
+    want = reference_concentrations(rows, s)
+    gram = s.T @ s + RIDGE * np.eye(k)
+    _, objective = candidates(rows, s)
+    ordered = np.sort(objective, axis=0)
+    clear = ordered[1] - ordered[0] > 1e-9
+    support = support_masks(k).astype(bool)[np.argmin(objective, axis=0)]
+    np.testing.assert_array_equal((got != 0.0)[clear], support[clear])
+    tol = max(1e-12, 10 * np.finfo(np.float64).eps * np.linalg.cond(gram))
+    np.testing.assert_allclose(got[clear], want[clear], rtol=0.0, atol=tol)
+    got_objective = 0.5 * np.einsum("nk,kj,nj->n", got, gram, got) - np.einsum(
+        "nk,kn->n", got, s.T @ rows.T
+    )
+    assert np.all(got_objective <= ordered[0] + 1e-9)
+    return got
+
+
+# (K, n) on both sides of the row-count rule: up to (K + 1) // 2 rows solve
+# the bordered systems directly, more rows invert them once.
+ROW_COUNT_CASES = sorted(
+    {
+        (k, n)
+        for k in (2, 3, 4, 5, 6, 7, 8, 12)
+        for n in (1, 2, (k + 1) // 2, (k + 1) // 2 + 1, k + 1)
+    }
+)
+
+
 class TestAgainstReference:
     """The bordered-KKT solver against the H_A/Schur enumeration it replaced."""
 
@@ -387,26 +423,32 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n", [1, 15, 215])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12])
     def test_rows_and_supports_match(self, k, n, kind):
-        """Wherever the reference's best objective beats its second best by
-        more than 1e-9, the support is the same and the rows agree within
-        1e-12, or within 10 eps cond(G) where the Gram's conditioning makes
-        either formulation's rounding larger.  On a closer call the solver
-        may take the other support, whose objective is then within 1e-9."""
         rows, s = design(kind, k, n, seed=1000 * k + n)
-        got = estimate_concentrations(rows, s)
-        want = reference_concentrations(rows, s)
-        gram = s.T @ s + RIDGE * np.eye(k)
-        _, objective = candidates(rows, s)
-        ordered = np.sort(objective, axis=0)
-        clear = ordered[1] - ordered[0] > 1e-9
-        support = support_masks(k).astype(bool)[np.argmin(objective, axis=0)]
-        np.testing.assert_array_equal((got != 0.0)[clear], support[clear])
-        tol = max(1e-12, 10 * np.finfo(np.float64).eps * np.linalg.cond(gram))
-        np.testing.assert_allclose(got[clear], want[clear], rtol=0.0, atol=tol)
-        got_objective = 0.5 * np.einsum("nk,kj,nj->n", got, gram, got) - np.einsum(
-            "nk,kn->n", got, s.T @ rows.T
-        )
-        assert np.all(got_objective <= ordered[0] + 1e-9)
+        assert_matches_reference(rows, s)
+
+    @pytest.mark.parametrize("kind", ["random", "near-collinear-1e-1", "near-collinear-1e-2"])
+    @pytest.mark.parametrize("k, n", ROW_COUNT_CASES)
+    def test_both_sides_of_the_row_count_rule(self, k, n, kind):
+        rows, s = design(kind, k, n, seed=100 * k + n)
+        got = assert_matches_reference(rows, s)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        if n == 1:
+            single = estimate_concentration(rows[0], s)
+            assert single.dtype == np.float64 and single.flags.c_contiguous
+            np.testing.assert_array_equal(single, got[0])
+
+    @pytest.mark.parametrize("n, solver", [(1, "solve"), (3, "solve"), (4, "inv")])
+    def test_singular_bordered_system_raises_numerical_error(self, monkeypatch, n, solver):
+        """LAPACK's verdict on a bordered matrix is the backstop behind the
+        eigenvalue rule, on either side of the row-count rule (K = 5)."""
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rows, s = design("random", 5, n, seed=n)
+        monkeypatch.setattr(np.linalg, solver, singular)
+        with pytest.raises(NumericalError, match="singular on some support"):
+            estimate_concentrations(rows, s)
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("kind", ["near-collinear-1e-1", "near-collinear-1e-2"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kfunmix.datamodel import (
+    NONNEG_TOL,
     ConcentrationMatrix,
     DatasetBundle,
     EndmemberMatrix,
@@ -18,6 +19,7 @@ from kfunmix.datamodel import (
     save_dataset,
     save_matrix_csv,
 )
+from kfunmix.kalman import FilterState
 
 
 class TestSpectraMatrix:
@@ -81,6 +83,143 @@ class TestEndmemberMatrix:
     def test_rejects_all_zero_column(self):
         with pytest.raises(ValueError, match="all-zero column"):
             EndmemberMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def previous_endmember_check(values):
+    """EndmemberMatrix validation as four separate predicates, before it
+    took one column-magnitude pass and one minimum."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"endmembers must be 2-dimensional, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("endmembers contains non-finite entries")
+    if np.min(arr) < -NONNEG_TOL:
+        raise ValueError(f"endmember entries must be >= -{NONNEG_TOL}, found {np.min(arr)}")
+    col_max = np.max(np.abs(arr), axis=0)
+    if np.any(col_max == 0.0):
+        raise ValueError("endmember matrix has an all-zero column")
+
+
+def previous_filter_state_check(mean, matrix):
+    """FilterState validation through NumPy's function wrappers."""
+    mean = np.asarray(mean, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if mean.ndim != 2:
+        raise ValueError("state mean must be a (K, 2M) matrix")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("state mean contains non-finite entries")
+    n_rows = mean.shape[0]
+    if matrix.shape != (n_rows, n_rows):
+        raise ValueError(f"matrix shape {matrix.shape} does not match K = {n_rows} state rows")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix contains non-finite entries")
+    if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+        raise ValueError("matrix is not symmetric")
+
+
+def outcome(check, *args):
+    """None when ``check`` accepts, else the type and message it raised."""
+    try:
+        check(*args)
+    except Exception as err:  # noqa: BLE001 - the outcome is what is compared
+        return type(err), str(err)
+    return None
+
+
+def with_entry(base, index, value):
+    out = np.array(base, dtype=np.float64)
+    out[index] = value
+    return out
+
+
+ENDMEMBERS = np.array([[1.0, 0.2, 0.0], [0.5, 0.0, 0.3], [0.0, 0.7, 0.9], [0.4, 0.1, 0.2]])
+ZERO_COLUMN = with_entry(ENDMEMBERS, (slice(None), 1), 0.0)
+ENDMEMBER_TABLE = {
+    "valid": ENDMEMBERS,
+    "fortran-ordered": np.asfortranarray(ENDMEMBERS),
+    "single-column": ENDMEMBERS[:, :1],
+    "integer": np.array([[1, 0], [2, 3]]),
+    **{
+        f"{name}-at-{index}": with_entry(ENDMEMBERS, index, value)
+        for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
+        for index in ((0, 0), (1, 1), (3, 2), (2, 0))
+    },
+    "nan-and-negative": with_entry(with_entry(ENDMEMBERS, (0, 0), -1.0), (3, 2), np.nan),
+    "+inf-in-zero-column": with_entry(ZERO_COLUMN, (2, 1), np.inf),
+    "-inf-and-nan": with_entry(with_entry(ENDMEMBERS, (0, 1), -np.inf), (1, 0), np.nan),
+    "entry-at--2e-9": with_entry(ENDMEMBERS, (1, 2), -2e-9),
+    "entry-at--1e-9": with_entry(ENDMEMBERS, (1, 2), -1e-9),
+    "all-zero-column": ZERO_COLUMN,
+    "negative-zero-column": with_entry(ZERO_COLUMN, (slice(None), 1), -0.0),
+    "zero-column-holding--1e-10": with_entry(ZERO_COLUMN, (3, 1), -1e-10),
+    "zero-column-and--2e-9": with_entry(ZERO_COLUMN, (0, 0), -2e-9),
+    "vector": ENDMEMBERS[:, 0],
+    "three-d": ENDMEMBERS[None],
+    "no-rows": np.zeros((0, 3)),
+    "no-columns": np.zeros((4, 0)),
+}
+
+STATE_MEAN = np.arange(12.0).reshape(3, 4)
+STATE_MATRIX = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+FILTER_STATE_TABLE = {
+    "valid": (STATE_MEAN, STATE_MATRIX),
+    "asymmetry-within-1e-10": (STATE_MEAN, with_entry(STATE_MATRIX, (0, 1), 0.5 + 5e-11)),
+    "asymmetric": (STATE_MEAN, with_entry(STATE_MATRIX, (0, 1), 0.5 + 1e-9)),
+    "mean-vector": (STATE_MEAN[0], STATE_MATRIX),
+    "wrong-matrix-shape": (STATE_MEAN, STATE_MATRIX[:2, :2]),
+    **{
+        f"mean-{name}-at-{index}": (with_entry(STATE_MEAN, index, value), STATE_MATRIX)
+        for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
+        for index in ((0, 0), (2, 3))
+    },
+    **{
+        f"matrix-{name}-at-{index}": (STATE_MEAN, with_entry(STATE_MATRIX, index, value))
+        for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
+        for index in ((0, 0), (0, 2), (2, 1))
+    },
+    "matrix-nan-and-asymmetric": (
+        STATE_MEAN,
+        with_entry(with_entry(STATE_MATRIX, (1, 1), np.nan), (0, 1), 9.0),
+    ),
+}
+
+
+class TestChecksMatchThePreviousPredicates:
+    """The leaner per-step checks accept and reject exactly what the
+    previous predicates did, with the same messages."""
+
+    @pytest.mark.parametrize("name", list(ENDMEMBER_TABLE))
+    def test_endmember_matrix(self, name):
+        values = ENDMEMBER_TABLE[name]
+        want = outcome(previous_endmember_check, values)
+        assert outcome(EndmemberMatrix, values) == want
+
+    @pytest.mark.parametrize("name", list(FILTER_STATE_TABLE))
+    def test_filter_state(self, name):
+        mean, matrix = FILTER_STATE_TABLE[name]
+        want = outcome(previous_filter_state_check, mean, matrix)
+        assert outcome(FilterState, mean, matrix) == want
+
+    def test_tables_reach_every_outcome(self):
+        """Each table holds an accepted input and inputs for every error."""
+        cases = (
+            (
+                [outcome(EndmemberMatrix, v) for v in ENDMEMBER_TABLE.values()],
+                ("endmembers must be 2-dimensional", "endmembers contains non-finite",
+                 "endmember entries must be >=", "endmember matrix has an all-zero",
+                 "zero-size array"),
+            ),
+            (
+                [outcome(FilterState, *v) for v in FILTER_STATE_TABLE.values()],
+                ("state mean must be", "state mean contains non-finite", "matrix shape",
+                 "matrix contains non-finite", "matrix is not symmetric"),
+            ),
+        )
+        for outcomes, prefixes in cases:
+            assert None in outcomes
+            messages = [o[1] for o in outcomes if o is not None]
+            for prefix in prefixes:
+                assert any(m.startswith(prefix) for m in messages), prefix
 
 
 class TestDatasetBundle:

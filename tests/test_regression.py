@@ -320,14 +320,16 @@ class TestSolveRegression:
 class TestBlasKernel:
     """The dgemm kernel of ``solve_regression`` against the loop it replaced."""
 
-    @pytest.mark.parametrize("iterations", [1, 50, 500])
+    @pytest.mark.parametrize("iterations", [1, 2, 50, 500])
     @pytest.mark.parametrize("layout", ["built", "c", "fortran"])
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
     def test_bit_identical_to_the_loop_on_the_same_blas(self, case, layout, iterations):
         """With the products formed by the same BLAS in the kernel's forms
         (the lift product transposed, Y R untransposed), the beta = 1 sums,
-        the in-place buffers and the peeled last iteration change no bit of
-        the coefficients, the estimate or either dual, whatever the layout."""
+        the in-place buffers and the peeled first and last iterations change
+        no bit of the coefficients, the estimate or either dual, whatever the
+        layout.  At two iterations the peeled ones meet; one iteration is
+        the last alone, run from v = 0."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
         regressors, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
@@ -338,7 +340,7 @@ class TestBlasKernel:
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.array_equal(g, w), name
 
-    @pytest.mark.parametrize("iterations", [1, 50, 500])
+    @pytest.mark.parametrize("iterations", [1, 2, 50, 500])
     @pytest.mark.parametrize("case", KERNEL_CASES[1:2], ids=["L200-M8-K3"])
     def test_bit_identical_to_the_numpy_loop_at_the_operating_points(self, case, iterations):
         """NumPy and SciPy each ship a BLAS build; at the L200 K3 operating
