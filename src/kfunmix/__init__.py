@@ -1,18 +1,13 @@
 """Streaming linear spectral unmixing in a truncated Fourier subspace.
 
-The package re-exports the public names of its submodules.  One of them
-shadows its own submodule: ``kfunmix.vca`` is the function, so
-``import kfunmix.vca as m`` binds the function, and a patch by dotted path
-such as ``"kfunmix.vca._estimate_snr_db"`` cannot reach the module.  Fetch
-the module itself with ``importlib.import_module("kfunmix.vca")`` or
-``sys.modules["kfunmix.vca"]``.
+The package re-exports the public names of its submodules, except that
+``kfunmix.vca`` is the module; the function is ``kfunmix.vca.vca``.
 """
 
 from .abundance import (
     FclsConfig,
     estimate_concentration,
     estimate_concentrations,
-    project_simplex,
 )
 from .datamodel import (
     ConcentrationMatrix,
@@ -79,7 +74,7 @@ from .synthdata import (
     generate_pure_spectra,
     savitzky_golay,
 )
-from .vca import VcaConfig, vca
+from .vca import VcaConfig
 
 __version__ = "0.1.0"
 
@@ -127,7 +122,6 @@ __all__ = [
     "pca_nonneg_init",
     "phasor_embedding",
     "pipeline_step",
-    "project_simplex",
     "protocol_p1",
     "protocol_p2",
     "read_trace_csv",
@@ -143,6 +137,5 @@ __all__ = [
     "save_order_csv",
     "select_num_harmonics",
     "solve_regression",
-    "vca",
     "write_trace_csv",
 ]

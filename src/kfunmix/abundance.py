@@ -89,15 +89,6 @@ class FclsConfig:
     """Settings of the simplex-constrained solver; the exact solver has none."""
 
 
-def project_simplex(v: FloatArray) -> FloatArray:
-    """Euclidean projection of a vector onto the probability simplex (sort-and-threshold)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
-    return np.maximum(v - css[k] / (k + 1.0), 0.0)
-
-
 @functools.lru_cache(maxsize=MAX_ENDMEMBERS)
 def _bordered_layout(k: int) -> tuple[FloatArray, FloatArray]:
     """Masks of the 2^K - 1 bordered KKT matrices and the constant part of each.
@@ -197,7 +188,7 @@ def estimate_concentrations(
         that LAPACK finds singular all the same, in the solve or the
         inverse, raises it too.
     """
-    s = endmembers.values if isinstance(endmembers, EndmemberMatrix) else np.asarray(endmembers)
+    s = np.asarray(endmembers)
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
     n, n_channels = rows.shape
     if s.shape[0] != n_channels:

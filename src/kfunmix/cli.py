@@ -2,8 +2,8 @@
 
 Subcommands: ``synth`` writes a synthetic dataset directory, ``order``
 computes an acquisition order for a dataset, ``run`` streams a dataset
-through the pipeline and writes metric traces, ``eval`` aggregates traces
-across repetitions, and ``bench`` times the per-acquisition cost.
+through the pipeline and writes metric traces, and ``eval`` aggregates
+traces across repetitions.
 
 Exit codes: 0 on success, 2 on configuration or input errors, 3 when the
 stream aborts on a numerical failure (the partial trace is still written).
@@ -21,14 +21,7 @@ from .datamodel import format_float, load_dataset, save_dataset
 from .fourier import build_basis
 from .kalman import NumericalError
 from .metrics import read_trace_csv, write_trace_csv
-from .pipeline import (
-    BASELINES,
-    UPDATERS,
-    PipelineConfig,
-    init_pipeline,
-    pipeline_step,
-    run_experiment,
-)
+from .pipeline import BASELINES, UPDATERS, PipelineConfig, run_experiment
 from .protocols import P2Config, load_order_csv, protocol_p1, protocol_p2, save_order_csv
 from .synthdata import SynthConfig, generate_dataset
 
@@ -38,10 +31,6 @@ def _parse_alpha(text: str) -> float | tuple[float, ...]:
     if not values:
         raise ValueError("alpha must contain at least one number")
     return values[0] if len(values) == 1 else tuple(values)
-
-
-def _fmt_opt(value: float | None) -> str:
-    return "nan" if value is None else format_float(value)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -115,8 +104,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     last = result.trace.records[-1]
     print(
         f"wrote {len(result.trace.records)} records to {args.out}; "
-        f"final asad_deg={_fmt_opt(last.asad_deg)} rmse={_fmt_opt(last.rmse)} "
-        f"re={_fmt_opt(last.re)}"
+        f"final asad_deg={format_float(last.asad_deg)} rmse={format_float(last.rmse)} "
+        f"re={format_float(last.re)}"
     )
     return 0
 
@@ -153,44 +142,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"wrote summary over {len(args.traces)} traces to {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    synth = SynthConfig(
-        n_spectra=args.n_init + args.reps,
-        n_channels=args.n_channels,
-        n_endmembers=args.n_endmembers,
-        snr_db=args.snr_db,
-        seed=args.seed,
-    )
-    bundle = generate_dataset(synth)
-    config = PipelineConfig(
-        n_endmembers=args.n_endmembers,
-        n_init=args.n_init,
-        n_harmonics=args.n_harmonics,
-        updater=args.updater,
-        seed=args.seed,
-    )
-    rows = bundle.spectra.values
-    state = init_pipeline(rows[: args.n_init], config)
-    times = []
-    for i in range(args.n_init, rows.shape[0]):
-        state, wall_ms = pipeline_step(state, rows[i])
-        times.append(wall_ms)
-    arr = np.asarray(times)
-    quarter = max(1, arr.size // 4)
-    ratio = float(np.median(arr[-quarter:]) / np.median(arr[:quarter]))
-    print(
-        f"steps={arr.size} median_ms={np.median(arr):.4f} "
-        f"p95_ms={np.percentile(arr, 95):.4f} tail_head_ratio={ratio:.3f}"
-    )
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,wall_ms\n")
-            for i, ms in enumerate(times, start=1):
-                fh.write(f"{i},{format_float(ms)}\n")
-        print(f"wrote per-step times to {args.out}")
     return 0
 
 
@@ -266,18 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", nargs="+", required=True)
     p.add_argument("--out", default=None, help="summary file (default: stdout)")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", help="time the per-acquisition cost")
-    p.add_argument("--n-channels", type=int, default=400)
-    p.add_argument("--n-endmembers", type=int, default=5)
-    p.add_argument("--n-harmonics", type=int, default=16)
-    p.add_argument("--n-init", type=int, default=30)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--snr-db", type=float, default=20.0)
-    p.add_argument("--updater", choices=UPDATERS, default="kalman")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="optional per-step time file")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

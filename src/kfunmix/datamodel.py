@@ -1,7 +1,9 @@
 """Core data containers and CSV persistence.
 
 All matrices are float64 numpy arrays wrapped in frozen dataclasses that
-validate their defining invariants on construction.  Shapes follow the
+validate their defining invariants on construction.  Each wrapper converts
+itself: ``np.asarray(w)`` is ``w.values``, so every function that takes a
+wrapper or a plain array unwraps both the same way.  Shapes follow the
 row-per-observation convention: spectra are (n_spectra, n_channels),
 concentrations are (n_spectra, n_endmembers), endmembers are stored
 column-wise as (n_channels, n_endmembers).
@@ -32,8 +34,18 @@ def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
     return arr
 
 
+class _Matrix:
+    """NumPy array protocol shared by the matrix wrappers."""
+
+    values: FloatArray
+
+    def __array__(self, dtype: npt.DTypeLike = None, copy: bool | None = None) -> np.ndarray:
+        # `values` itself unless a dtype change or a copy is asked for
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+
 @dataclass(frozen=True)
-class SpectraMatrix:
+class SpectraMatrix(_Matrix):
     """Measured spectra, one row per observation."""
 
     values: FloatArray
@@ -54,7 +66,7 @@ class SpectraMatrix:
 
 
 @dataclass(frozen=True)
-class ConcentrationMatrix:
+class ConcentrationMatrix(_Matrix):
     """Per-observation abundances, each row on the probability simplex."""
 
     values: FloatArray
@@ -84,7 +96,7 @@ class ConcentrationMatrix:
 
 
 @dataclass(frozen=True)
-class EndmemberMatrix:
+class EndmemberMatrix(_Matrix):
     """Pure-component spectra stored as columns, nonnegative."""
 
     values: FloatArray
@@ -142,9 +154,9 @@ class DatasetBundle:
                 raise ValueError("concentration and endmember counts disagree")
 
 
-def format_float(x: float) -> str:
-    # 17 significant digits round-trips any float64 exactly.
-    return f"{x:.17g}"
+def format_float(x: float | None) -> str:
+    # 17 significant digits round-trips any float64 exactly; None reads "nan".
+    return "nan" if x is None else f"{x:.17g}"
 
 
 def save_matrix_csv(values: npt.ArrayLike, path: str | os.PathLike[str]) -> None:

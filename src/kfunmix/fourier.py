@@ -49,10 +49,6 @@ class FourierBasis:
         if np.any(self.operator[self.n_harmonics] != 0.0):
             raise ValueError("imaginary row of the DC harmonic must be zero")
 
-    @property
-    def dim_reduced(self) -> int:
-        return 2 * self.n_harmonics
-
 
 def build_basis(n_channels: int, n_harmonics: int) -> FourierBasis:
     """Construct the truncated unitary DFT basis with sqrt(2) harmonic weights."""
@@ -103,7 +99,7 @@ def select_num_harmonics(spectra: SpectraMatrix | FloatArray, eta: float) -> int
     """
     if not 0.0 < eta <= 100.0:
         raise ValueError(f"eta must be in (0, 100], got {eta}")
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     n_channels = rows.shape[1]

@@ -51,7 +51,7 @@ def pca_nonneg_init(
     spectra: SpectraMatrix | FloatArray, n_endmembers: int, seed: int = 0
 ) -> EndmemberMatrix:
     """Clamped PCA loadings as an initial guess, VCA if clamping nulls a column."""
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     _, _, vt = np.linalg.svd(rows, full_matrices=False)
     loadings = vt[:n_endmembers].T.copy()  # (L, K)
     # Sign convention: make each loading mostly positive before clamping.
@@ -98,7 +98,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
         Final abundances and endmembers plus the residual after each
         iteration (Frobenius norm of Y - C S^T, nonincreasing).
     """
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     if config.init.n_channels != rows.shape[1]:

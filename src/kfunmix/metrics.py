@@ -53,16 +53,12 @@ def sad(a: FloatArray, b: FloatArray) -> float:
     return float(_angles(a[:, None], b[:, None])[0, 0])
 
 
-def _columns(m: EndmemberMatrix | FloatArray) -> FloatArray:
-    return m.values if isinstance(m, EndmemberMatrix) else np.asarray(m, dtype=np.float64)
-
-
 def _angle_matrix(
     estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
 ) -> FloatArray:
     """K×K spectral angles in degrees; entry (i, j) pairs truth i with estimate j."""
-    est = _columns(estimated)
-    ref = _columns(truth)
+    est = np.asarray(estimated, dtype=np.float64)
+    ref = np.asarray(truth, dtype=np.float64)
     if est.shape[1] != ref.shape[1]:
         raise ValueError("component counts differ")
     return _angles(ref, est)
@@ -97,8 +93,8 @@ def rmse_concentrations(
     alignment: np.ndarray,
 ) -> float:
     """Root mean square abundance error over all entries, after alignment."""
-    est = estimated.values if isinstance(estimated, ConcentrationMatrix) else np.asarray(estimated)
-    ref = truth.values if isinstance(truth, ConcentrationMatrix) else np.asarray(truth)
+    est = np.asarray(estimated)
+    ref = np.asarray(truth)
     if est.shape != ref.shape:
         raise ValueError("concentration shapes differ")
     aligned = est[:, alignment]
@@ -111,11 +107,9 @@ def reconstruction_error(
     endmembers: EndmemberMatrix | FloatArray,
 ) -> float:
     """Relative Frobenius error of the mixing-model reconstruction."""
-    if isinstance(spectra_rows, SpectraMatrix):
-        spectra_rows = spectra_rows.values
     y = np.asarray(spectra_rows, dtype=np.float64)
-    c = concentrations.values if isinstance(concentrations, ConcentrationMatrix) else np.asarray(concentrations)
-    s = _columns(endmembers)
+    c = np.asarray(concentrations)
+    s = np.asarray(endmembers, dtype=np.float64)
     norm_y = float(np.linalg.norm(y))
     if norm_y == 0.0:
         raise ValueError("reconstruction error is undefined for all-zero data")
@@ -132,8 +126,6 @@ def pca_lower_bound(spectra_rows: SpectraMatrix | FloatArray, n_components: int)
     the data is not mean-centered, matching the reconstruction error
     definition above.
     """
-    if isinstance(spectra_rows, SpectraMatrix):
-        spectra_rows = spectra_rows.values
     y = np.asarray(spectra_rows, dtype=np.float64)
     if n_components < 1 or n_components > min(y.shape):
         raise ValueError(f"n_components must be in [1, {min(y.shape)}]")
@@ -172,10 +164,6 @@ class MetricRecord:
 TRACE_HEADER = "t,asad_deg,rmse,re,wall_ms"
 
 
-def _opt(x: float | None) -> str:
-    return "nan" if x is None else format_float(x)
-
-
 def write_trace_csv(
     records: tuple[MetricRecord, ...] | list[MetricRecord],
     path: str | os.PathLike[str],
@@ -188,8 +176,8 @@ def write_trace_csv(
     lines.append(TRACE_HEADER)
     for rec in records:
         lines.append(
-            f"{rec.t},{_opt(rec.asad_deg)},{_opt(rec.rmse)},{_opt(rec.re)},"
-            f"{format_float(rec.wall_ms)}"
+            f"{rec.t},{format_float(rec.asad_deg)},{format_float(rec.rmse)},"
+            f"{format_float(rec.re)},{format_float(rec.wall_ms)}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

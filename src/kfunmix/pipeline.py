@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
-from .datamodel import ConcentrationMatrix, DatasetBundle, EndmemberMatrix, FloatArray
+from .datamodel import ConcentrationMatrix, DatasetBundle, EndmemberMatrix, FloatArray, SpectraMatrix
 from .fourier import (
     FourierBasis,
     build_basis,
@@ -105,7 +105,7 @@ class PipelineState:
 
 
 def init_pipeline(
-    init_spectra: FloatArray, config: PipelineConfig
+    init_spectra: SpectraMatrix | FloatArray, config: PipelineConfig
 ) -> PipelineState:
     """Initialize a stream from its first P acquisitions.
 
@@ -115,10 +115,7 @@ def init_pipeline(
     endmembers (unless config.init_endmembers is given), and builds the
     cached regression system.
     """
-    rows = np.asarray(
-        init_spectra.values if hasattr(init_spectra, "values") else init_spectra,
-        dtype=np.float64,
-    )
+    rows = np.asarray(init_spectra, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("init spectra must be a 2-D array of row spectra")
     if rows.shape[0] != config.n_init:

@@ -158,7 +158,7 @@ def phasor_embedding(
     combination of its endmembers' embeddings, so convex-hull vertices are
     the least-mixed spectra in the set.
     """
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     if basis is None or basis.n_harmonics < 2:
         basis = build_basis(rows.shape[1], 2)
     totals = np.sum(rows, axis=1, keepdims=True)
@@ -184,7 +184,7 @@ def protocol_p2(
     indices are ordered.  A degenerate embedding (all points coincide)
     falls back to P1 with a warning.
     """
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     n = rows.shape[0]
     points = phasor_embedding(rows, basis)
 

@@ -113,7 +113,7 @@ def build_regressor_set(
     spectra: SpectraMatrix | FloatArray, basis: FourierBasis
 ) -> RegressorSet:
     """Assemble the regression system from row spectra and solve its two linear maps."""
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     full = np.array(rows.T, dtype=np.float64, order="F")  # (L, P)

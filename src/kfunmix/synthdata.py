@@ -155,36 +155,31 @@ def generate_dataset(config: SynthConfig) -> DatasetBundle:
     )
 
 
-def savitzky_golay(y: FloatArray, order: int = 3, window: int = 5) -> FloatArray:
-    """Least-squares polynomial smoother; edges are fit on the end windows."""
-    y = np.asarray(y, dtype=np.float64)
-    if window % 2 != 1:
-        raise ValueError("window must be odd")
-    if order >= window:
-        raise ValueError("order must be smaller than window")
-    if y.ndim != 1 or y.size < window:
-        raise ValueError(f"need a vector of at least {window} samples")
-    return savgol_filter(y, window_length=window, polyorder=order, mode="interp")
+def savitzky_golay(y: FloatArray) -> FloatArray:
+    """Cubic least-squares smooth over 5-sample windows along the last axis.
+
+    The end samples are fit on the end windows.  Raises ValueError when the
+    last axis holds fewer than 5 samples.
+    """
+    return savgol_filter(y, window_length=5, polyorder=3, mode="interp")
 
 
 def estimate_noise_variance(spectra: SpectraMatrix | FloatArray) -> float:
     """Noise variance from smoothing residuals, robust to sparse peaks.
 
-    Each spectrum's residual against its Savitzky-Golay smooth (order 3,
-    window 5) is split into floor(L / SEGMENT_LEN) segments; the statistic
-    is the mean over spectra of the median per-segment sample variance,
-    which suppresses segments sitting on sharp signal features.
+    Each spectrum's residual against its :func:`savitzky_golay` smooth is
+    split into floor(L / SEGMENT_LEN) segments; the statistic is the mean
+    over spectra of the median per-segment sample variance, which
+    suppresses segments sitting on sharp signal features.
     """
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
-    rows = np.atleast_2d(rows)
+    rows = np.atleast_2d(spectra)
     n_channels = rows.shape[1]
     n_segments = n_channels // SEGMENT_LEN
     if n_segments < 1:
         raise ValueError(
             f"need at least {SEGMENT_LEN} channels for one segment, got {n_channels}"
         )
-    smooth = savgol_filter(rows, window_length=5, polyorder=3, mode="interp", axis=1)
-    residual = rows - smooth
+    residual = rows - savitzky_golay(rows)
     segments = residual[:, : n_segments * SEGMENT_LEN].reshape(
         rows.shape[0], n_segments, SEGMENT_LEN
     )

@@ -49,7 +49,7 @@ def vca(spectra: SpectraMatrix | FloatArray, config: VcaConfig) -> EndmemberMatr
     observation index, and all randomness comes from the seeded generator,
     so the output is a deterministic function of (data, config).
     """
-    rows = spectra.values if isinstance(spectra, SpectraMatrix) else np.asarray(spectra)
+    rows = np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     n, n_channels = rows.shape

@@ -11,7 +11,6 @@ from kfunmix.abundance import (
     FclsConfig,
     estimate_concentration,
     estimate_concentrations,
-    project_simplex,
 )
 from kfunmix.datamodel import EndmemberMatrix
 from kfunmix.kalman import NumericalError
@@ -71,37 +70,6 @@ def assert_kkt(rows, s, conc, tol=1e-10):
         level = grad[support].mean()
         np.testing.assert_allclose(grad[support], level, rtol=0.0, atol=tol)
         assert np.all(grad[~support] - level >= -tol)
-
-
-class TestProjectSimplex:
-    def test_hand_cases(self):
-        np.testing.assert_allclose(project_simplex(np.array([-1.0, 1.0])), [0.0, 1.0])
-        np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-        np.testing.assert_allclose(
-            project_simplex(np.array([0.5, 0.5])), [0.5, 0.5]
-        )
-
-    def test_interior_point_shifts_uniformly(self):
-        out = project_simplex(np.array([0.2, 0.4, 0.1]))
-        np.testing.assert_allclose(out, [0.3, 0.5, 0.2], atol=1e-12)
-
-    def test_output_always_feasible(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            out = project_simplex(rng.normal(scale=5.0, size=rng.integers(1, 8)))
-            assert np.all(out >= 0.0)
-            assert abs(out.sum() - 1.0) < 1e-9
-
-    def test_projection_is_nearest_feasible_point(self):
-        """Check the variational property against random simplex points."""
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = rng.normal(scale=2.0, size=4)
-            proj = project_simplex(v)
-            dist = np.sum((proj - v) ** 2)
-            for _ in range(40):
-                other = rng.dirichlet(np.ones(4))
-                assert dist <= np.sum((other - v) ** 2) + 1e-9
 
 
 class TestEstimateConcentrations:

@@ -244,22 +244,3 @@ class TestEval:
         rc = main(["eval", "--traces", str(tmp_path / "nope.csv")])
         assert rc == 2
 
-
-class TestBench:
-    def test_reports_step_statistics(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main([
-            "bench", "--n-channels", "40", "--n-endmembers", "2",
-            "--n-harmonics", "4", "--n-init", "8", "--reps", "10",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert re.search(
-            r"steps=10 median_ms=\d+\.\d{4} p95_ms=\d+\.\d{4} tail_head_ratio=\d+\.\d{3}",
-            text,
-        )
-        lines = out.read_text().splitlines()
-        assert lines[0] == "step,wall_ms"
-        assert len(lines) == 11
-        assert float(lines[1].split(",")[1]) > 0.0

@@ -1,4 +1,5 @@
 """Tests for the typed matrices and the headered-CSV persistence layer."""
+import dataclasses
 import re
 
 import numpy as np
@@ -19,7 +20,16 @@ from kfunmix.datamodel import (
     save_dataset,
     save_matrix_csv,
 )
+from kfunmix.abundance import estimate_concentration, estimate_concentrations
+from kfunmix.fourier import build_basis, select_num_harmonics
 from kfunmix.kalman import FilterState
+from kfunmix.mcrals import McrConfig, mcr_als, pca_nonneg_init
+from kfunmix.metrics import align_components, asad, reconstruction_error, rmse_concentrations
+from kfunmix.pipeline import PipelineConfig, init_pipeline
+from kfunmix.protocols import P2Config, phasor_embedding, protocol_p2
+from kfunmix.regression import build_regressor_set
+from kfunmix.synthdata import SynthConfig, estimate_noise_variance, generate_dataset
+from kfunmix.vca import VcaConfig, vca
 
 
 class TestSpectraMatrix:
@@ -182,6 +192,87 @@ FILTER_STATE_TABLE = {
         with_entry(with_entry(STATE_MATRIX, (1, 1), np.nan), (0, 1), 9.0),
     ),
 }
+
+
+WRAPPERS = (
+    SpectraMatrix(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])),
+    ConcentrationMatrix(np.array([[0.25, 0.75], [1.0, 0.0]])),
+    EndmemberMatrix(np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]])),
+)
+
+
+class TestArrayProtocol:
+    # NumPy 2 passes `copy` only when the caller sets it, and falls back with
+    # a DeprecationWarning when `__array__` does not take it.
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: type(w).__name__)
+    def test_converts_itself(self, wrapper):
+        assert np.asarray(wrapper) is wrapper.values
+        assert np.asarray(wrapper, dtype=np.float64) is wrapper.values
+        narrow = np.asarray(wrapper, dtype=np.float32)
+        assert narrow.dtype == np.float32
+        np.testing.assert_array_equal(narrow, wrapper.values.astype(np.float32))
+        copied = np.array(wrapper, copy=True)
+        assert not np.shares_memory(copied, wrapper.values)
+        np.testing.assert_array_equal(copied, wrapper.values)
+        with pytest.raises(ValueError):
+            np.asarray(wrapper, dtype=np.float32, copy=False)
+
+
+def assert_same(a, b):
+    """Equal field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
+
+
+_DATA = generate_dataset(
+    SynthConfig(n_spectra=40, n_channels=32, n_endmembers=3, snr_db=30.0, seed=0)
+)
+_Y, _C, _S = _DATA.spectra, _DATA.concentrations, _DATA.endmembers
+_S_EST = EndmemberMatrix(_S.values + 0.05 * np.linspace(0.0, 1.0, 96).reshape(32, 3))
+_C_EST = ConcentrationMatrix(estimate_concentrations(_Y.values, _S_EST.values))
+_Y_INIT = SpectraMatrix(_Y.values[:10])
+_BASIS = build_basis(32, 4)
+
+# Each entry calls one public function with its matrix arguments passed
+# through `u`, which either keeps a wrapper or takes its `.values`.
+ENTRY_POINTS = {
+    "estimate_concentration": lambda u: estimate_concentration(_Y.values[0], u(_S)),
+    "estimate_concentrations": lambda u: estimate_concentrations(u(_Y), u(_S)),
+    "asad": lambda u: asad(u(_S_EST), u(_S)),
+    "align_components": lambda u: align_components(u(_S_EST), u(_S)),
+    "reconstruction_error": lambda u: reconstruction_error(u(_Y), u(_C_EST), u(_S_EST)),
+    "rmse_concentrations": lambda u: rmse_concentrations(
+        u(_C_EST), u(_C), align_components(_S_EST, _S)
+    ),
+    "select_num_harmonics": lambda u: select_num_harmonics(u(_Y), 99.0),
+    "build_regressor_set": lambda u: build_regressor_set(u(_Y_INIT), _BASIS),
+    "vca": lambda u: vca(u(_Y), VcaConfig(3, seed=0)),
+    "pca_nonneg_init": lambda u: pca_nonneg_init(u(_Y), 3, seed=0),
+    "mcr_als": lambda u: mcr_als(u(_Y), McrConfig(init=_S_EST)),
+    "phasor_embedding": lambda u: phasor_embedding(u(_Y), _BASIS),
+    "protocol_p2": lambda u: protocol_p2(u(_Y), _BASIS, P2Config(20, 5, seed=0)),
+    "estimate_noise_variance": lambda u: estimate_noise_variance(u(_Y)),
+    "init_pipeline": lambda u: init_pipeline(
+        u(_Y_INIT), PipelineConfig(n_endmembers=3, n_init=10, n_harmonics=4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_takes_wrapper_or_values(name):
+    call = ENTRY_POINTS[name]
+    assert_same(call(lambda w: w), call(lambda w: w.values))
 
 
 class TestChecksMatchThePreviousPredicates:
@@ -355,6 +446,9 @@ class TestFormatFloat:
 
     def test_integers_stay_short(self):
         assert format_float(1.0) == "1"
+
+    def test_none_reads_nan(self):
+        assert format_float(None) == "nan"
 
 
 class TestDatasetIo:

@@ -57,7 +57,6 @@ class TestInitPipeline:
         config = PipelineConfig(n_endmembers=2, n_init=8, n_harmonics=5)
         state = init_pipeline(init_rows, config)
         assert state.basis.n_harmonics == 5
-        assert state.basis.dim_reduced == 10
 
     def test_eta_path_uses_energy_selector(self):
         data = generate_dataset(

@@ -39,16 +39,16 @@ class TestSavitzkyGolay:
     def test_constant_unchanged(self):
         np.testing.assert_allclose(savitzky_golay(np.full(9, 4.2)), 4.2, atol=1e-12)
 
-    def test_validation(self):
-        y = np.ones(9)
-        with pytest.raises(ValueError, match="window must be odd"):
-            savitzky_golay(y, window=4)
-        with pytest.raises(ValueError, match="order must be smaller"):
-            savitzky_golay(y, order=5, window=5)
-        with pytest.raises(ValueError, match="at least 5 samples"):
-            savitzky_golay(np.ones(3))
-        with pytest.raises(ValueError, match="at least 5 samples"):
-            savitzky_golay(np.ones((3, 9)))
+    def test_smooths_each_row_of_a_matrix(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(4, 12))
+        out = savitzky_golay(rows)
+        for row, smoothed in zip(rows, out):
+            np.testing.assert_array_equal(smoothed, savitzky_golay(row))
+
+    def test_too_short_raises(self):
+        with pytest.raises(ValueError):
+            savitzky_golay(np.ones(4))
 
 
 class TestGeneratePureSpectra:
@@ -138,6 +138,15 @@ class TestGenerateDataset:
 
 
 class TestEstimateNoiseVariance:
+    def test_is_segment_statistic_of_the_smoothing_residual(self):
+        rng = np.random.default_rng(4)
+        rows = np.sin(np.linspace(0.0, 6.0, 47)) + 0.05 * rng.normal(size=(3, 47))
+        seg = synthdata.SEGMENT_LEN
+        n_seg = rows.shape[1] // seg
+        residual = (rows - savitzky_golay(rows))[:, : n_seg * seg].reshape(3, n_seg, seg)
+        expected = np.mean(np.median(np.var(residual, axis=2, ddof=1), axis=1))
+        assert estimate_noise_variance(rows) == expected
+
     def test_zero_on_smooth_rows(self):
         """Cubic rows are reproduced exactly, leaving nothing to measure."""
         x = np.linspace(0.0, 2.0, 50)

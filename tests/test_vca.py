@@ -1,6 +1,4 @@
 """Tests for pure-pixel endmember extraction."""
-import importlib
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,6 @@ from kfunmix.datamodel import SpectraMatrix
 from kfunmix.metrics import sad
 from kfunmix.synthdata import SynthConfig, generate_dataset
 from kfunmix.vca import VcaConfig, vca
-
-# The package binds the name `vca` to the function, so fetch the module itself.
-vca_module = importlib.import_module("kfunmix.vca")
 
 
 def planted_dataset(seed=3, n=200, n_channels=60):
@@ -98,7 +93,7 @@ class TestVca:
     def test_low_snr_branch_still_picks_vertices(self, monkeypatch):
         """Forcing the noisy-regime projection must still find the corners
         of a well-separated simplex."""
-        monkeypatch.setattr(vca_module, "_estimate_snr_db", lambda *args: 5.0)
+        monkeypatch.setattr("kfunmix.vca._estimate_snr_db", lambda *args: 5.0)
         rows, truth = planted_dataset(seed=7)
         rng = np.random.default_rng(8)
         noisy = rows + 0.01 * rng.normal(size=rows.shape)
