@@ -40,8 +40,15 @@ class _Matrix:
     values: FloatArray
 
     def __array__(self, dtype: npt.DTypeLike = None, copy: bool | None = None) -> np.ndarray:
-        # `values` itself unless a dtype change or a copy is asked for
-        return np.array(self.values, dtype=dtype, copy=copy)
+        # `values` itself unless a dtype change or a copy is asked for.  NumPy
+        # 1.x calls this without `copy` and rejects `np.array(..., copy=None)`,
+        # so the copy rule is applied here rather than handed on.
+        arr = self.values if dtype is None else self.values.astype(dtype, copy=False)
+        if arr is self.values:
+            return arr.copy(order="K") if copy else arr
+        if copy is False:
+            raise ValueError(f"{type(self).__name__} to {arr.dtype} needs a copy")
+        return arr
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,24 @@ class TestArrayProtocol:
         copied = np.array(wrapper, copy=True)
         assert not np.shares_memory(copied, wrapper.values)
         np.testing.assert_array_equal(copied, wrapper.values)
-        with pytest.raises(ValueError):
-            np.asarray(wrapper, dtype=np.float32, copy=False)
+        # The calls NumPy makes: 1.x passes no `copy`, 2.x passes it when the
+        # caller sets it.  Made directly so every NumPy version runs them all.
+        values = wrapper.values
+        assert wrapper.__array__() is values
+        assert wrapper.__array__(np.float64) is values
+        assert wrapper.__array__(None, copy=None) is values
+        assert wrapper.__array__(None, copy=False) is values
+        assert wrapper.__array__(np.float64, copy=False) is values
+        for copied in (wrapper.__array__(None, copy=True), wrapper.__array__(np.float64, copy=True)):
+            assert copied.dtype == np.float64
+            assert not np.shares_memory(copied, values)
+            np.testing.assert_array_equal(copied, values)
+        for copy in (None, True):
+            narrow = wrapper.__array__(np.float32, copy=copy)
+            assert narrow.dtype == np.float32
+            np.testing.assert_array_equal(narrow, values.astype(np.float32))
+        with pytest.raises(ValueError, match="needs a copy"):
+            wrapper.__array__(np.float32, copy=False)
 
 
 def assert_same(a, b):
