@@ -63,7 +63,7 @@ def stream_round(
     clock = time.perf_counter
     for spectrum in rows[N_INIT : N_INIT + steps]:
         t0 = clock()
-        c = kf.estimate_concentration(spectrum, state.endmembers.full, config.fcls)
+        c = kf.estimate_concentration(spectrum, state.endmembers.full)
         t1 = clock()
         observed = kf.reduce_spectrum(spectrum, state.basis)
         t2 = clock()

@@ -86,7 +86,8 @@ FEASIBLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FclsConfig:
-    """Settings of the simplex-constrained solver; the exact solver has none."""
+    """Field-less, and read by nothing in kfunmix; only the benchmark harness
+    passes it (``McrConfig(fcls=config.fcls)``).  ROADMAP item 4 deletes it."""
 
 
 @functools.lru_cache(maxsize=MAX_ENDMEMBERS)
@@ -136,9 +137,7 @@ def _best_candidates(sol: FloatArray, rhs: FloatArray) -> FloatArray:
 
 
 def estimate_concentrations(
-    spectra_rows: FloatArray,
-    endmembers: EndmemberMatrix | FloatArray,
-    config: FclsConfig = FclsConfig(),
+    spectra_rows: FloatArray, endmembers: EndmemberMatrix | FloatArray
 ) -> FloatArray:
     """Solve the simplex-constrained least-squares problem for many spectra.
 
@@ -167,8 +166,6 @@ def estimate_concentrations(
         Candidate pure spectra as columns, K <= MAX_ENDMEMBERS; must have
         full column rank (a 1e-10 ridge keeps near-rank-deficient systems
         solvable, with a warning once the condition number of S passes 1e8).
-    config : FclsConfig
-        Solver settings; the exact solver has none.
 
     Returns
     -------
@@ -248,12 +245,10 @@ def estimate_concentrations(
 
 
 def estimate_concentration(
-    spectrum: FloatArray,
-    endmembers: EndmemberMatrix | FloatArray,
-    config: FclsConfig = FclsConfig(),
+    spectrum: FloatArray, endmembers: EndmemberMatrix | FloatArray
 ) -> FloatArray:
     """Abundance vector of a single spectrum, on the simplex."""
     spectrum = np.asarray(spectrum, dtype=np.float64)
     if spectrum.ndim != 1:
         raise ValueError("spectrum must be a vector")
-    return estimate_concentrations(spectrum[None, :], endmembers, config)[0]
+    return estimate_concentrations(spectrum[None, :], endmembers)[0]

@@ -5,8 +5,9 @@ computes an acquisition order for a dataset, ``run`` streams a dataset
 through the pipeline and writes metric traces, and ``eval`` aggregates
 traces across repetitions.
 
-Exit codes: 0 on success, 2 on configuration or input errors, 3 when the
-stream aborts on a numerical failure (the partial trace is still written).
+Exit codes: 0 on success, 2 on configuration or input errors (a bad value
+or a path that cannot be read or written), 3 when the stream aborts on a
+numerical failure (the partial trace is still written).
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

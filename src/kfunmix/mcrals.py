@@ -25,7 +25,7 @@ from .datamodel import (
     FloatArray,
     SpectraMatrix,
 )
-from .vca import VcaConfig, vca
+from .vca import vca
 
 RANK_COND_LIMIT = 1e12
 # Alternation budget, and the relative residual change that ends it early.
@@ -35,6 +35,9 @@ REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class McrConfig:
+    """Initial endmembers.  Nothing in kfunmix reads ``fcls``; only the
+    benchmark harness passes it.  ROADMAP item 4 deletes it."""
+
     init: EndmemberMatrix
     fcls: FclsConfig = FclsConfig()
 
@@ -58,7 +61,7 @@ def pca_nonneg_init(
     signs = np.where(loadings.sum(axis=0) < 0.0, -1.0, 1.0)
     clamped = np.maximum(loadings * signs, 0.0)
     if np.any(np.max(clamped, axis=0) == 0.0):
-        return vca(rows, VcaConfig(n_endmembers, seed=seed))
+        return vca(rows, n_endmembers, seed)
     return EndmemberMatrix(clamped)
 
 
@@ -108,7 +111,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
     residuals: list[float] = []
     conc = None
     for _iteration in range(MAX_ITERS):
-        trial_conc = estimate_concentrations(rows, s, config.fcls)
+        trial_conc = estimate_concentrations(rows, s)
         trial_s = _endmember_step(rows, trial_conc)
         # A component absent from every row has no data to fit; keep it.
         absent = ~np.any(trial_s, axis=0)

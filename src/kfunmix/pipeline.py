@@ -46,7 +46,7 @@ from .metrics import (
 from .protocols import AcquisitionOrder
 from .regression import RegressorSet, build_regressor_set, solve_regression
 from .synthdata import estimate_noise_variance
-from .vca import VcaConfig, vca
+from .vca import vca
 
 UPDATERS = ("kalman", "rls", "dl")
 BASELINES = ("vca", "mcr-als")
@@ -54,7 +54,8 @@ BASELINES = ("vca", "mcr-als")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings of one streaming run."""
+    """Settings of one streaming run.  Nothing in kfunmix reads ``fcls``; only
+    the benchmark harness passes it on.  ROADMAP item 4 deletes it."""
 
     n_endmembers: int
     n_init: int = 30
@@ -139,12 +140,12 @@ def init_pipeline(
         if start.n_endmembers != config.n_endmembers:
             raise ValueError("provided init endmembers do not match n_endmembers")
     else:
-        start = vca(rows, VcaConfig(config.n_endmembers, seed=config.seed))
+        start = vca(rows, config.n_endmembers, config.seed)
 
     # Row k of the state mean is reduced endmember k.
     mean = reduce_columns(start.values, basis).T
     if config.updater == "dl":
-        init_conc = estimate_concentrations(rows, start, config.fcls)
+        init_conc = estimate_concentrations(rows, start)
         estimator = FilterState(mean, init_conc.T @ init_conc)
     else:
         if config.updater == "rls" and config.sigma_v2 <= 0.0:
@@ -177,7 +178,7 @@ def pipeline_step(
     config = state.config
     tic = time.perf_counter()
 
-    concentration = estimate_concentration(spectrum, state.endmembers.full, config.fcls)
+    concentration = estimate_concentration(spectrum, state.endmembers.full)
     observed = reduce_spectrum(np.asarray(spectrum, dtype=np.float64), state.basis)
 
     if config.updater == "kalman":
@@ -244,7 +245,6 @@ def _evaluate(
     endmembers: EndmemberMatrix,
     truth_endmembers: EndmemberMatrix | None,
     truth_concentrations: FloatArray | None,
-    fcls: FclsConfig,
     with_abundances: bool,
 ) -> tuple[float | None, float | None, float | None, FloatArray | None]:
     """ASAD, RMSE and RE of one estimate, plus the abundances solved for them."""
@@ -255,7 +255,7 @@ def _evaluate(
     re_val = None
     conc = None
     if with_abundances:
-        conc = estimate_concentrations(acquired, endmembers, fcls)
+        conc = estimate_concentrations(acquired, endmembers)
         re_val = reconstruction_error(acquired, conc, endmembers)
         if truth_endmembers is not None and truth_concentrations is not None:
             perm = align_components(endmembers, truth_endmembers)
@@ -267,9 +267,9 @@ def _baseline_endmembers(
     name: str, acquired: FloatArray, config: PipelineConfig
 ) -> EndmemberMatrix:
     if name == "vca":
-        return vca(acquired, VcaConfig(config.n_endmembers, seed=config.seed))
+        return vca(acquired, config.n_endmembers, config.seed)
     init = pca_nonneg_init(acquired, config.n_endmembers, seed=config.seed)
-    return mcr_als(acquired, McrConfig(init=init, fcls=config.fcls)).endmembers
+    return mcr_als(acquired, McrConfig(init)).endmembers
 
 
 def run_experiment(
@@ -364,7 +364,6 @@ def run_experiment(
             endmembers,
             truth_s,
             truth_c[:t] if truth_c is not None else None,
-            config.fcls,
             with_ab,
         )
         records[name].append(MetricRecord(t, asad_val, rmse_val, re_val, wall_ms))
@@ -398,7 +397,7 @@ def run_experiment(
     for name, trace_records in records.items():
         endmembers, conc = latest[name]
         if conc is None:
-            conc = estimate_concentrations(stream, endmembers, config.fcls)
+            conc = estimate_concentrations(stream, endmembers)
         snap = dict(snapshot)
         if name is not None:
             snap["baseline"] = name

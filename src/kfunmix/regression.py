@@ -94,7 +94,6 @@ class RegressorSet:
 
     full_space: FloatArray
     reduced_space: FloatArray
-    cache_cond: float
     target_map: FloatArray
     lift: FloatArray
 
@@ -133,7 +132,7 @@ def build_regressor_set(
         )
     factor = cho_factor(normal, lower=True)
     lift = np.ascontiguousarray(cho_solve(factor, RHO * full.T))
-    return RegressorSet(full, reduced, cond, cho_solve(factor, 2.0 * reduced.T), lift)
+    return RegressorSet(full, reduced, cho_solve(factor, 2.0 * reduced.T), lift)
 
 
 @dataclass(frozen=True)

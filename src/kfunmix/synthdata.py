@@ -93,7 +93,7 @@ def generate_pure_spectra(n_channels: int, n_endmembers: int, seed: int) -> Endm
                 accepted.append(candidate)
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not draw {n_endmembers} spectra with pairwise angle "
                 f">= {MIN_PAIRWISE_SAD_DEG} degrees in {MAX_ENDMEMBER_ATTEMPTS} attempts"
             )
@@ -118,7 +118,7 @@ def _draw_concentrations(
     while filled < config.n_spectra:
         batch = min(config.n_spectra - filled, MAX_CONCENTRATION_DRAWS - draws)
         if batch <= 0:
-            raise RuntimeError(
+            raise ValueError(
                 f"purity cap {config.purity_cap} rejected too many draws "
                 f"(limit {MAX_CONCENTRATION_DRAWS})"
             )

@@ -12,21 +12,10 @@ followed by projective normalization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
-
-
-@dataclass(frozen=True)
-class VcaConfig:
-    n_endmembers: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_endmembers < 1:
-            raise ValueError("n_endmembers must be >= 1")
 
 
 def _estimate_snr_db(data: FloatArray, mean: FloatArray, projected: FloatArray) -> float:
@@ -41,24 +30,28 @@ def _estimate_snr_db(data: FloatArray, mean: FloatArray, projected: FloatArray) 
     return 10.0 * np.log10(max(p_sub - (k / data.shape[0]) * p_total, 0.0) / denom + np.finfo(float).tiny)
 
 
-def vca(spectra: SpectraMatrix | FloatArray, config: VcaConfig) -> EndmemberMatrix:
+def vca(
+    spectra: SpectraMatrix | FloatArray, n_endmembers: int, seed: int = 0
+) -> EndmemberMatrix:
     """Select K observations that span the data simplex.
 
     Returns the selected original spectra as endmember columns, clamped
     at zero.  Ties in the projection argmax break toward the lowest
     observation index, and all randomness comes from the seeded generator,
-    so the output is a deterministic function of (data, config).
+    so the output is a deterministic function of (data, n_endmembers, seed).
     """
     rows = np.asarray(spectra)
     if rows.ndim != 2:
         raise ValueError("spectra must be a 2-D array of row spectra")
     n, n_channels = rows.shape
-    k = config.n_endmembers
+    k = n_endmembers
+    if k < 1:
+        raise ValueError("n_endmembers must be >= 1")
     if k > min(n, n_channels):
         raise ValueError(f"cannot extract {k} endmembers from {n}x{n_channels} data")
 
     data = rows.T  # (L, N), observations as columns
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     if k == 1:
         u, _, _ = np.linalg.svd(data, full_matrices=False)

@@ -53,7 +53,7 @@ def candidates(rows, s):
     return cand, objective
 
 
-def reference_concentrations(spectra_rows, endmembers, config=None):
+def reference_concentrations(spectra_rows, endmembers):
     """(n, K) abundances: the best candidate of each row, projected onto the simplex."""
     s = endmembers.values if isinstance(endmembers, EndmemberMatrix) else np.asarray(endmembers)
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
@@ -64,6 +64,6 @@ def reference_concentrations(spectra_rows, endmembers, config=None):
     return project_simplex_rows(cand[best, :, np.arange(rows.shape[0])])
 
 
-def reference_concentration(spectrum, endmembers, config=None):
+def reference_concentration(spectrum, endmembers):
     """Abundance vector of a single spectrum."""
     return reference_concentrations(np.asarray(spectrum)[None, :], endmembers)[0]

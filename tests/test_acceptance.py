@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kfunmix.abundance import FclsConfig, estimate_concentration
+from kfunmix.abundance import estimate_concentration
 from kfunmix.fourier import build_basis, reduce_columns, select_num_harmonics
 from kfunmix.kalman import FilterState, NoiseConfig, kf_update
 from kfunmix.mcrals import McrConfig, mcr_als
@@ -26,7 +26,7 @@ from kfunmix.synthdata import (
     generate_dataset,
     generate_pure_spectra,
 )
-from kfunmix.vca import VcaConfig, vca
+from kfunmix.vca import vca
 from qp_oracle import cvxpy_minimum, qp_minimum
 
 N_REPLICATES = 20
@@ -68,8 +68,8 @@ def replicates():
         run3 = run_experiment(sd2, order1, config, eval_stride=1, abundance_stride=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            vca_sd1.append(asad(vca(sd1.spectra, VcaConfig(3, seed=seed)), sd1.endmembers))
-            vca_sd2.append(asad(vca(sd2.spectra, VcaConfig(3, seed=seed)), sd2.endmembers))
+            vca_sd1.append(asad(vca(sd1.spectra, 3, seed=seed), sd1.endmembers))
+            vca_sd2.append(asad(vca(sd2.spectra, 3, seed=seed), sd2.endmembers))
         sd2_seconds += time.perf_counter() - tic
 
         p1_asad.append(np.array([rec.asad_deg for rec in run1.trace.records]))
@@ -177,7 +177,7 @@ def test_04_abundance_matches_grid_search(capsys):
         endmembers = rng.uniform(0.1, 1.0, (12, 2))
         truth = rng.dirichlet(np.ones(2))
         spectrum = endmembers @ truth + 0.01 * rng.standard_normal(12)
-        est = estimate_concentration(spectrum, endmembers, FclsConfig())
+        est = estimate_concentration(spectrum, endmembers)
         residual = weights @ endmembers.T - spectrum
         best = weights[np.argmin(np.sum(residual**2, axis=1))]
         worst = max(worst, np.abs(est - best).max())
@@ -310,7 +310,7 @@ def test_11_als_descends_to_the_pca_bound(replicates, capsys):
     for bundle in replicates["bundles"]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(bundle.spectra, VcaConfig(3, seed=bundle.seed))
+            init = vca(bundle.spectra, 3, seed=bundle.seed)
             result = mcr_als(bundle.spectra.values, McrConfig(init=init))
         monotone = monotone and all(
             later <= earlier + 1e-12

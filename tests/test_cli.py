@@ -73,6 +73,16 @@ class TestSynth:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unreachable_purity_cap_is_a_config_error(self, tmp_path, capsys):
+        """Three abundances summing to 1 almost never all stay below 0.334,
+        so the generator gives up on its draw budget."""
+        rc = main([
+            "synth", "--out", str(tmp_path / "d"), "--n-spectra", "1000",
+            "--n-channels", "40", "--n-endmembers", "3", "--purity-cap", "0.334",
+        ])
+        assert rc == 2
+        assert "error: purity cap 0.334 rejected too many draws" in capsys.readouterr().err
+
 
 class TestOrder:
     def test_p1_native_is_the_identity(self, workspace, tmp_path):
@@ -155,6 +165,15 @@ class TestRun:
         assert records[-1].t == 80
         assert comments["abundance_stride"] == "0"
         assert all(rec.rmse is None for rec in records)
+
+    def test_out_is_a_directory_is_an_input_error(self, workspace, tmp_path, capsys):
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--out", str(tmp_path),
+            "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
+            "--eval-stride", "32", "--abundance-stride", "0",
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_baseline_is_a_config_error(self, workspace, tmp_path, capsys):
         rc = main([

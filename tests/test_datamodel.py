@@ -29,7 +29,7 @@ from kfunmix.pipeline import PipelineConfig, init_pipeline
 from kfunmix.protocols import P2Config, phasor_embedding, protocol_p2
 from kfunmix.regression import build_regressor_set
 from kfunmix.synthdata import SynthConfig, estimate_noise_variance, generate_dataset
-from kfunmix.vca import VcaConfig, vca
+from kfunmix.vca import vca
 
 
 class TestSpectraMatrix:
@@ -273,7 +273,7 @@ ENTRY_POINTS = {
     ),
     "select_num_harmonics": lambda u: select_num_harmonics(u(_Y), 99.0),
     "build_regressor_set": lambda u: build_regressor_set(u(_Y_INIT), _BASIS),
-    "vca": lambda u: vca(u(_Y), VcaConfig(3, seed=0)),
+    "vca": lambda u: vca(u(_Y), 3, seed=0),
     "pca_nonneg_init": lambda u: pca_nonneg_init(u(_Y), 3, seed=0),
     "mcr_als": lambda u: mcr_als(u(_Y), McrConfig(init=_S_EST)),
     "phasor_embedding": lambda u: phasor_embedding(u(_Y), _BASIS),

@@ -10,7 +10,7 @@ from kfunmix.datamodel import EndmemberMatrix
 from kfunmix.mcrals import McrConfig, mcr_als, pca_nonneg_init
 from kfunmix.metrics import pca_lower_bound
 from kfunmix.synthdata import SynthConfig, generate_dataset
-from kfunmix.vca import VcaConfig, vca
+from kfunmix.vca import vca
 
 
 def noiseless_dataset(seed: int = 2):
@@ -39,7 +39,7 @@ class TestMcrAls:
         data = noisy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         pairs = zip(result.residuals, result.residuals[1:])
         assert all(later <= earlier + 1e-12 for earlier, later in pairs)
@@ -49,7 +49,7 @@ class TestMcrAls:
         data = noisy_dataset(seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         recon = result.concentrations.values @ result.endmembers.values.T
         recomputed = np.linalg.norm(data.spectra.values - recon)
@@ -59,7 +59,7 @@ class TestMcrAls:
         data = noisy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         conc = result.concentrations.values
         assert np.all(conc >= 0.0)
@@ -72,7 +72,7 @@ class TestMcrAls:
         data = noisy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         relative = result.residuals[-1] / np.linalg.norm(data.spectra.values)
         bound = pca_lower_bound(data.spectra.values, 3)
@@ -105,7 +105,7 @@ class TestMcrAls:
         data = noisy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         assert result.n_iters == 2
 
@@ -114,7 +114,7 @@ class TestMcrAls:
         data = noisy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            init = vca(data.spectra, VcaConfig(n_endmembers=3, seed=0))
+            init = vca(data.spectra, 3, seed=0)
             result = mcr_als(data.spectra.values, McrConfig(init=init))
         assert result.n_iters <= 4
 

@@ -89,7 +89,6 @@ def relaid(regressors, layout):
     return RegressorSet(
         order(regressors.full_space),
         order(regressors.reduced_space),
-        regressors.cache_cond,
         order(regressors.target_map),
         order(regressors.lift),
     )
@@ -136,9 +135,10 @@ class TestBuildRegressorSet:
         rows = np.vstack(
             [base, base + 1e-4 * rng.uniform(0.1, 1.0, size=40), rng.uniform(size=40)]
         )
-        with pytest.warns(UserWarning, match="poorly conditioned"):
-            regs = build_regressor_set(rows, build_basis(40, 4))
-        assert 1e8 < regs.cache_cond < 1e12
+        with pytest.warns(UserWarning, match=r"poorly conditioned \(cond=") as caught:
+            build_regressor_set(rows, build_basis(40, 4))
+        cond = float(str(caught[0].message).split("cond=")[1].rstrip(")"))
+        assert 1e8 < cond < 1e12
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -146,7 +146,7 @@ class TestBuildRegressorSet:
 
     def test_regressor_set_validation(self):
         with pytest.raises(ValueError, match="counts disagree"):
-            RegressorSet(np.ones((8, 3)), np.ones((4, 2)), 10.0, np.ones((2, 4)), np.ones((3, 8)))
+            RegressorSet(np.ones((8, 3)), np.ones((4, 2)), np.ones((2, 4)), np.ones((3, 8)))
 
 
 class TestQpOracle:

@@ -73,7 +73,7 @@ class TestGeneratePureSpectra:
         the required angle to the first."""
         fixed = np.linspace(0.5, 1.0, 8)
         monkeypatch.setattr(synthdata, "_draw_peak_spectrum", lambda n_channels, rng: fixed)
-        with pytest.raises(RuntimeError, match="pairwise angle"):
+        with pytest.raises(ValueError, match="pairwise angle"):
             generate_pure_spectra(8, 2, seed=0)
 
 
