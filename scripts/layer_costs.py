@@ -12,6 +12,11 @@ points and the K values, so a drift of the host's speed reaches all of them
 alike.  Each round also times a fixed reference workload (``host_ref``); a
 figure divided by it compares across hosts and runs better than a raw one.
 
+Set-up is timed once a round, layer by layer (``setup_us``): ``load_dataset``
+of an L400 x 1030 dataset saved once to a temporary directory, the P2 order
+of a 1000 x 200 set at purity cap 0.8 (340 spectra, 50 clusters), and the
+``init_pipeline`` call that starts each operating point's stream.
+
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
 (default: this checkout's ``src``), so one copy of it measures any checkout
@@ -35,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from types import SimpleNamespace
 
@@ -47,6 +53,10 @@ LAYERS = ("fcls_one", "reduce", "update", "regression", "reanchor", "step")
 FCLS_CHANNELS = 400
 BATCH_ROWS = 215
 N_INIT = 30
+# (n_spectra, n_channels, n_endmembers, purity_cap) of the set-up datasets
+LOAD_SHAPE = (1030, 400, 5, None)
+P2_SHAPE = (1000, 200, 3, 0.8)
+P2_ESSENTIAL, P2_CLUSTERS = 340, 50
 
 
 def summary(samples: list[float]) -> dict[str, float]:
@@ -56,11 +66,16 @@ def summary(samples: list[float]) -> dict[str, float]:
 
 def stream_round(
     kf: SimpleNamespace, data, config, steps: int, out: dict[str, list[float]]
-) -> None:
-    """One stream of ``steps`` acquisitions, each timed layer by layer and whole."""
+) -> float:
+    """One stream of ``steps`` acquisitions, each timed layer by layer and whole.
+
+    Returns the seconds ``init_pipeline`` took to start the stream.
+    """
     rows = data.spectra.values
-    state = kf.init_pipeline(rows[:N_INIT], config)
     clock = time.perf_counter
+    t0 = clock()
+    state = kf.init_pipeline(rows[:N_INIT], config)
+    init_s = clock() - t0
     for spectrum in rows[N_INIT : N_INIT + steps]:
         t0 = clock()
         c = kf.estimate_concentration(spectrum, state.endmembers.full)
@@ -81,6 +96,7 @@ def stream_round(
         if not np.array_equal(mean, nxt.estimator.mean):
             raise RuntimeError("the layers called one by one differ from pipeline_step")
         state = nxt
+    return init_s
 
 
 def host_reference(rng: np.random.Generator) -> float:
@@ -108,7 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("rounds, steps and calls must be >= 1, max-k in [2, 12]")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from kfunmix import abundance, fourier, kalman, pipeline, regression, synthdata
+    from kfunmix import (
+        abundance, datamodel, fourier, kalman, pipeline, protocols, regression, synthdata,
+    )
 
     kf = SimpleNamespace(
         init_pipeline=pipeline.init_pipeline,
@@ -120,14 +138,23 @@ def main(argv: list[str] | None = None) -> int:
         solve_regression=regression.solve_regression,
     )
 
-    streams = []
-    for name, n_channels, k, m in OPERATING_POINTS:
-        data = synthdata.generate_dataset(
+    def synth(n_spectra: int, n_channels: int, k: int, purity_cap: float | None = None):
+        return synthdata.generate_dataset(
             synthdata.SynthConfig(
-                n_spectra=N_INIT + args.steps, n_channels=n_channels, n_endmembers=k, seed=1
+                n_spectra=n_spectra, n_channels=n_channels, n_endmembers=k,
+                purity_cap=purity_cap, seed=1,
             )
         )
+
+    streams = []
+    for name, n_channels, k, m in OPERATING_POINTS:
+        data = synth(N_INIT + args.steps, n_channels, k)
         streams.append((name, data, pipeline.PipelineConfig(n_endmembers=k, n_harmonics=m)))
+    p2_rows = synth(*P2_SHAPE).spectra.values
+    p2_basis = fourier.build_basis(P2_SHAPE[1], 2)
+    p2_config = protocols.P2Config(P2_ESSENTIAL, P2_CLUSTERS, seed=1)
+    data_dir = tempfile.TemporaryDirectory()
+    datamodel.save_dataset(synth(*LOAD_SHAPE), data_dir.name)
     rng = np.random.default_rng(0)
     ks = range(2, args.max_k + 1)
     fcls_cases = {
@@ -136,14 +163,22 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     layers = {name: {layer: [] for layer in LAYERS} for name, _, _ in streams}
+    init = {name: [] for name, _, _ in streams}
+    load, p2 = [], []
     fcls_one = {k: [] for k in ks}
     fcls_batch = {k: [] for k in ks}
     host = []
     clock = time.perf_counter
     for _ in range(args.rounds):
         host.append(host_reference(rng))
+        t0 = clock()
+        datamodel.load_dataset(data_dir.name)
+        load.append(clock() - t0)
+        t0 = clock()
+        protocols.protocol_p2(p2_rows, p2_basis, p2_config)
+        p2.append(clock() - t0)
         for name, data, config in streams:
-            stream_round(kf, data, config, args.steps, layers[name])
+            init[name].append(stream_round(kf, data, config, args.steps, layers[name]))
         for k, (s, rows) in fcls_cases.items():
             for i in range(args.calls):
                 t0 = clock()
@@ -152,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             t0 = clock()
             abundance.estimate_concentrations(rows, s)
             fcls_batch[k].append(clock() - t0)
+    data_dir.cleanup()
 
     report = {
         "src": os.path.abspath(args.src),
@@ -160,6 +196,11 @@ def main(argv: list[str] | None = None) -> int:
         "rounds": args.rounds,
         "steps_per_round": args.steps,
         "host_ref_us": summary(host),
+        "setup_us": {
+            "load_dataset": summary(load),
+            "protocol_p2": summary(p2),
+            "init_pipeline": {name: summary(v) for name, v in init.items()},
+        },
         "step_us": {
             name: {layer: summary(v) for layer, v in per.items()} for name, per in layers.items()
         },

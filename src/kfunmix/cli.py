@@ -71,7 +71,21 @@ def _cmd_order(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Open ``path`` for writing, so a bad output fails before any work is done."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    baselines = tuple(s for s in args.baselines.split(",") if s) if args.baselines else ()
+    stem, ext = os.path.splitext(args.out)
+    baseline_paths = {name: f"{stem}.{name}{ext}" for name in baselines}
+    for path in (args.out, *baseline_paths.values()):
+        _check_writable(path)
     bundle = load_dataset(args.data)
     if args.order is not None:
         order = load_order_csv(args.order)
@@ -87,7 +101,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rls_forgetting=args.rls_forgetting,
         seed=args.seed,
     )
-    baselines = tuple(s for s in args.baselines.split(",") if s) if args.baselines else ()
     result = run_experiment(
         bundle,
         order,
@@ -99,9 +112,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         flush_path=args.out,
     )
     write_trace_csv(result.trace.records, args.out, comments=result.trace.config_snapshot)
-    stem, ext = os.path.splitext(args.out)
     for name, trace in result.baselines.items():
-        write_trace_csv(trace.records, f"{stem}.{name}{ext}", comments=trace.config_snapshot)
+        write_trace_csv(trace.records, baseline_paths[name], comments=trace.config_snapshot)
     last = result.trace.records[-1]
     print(
         f"wrote {len(result.trace.records)} records to {args.out}; "

@@ -11,7 +11,10 @@ column-wise as (n_channels, n_endmembers).
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,9 @@ FloatArray = npt.NDArray[np.float64]
 # with these two values so the whole package agrees on what "feasible" means.
 NONNEG_TOL = 1e-9
 CLOSURE_TOL = 1e-6
+
+# How np.loadtxt reports a token it cannot convert: 0-based data row, 1-based column.
+_PARSER_ERROR = re.compile(r"could not convert string .* at row (\d+), column (\d+)\.", re.S)
 
 
 def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
@@ -178,50 +184,61 @@ def save_matrix_csv(values: npt.ArrayLike, path: str | os.PathLike[str]) -> None
 
 
 def load_matrix_csv(path: str | os.PathLike[str]) -> FloatArray:
-    """Read a headered CSV matrix, reporting malformed content by line number."""
+    """Read a headered CSV matrix, reporting malformed content by line number.
+
+    Lines starting with ``#`` are skipped.  NumPy's C reader converts the
+    tokens.  It takes what ``float()`` takes (decimal and exponent forms,
+    ``nan``, ``inf``, whitespace around a token) except digit-group
+    underscores and non-ASCII digits.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    # Drop a trailing empty line from the final LF; keep 1-based numbering.
-    numbered = [(i + 1, line) for i, line in enumerate(raw)]
-    if numbered and numbered[-1][1] == "":
-        numbered = numbered[:-1]
-    numbered = [(n, line) for n, line in numbered if not line.startswith("#")]
-    if not numbered:
-        raise ValueError(f"{path}: line 1: missing header")
-
-    header_no, header = numbered[0]
-    parts = header.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{path}: line {header_no}: header must be 'rows,cols'")
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {header_no}: non-integer header fields {header!r}"
-        ) from None
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: line {header_no}: header dimensions must be >= 1")
-
-    body = numbered[1:]
-    if len(body) != rows:
-        raise ValueError(
-            f"{path}: line {header_no}: header declares {rows} rows, file has {len(body)}"
-        )
-    out = np.empty((rows, cols), dtype=np.float64)
-    for r, (line_no, line) in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != cols:
+        lines = ((n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#"))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: line 1: missing header")
+        header_no, header = first[0], first[1].rstrip("\n")
+        parts = header.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {header_no}: header must be 'rows,cols'")
+        try:
+            rows, cols = int(parts[0]), int(parts[1])
+        except ValueError:
             raise ValueError(
-                f"{path}: line {line_no}: expected {cols} fields, got {len(fields)}"
-            )
-        for c, tok in enumerate(fields):
-            try:
-                out[r, c] = float(tok)
-            except ValueError:
+                f"{path}: line {header_no}: non-integer header fields {header!r}"
+            ) from None
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: line {header_no}: header dimensions must be >= 1")
+
+        line_nos: list[int] = []  # line number of each body row, for parser errors
+
+        def body() -> Iterator[str]:
+            for line_no, line in lines:
+                line_nos.append(line_no)
+                fields = line.count(",") + 1
+                if fields != cols:
+                    raise ValueError(
+                        f"{path}: line {line_no}: expected {cols} fields, got {fields}"
+                    )
+                if line == "\n":  # one empty field, which the parser would skip
+                    raise ValueError(f"{path}: line {line_no}: non-numeric token ''")
+                yield line
+            if len(line_nos) != rows:
                 raise ValueError(
-                    f"{path}: line {line_no}: non-numeric token {tok!r}"
-                ) from None
-    return out
+                    f"{path}: line {header_no}: header declares {rows} rows, "
+                    f"file has {len(line_nos)}"
+                )
+
+        try:
+            return np.loadtxt(body(), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError as exc:
+            found = _PARSER_ERROR.fullmatch(str(exc))
+            if found is None:
+                raise
+            line_no = line_nos[int(found[1])]
+            fh.seek(0)
+            line = next(itertools.islice(fh, line_no - 1, None)).rstrip("\n")
+            token = line.split(",")[int(found[2]) - 1]
+            raise ValueError(f"{path}: line {line_no}: non-numeric token {token!r}") from None
 
 
 def save_dataset(bundle: DatasetBundle, directory: str | os.PathLike[str]) -> None:

@@ -61,7 +61,9 @@ def protocol_p1(n: int, shuffle_seed: int | None = None) -> AcquisitionOrder:
     return AcquisitionOrder(tuple(int(i) for i in idx))
 
 
-def _orientation(o: FloatArray, a: FloatArray, b: FloatArray) -> float:
+def _orientation(
+    o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
+) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -80,16 +82,18 @@ def convex_hull_phasor(points: FloatArray) -> np.ndarray:
         raise ValueError("need at least one point")
 
     # Deduplicate exact coincidences, keeping the lowest index of each site.
+    # Plain floats: the orientation tests below are the same IEEE operations
+    # as on NumPy scalars, without a NumPy call per operation.
     seen: dict[tuple[float, float], int] = {}
-    for i, (x, y) in enumerate(pts):
-        seen.setdefault((float(x), float(y)), i)
+    for i, (x, y) in enumerate(pts.tolist()):
+        seen.setdefault((x, y), i)
     unique = sorted(seen.items())  # lexicographic by (x, y)
     if len(unique) == 1:
         return np.array([unique[0][1]], dtype=int)
     if len(unique) == 2:
         return np.array([unique[0][1], unique[1][1]], dtype=int)
 
-    coords = [np.array(c) for c, _ in unique]
+    coords = [c for c, _ in unique]
     original = [i for _, i in unique]
 
     def chain(order: range) -> list[int]:

@@ -166,7 +166,11 @@ class TestRun:
         assert comments["abundance_stride"] == "0"
         assert all(rec.rmse is None for rec in records)
 
-    def test_out_is_a_directory_is_an_input_error(self, workspace, tmp_path, capsys):
+    def test_out_is_a_directory_is_an_input_error(self, workspace, tmp_path,
+                                                  monkeypatch, capsys):
+        """An unwritable output is found before the stream runs."""
+        calls = []
+        monkeypatch.setattr("kfunmix.cli.run_experiment", lambda *a, **k: calls.append(a))
         rc = main([
             "run", "--data", str(workspace / "ds"), "--out", str(tmp_path),
             "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6",
@@ -174,6 +178,30 @@ class TestRun:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_unwritable_baseline_output_fails_before_reading(self, workspace, tmp_path,
+                                                             monkeypatch, capsys):
+        (tmp_path / "t.vca.csv").mkdir()
+        calls = []
+        monkeypatch.setattr("kfunmix.cli.load_dataset", lambda *a: calls.append(a))
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
+            "--n-endmembers", "2", "--baselines", "vca",
+        ])
+        assert rc == 2
+        assert "t.vca.csv" in capsys.readouterr().err
+        assert calls == []
+
+    def test_output_check_leaves_no_file_behind(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main([
+            "run", "--data", str(tmp_path / "missing"), "--out", str(out),
+            "--n-endmembers", "2", "--baselines", "vca",
+        ])
+        assert rc == 2
+        assert "missing spectra file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_baseline_is_a_config_error(self, workspace, tmp_path, capsys):
         rc = main([

@@ -439,6 +439,83 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="line 3: non-numeric token 'x'"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("# a\n# b\n2,2\n1,2\n# c\n# d\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("2,2\r\n 1 , 2\r\n3\t,4 \r\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,3\nnan,inf,-inf\n", [[np.nan, np.inf, -np.inf]]),
+            ("1,1\n7\n", [[7.0]]),
+            ("1,3\n1,2.5e-3,-3\n", [[1.0, 2.5e-3, -3.0]]),
+            ("3,1\n1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+            ("2,2\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        ],
+        ids=["comments", "crlf-and-spaces", "non-finite", "1x1", "1xn", "nx1", "no-final-newline"],
+    )
+    def test_parses(self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        out = load_matrix_csv(path)
+        assert out.dtype == np.float64 and out.shape == np.shape(expected)
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3,2\n1,2\n\n3,4\n", "line 3: expected 2 fields, got 1"),
+            ("3,1\n1\n\n3\n", "line 3: non-numeric token ''"),
+            ("2,1\n1\n   \n", "line 3: non-numeric token '   '"),
+            ("# c\n2,2\n# c\n1,2\n# c\n3, x\n", "line 6: non-numeric token ' x'"),
+            ("2,2\r\n1,2\r\n3,x\r\n", "line 3: non-numeric token 'x'"),
+            # float() takes digit-group underscores and non-ASCII digits; the parser does not.
+            ("1,1\n1_0\n", "line 2: non-numeric token '1_0'"),
+            ("1,1\n\u0661\n", "line 2: non-numeric token '\u0661'"),
+            # Of two defects, the first in the file is reported.
+            ("2,2\n1,2\nx,4\n5,6\n", "line 3: non-numeric token 'x'"),
+            ("2,2\n", "line 1: header declares 2 rows, file has 0"),
+        ],
+        ids=[
+            "blank-line-2-cols", "blank-line-1-col", "spaces-only", "after-comments", "crlf",
+            "underscore", "arabic-indic-digit", "first-defect-wins", "no-body",
+        ],
+    )
+    def test_malformed_body_reported_with_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_matrix_csv(path)
+
+    def test_matches_a_float_loop_on_varied_token_forms(self, tmp_path):
+        """The C parser agrees bit for bit with a float() loop over the tokens."""
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6))
+        forms = ("{:.17g}", "{:.3e}", "{:+.6f}", "{!r}", " {} ", "{:E}", "{:.0f}.")
+        tokens = [[forms[(r + c) % len(forms)].format(v) for c, v in enumerate(row)]
+                  for r, row in enumerate(values.tolist())]
+        path = tmp_path / "m.csv"
+        path.write_text("40,6\n" + "".join(",".join(row) + "\n" for row in tokens))
+        reference = np.array([[float(tok) for tok in row] for row in tokens])
+        assert load_matrix_csv(path).tobytes() == reference.tobytes()
+
+    def test_long_bad_token_reported_whole(self, tmp_path):
+        token = "9" * 120 + "x"
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n1,{token}\n")
+        with pytest.raises(ValueError, match=f"line 2: non-numeric token '{token}'$"):
+            load_matrix_csv(path)
+
+    def test_bad_token_past_a_parser_chunk_maps_to_its_line(self, tmp_path):
+        """Row 50 005 lies past NumPy's 50 000-row loadtxt chunk size, and two
+        comment lines shift its line number: the reported line is still right."""
+        n = 50_010
+        body = ["1.5"] * n
+        body[50_005] = "oops"
+        lines = ["# top", f"{n},1", *body[:100], "# mid", *body[100:]]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 50009: non-numeric token 'oops'"):
+            load_matrix_csv(path)
+
     @settings(max_examples=50, deadline=None)
     @given(
         values=hnp.arrays(

@@ -17,7 +17,10 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["rounds"] == 1 and report["steps_per_round"] == 2
     assert set(report["step_us"]) == {name for name, *_ in layer_costs.OPERATING_POINTS}
-    figures = [report["host_ref_us"]]
+    setup = report["setup_us"]
+    assert set(setup["init_pipeline"]) == set(report["step_us"])
+    figures = [report["host_ref_us"], setup["load_dataset"], setup["protocol_p2"]]
+    figures.extend(setup["init_pipeline"].values())
     for per_layer in report["step_us"].values():
         assert tuple(per_layer) == layer_costs.LAYERS
         figures.extend(per_layer.values())

@@ -1,4 +1,5 @@
 """Tests for acquisition ordering: hull geometry, embedding, and protocols."""
+import hashlib
 import re
 
 import numpy as np
@@ -231,6 +232,20 @@ class TestProtocolP2:
         mean_rank = np.mean([rank[i] for i in purest])
         assert mean_rank < np.mean(purest)
         assert mean_rank < 200.0
+
+    def test_capped_benchmark_order_is_pinned(self):
+        """The P2 order of one 1000x200 capped set, as the benchmark's p2
+        workload builds it, hashed when hull peeling ran on NumPy scalars."""
+        data = generate_dataset(
+            SynthConfig(
+                n_spectra=1000, n_channels=200, n_endmembers=3, snr_db=20.0,
+                purity_cap=0.8, seed=7,
+            )
+        )
+        order = protocol_p2(data.spectra.values, build_basis(200, 2), P2Config(340, 50, 7))
+        digest = hashlib.sha256(",".join(map(str, order.indices)).encode()).hexdigest()
+        assert order.indices[:8] == (713, 970, 135, 505, 6, 924, 39, 633)
+        assert digest == "4b6f9a1a14c886b16c4fa5fb7d63a2c90adb4a66249a808ca7fbda5f69184337"
 
     def test_degenerate_embedding_falls_back(self):
         rows = np.tile(np.linspace(0.1, 1.0, 24), (8, 1))
