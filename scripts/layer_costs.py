@@ -1,11 +1,17 @@
 """Time each layer of one acquisition and single-spectrum FCLS per K; print JSON.
 
 Two operating points are streamed: L400 K5 M16 and L200 K3 (M from the
-default eta), 30 init spectra each, synthetic data at 20 dB.  Each step runs
-the layers of ``pipeline_step`` one by one under ``time.perf_counter`` (FCLS
-of the new spectrum, Fourier reduce, the Kalman update, the regression and
-the re-anchoring reduce) and then times a whole ``pipeline_step`` on the
-same state, so the layers and the step see the same inputs.  Single-spectrum
+default eta), 30 init spectra each, synthetic data at 20 dB.  Each
+acquisition runs once, as one ``pipeline_step`` call under
+``perfbench/tracer.py``.  Once ``init_pipeline`` has returned, the tracer
+wraps the names the step looks up in ``kfunmix.pipeline`` (``TRACED``): the
+step itself, ``estimate_concentration`` (FCLS of the new spectrum),
+``reduce_spectrum``, the configured updater, ``solve_regression`` and the
+re-anchoring ``reduce_columns``.  A missing name raises ``TraceError``
+rather than reading zero.  A span costs its caller about 0.5-2 us more than
+a plain call, so each ``step`` figure carries up to about 10 us for the
+five spans inside it.  ``step`` minus the sum of the layers is the step's
+own code, including its two ``FilterState`` constructions.  Single-spectrum
 FCLS runs against a random L = 400 endmember matrix for every K = 2..12,
 and a 215-row batch call at the same K.  Rounds interleave the operating
 points and the K values, so a drift of the host's speed reaches all of them
@@ -42,14 +48,27 @@ import os
 import sys
 import tempfile
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+from tracer import Tracer  # noqa: E402  (perfbench/ is not a package)
+
 # (name, L, K, M or None for the eta criterion)
 OPERATING_POINTS = (("L400K5M16", 400, 5, 16), ("L200K3", 200, 3, None))
 LAYERS = ("fcls_one", "reduce", "update", "regression", "reanchor", "step")
+# The span of each name pipeline_step looks up in kfunmix.pipeline.
+TRACED = {
+    "pipeline_step": "step",
+    "estimate_concentration": "fcls_one",
+    "reduce_spectrum": "reduce",
+    "kf_update": "update",
+    "rls_update": "update",
+    "dl_update": "update",
+    "solve_regression": "regression",
+    "reduce_columns": "reanchor",
+}
 FCLS_CHANNELS = 400
 BATCH_ROWS = 215
 N_INIT = 30
@@ -64,38 +83,23 @@ def summary(samples: list[float]) -> dict[str, float]:
     return {"median": float(np.median(us)), "p95": float(np.percentile(us, 95))}
 
 
-def stream_round(
-    kf: SimpleNamespace, data, config, steps: int, out: dict[str, list[float]]
-) -> float:
-    """One stream of ``steps`` acquisitions, each timed layer by layer and whole.
+def stream_round(data, config, steps: int, out: dict[str, list[float]]) -> float:
+    """One stream of ``steps`` acquisitions, each a traced ``pipeline_step`` call.
 
     Returns the seconds ``init_pipeline`` took to start the stream.
     """
+    from kfunmix import pipeline
+
     rows = data.spectra.values
-    clock = time.perf_counter
-    t0 = clock()
-    state = kf.init_pipeline(rows[:N_INIT], config)
-    init_s = clock() - t0
-    for spectrum in rows[N_INIT : N_INIT + steps]:
-        t0 = clock()
-        c = kf.estimate_concentration(spectrum, state.endmembers.full)
-        t1 = clock()
-        observed = kf.reduce_spectrum(spectrum, state.basis)
-        t2 = clock()
-        estimator = kf.kf_update(state.estimator, c, observed, state.noise)
-        t3 = clock()
-        fit = kf.solve_regression(state.regressors, estimator.mean.T)
-        t4 = clock()
-        mean = kf.reduce_columns(fit.endmembers.values, state.basis).T
-        t5 = clock()
-        nxt, _ = kf.pipeline_step(state, spectrum)
-        t6 = clock()
-        for name, dt in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)):
-            out[name].append(dt)
-        # The layers must reproduce the step, which the stream goes on from.
-        if not np.array_equal(mean, nxt.estimator.mean):
-            raise RuntimeError("the layers called one by one differ from pipeline_step")
-        state = nxt
+    t0 = time.perf_counter()
+    state = pipeline.init_pipeline(rows[:N_INIT], config)
+    init_s = time.perf_counter() - t0
+    tracer = Tracer()
+    with tracer.installed([(pipeline, name, span, None) for name, span in TRACED.items()]):
+        for spectrum in rows[N_INIT : N_INIT + steps]:
+            state, _ = pipeline.pipeline_step(state, spectrum)
+    for layer in LAYERS:
+        out[layer].extend(ns / 1e9 for ns in tracer.durations(layer))
     return init_s
 
 
@@ -124,19 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("rounds, steps and calls must be >= 1, max-k in [2, 12]")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from kfunmix import (
-        abundance, datamodel, fourier, kalman, pipeline, protocols, regression, synthdata,
-    )
-
-    kf = SimpleNamespace(
-        init_pipeline=pipeline.init_pipeline,
-        pipeline_step=pipeline.pipeline_step,
-        estimate_concentration=abundance.estimate_concentration,
-        reduce_spectrum=fourier.reduce_spectrum,
-        reduce_columns=fourier.reduce_columns,
-        kf_update=kalman.kf_update,
-        solve_regression=regression.solve_regression,
-    )
+    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata
 
     def synth(n_spectra: int, n_channels: int, k: int, purity_cap: float | None = None):
         return synthdata.generate_dataset(
@@ -178,11 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         protocols.protocol_p2(p2_rows, p2_basis, p2_config)
         p2.append(clock() - t0)
         for name, data, config in streams:
-            init[name].append(stream_round(kf, data, config, args.steps, layers[name]))
+            init[name].append(stream_round(data, config, args.steps, layers[name]))
         for k, (s, rows) in fcls_cases.items():
             for i in range(args.calls):
                 t0 = clock()
-                kf.estimate_concentration(rows[i % BATCH_ROWS], s)
+                abundance.estimate_concentration(rows[i % BATCH_ROWS], s)
                 fcls_one[k].append(clock() - t0)
             t0 = clock()
             abundance.estimate_concentrations(rows, s)

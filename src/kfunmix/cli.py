@@ -81,16 +81,6 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    baselines = tuple(s for s in args.baselines.split(",") if s) if args.baselines else ()
-    stem, ext = os.path.splitext(args.out)
-    baseline_paths = {name: f"{stem}.{name}{ext}" for name in baselines}
-    for path in (args.out, *baseline_paths.values()):
-        _check_writable(path)
-    bundle = load_dataset(args.data)
-    if args.order is not None:
-        order = load_order_csv(args.order)
-    else:
-        order = protocol_p1(bundle.spectra.n_spectra)
     config = PipelineConfig(
         n_endmembers=args.n_endmembers,
         n_init=args.n_init,
@@ -101,6 +91,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rls_forgetting=args.rls_forgetting,
         seed=args.seed,
     )
+    baselines = tuple(s for s in args.baselines.split(",") if s) if args.baselines else ()
+    stem, ext = os.path.splitext(args.out)
+    baseline_paths = {name: f"{stem}.{name}{ext}" for name in baselines}
+    for path in (args.out, *baseline_paths.values()):
+        _check_writable(path)
+    bundle = load_dataset(args.data)
+    if args.order is not None:
+        order = load_order_csv(args.order)
+    else:
+        order = protocol_p1(bundle.spectra.n_spectra)
     result = run_experiment(
         bundle,
         order,

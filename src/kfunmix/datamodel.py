@@ -176,11 +176,9 @@ def save_matrix_csv(values: npt.ArrayLike, path: str | os.PathLike[str]) -> None
     """Write a matrix as headered CSV: first line `rows,cols`, then the rows."""
     arr = _as_float_matrix(values, "matrix")
     rows, cols = arr.shape
-    lines = [f"{rows},{cols}"]
-    for r in range(rows):
-        lines.append(",".join(format_float(v) for v in arr[r]))
+    # "%.17g" writes what format_float does, so every float64 round-trips.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, arr, fmt="%.17g", delimiter=",", header=f"{rows},{cols}", comments="")
 
 
 def load_matrix_csv(path: str | os.PathLike[str]) -> FloatArray:

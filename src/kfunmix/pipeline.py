@@ -83,6 +83,8 @@ class PipelineConfig:
             raise ValueError(f"updater must be one of {UPDATERS}, got {self.updater!r}")
         if not 0.0 < self.rls_forgetting <= 1.0:
             raise ValueError("rls_forgetting must be in (0, 1]")
+        if self.updater == "rls" and self.sigma_v2 <= 0.0:
+            raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,6 @@ def init_pipeline(
         init_conc = estimate_concentrations(rows, start)
         estimator = FilterState(mean, init_conc.T @ init_conc)
     else:
-        if config.updater == "rls" and config.sigma_v2 <= 0.0:
-            raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
         estimator = FilterState(mean, config.sigma_v2 * np.eye(config.n_endmembers))
 
     regressors = build_regressor_set(rows, basis)

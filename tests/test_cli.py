@@ -193,6 +193,27 @@ class TestRun:
         assert "t.vca.csv" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-endmembers", "2", "--eta", "0"], "eta"),
+            (["--n-endmembers", "3", "--n-init", "2"], "n_init"),
+            (["--n-endmembers", "2", "--updater", "rls", "--sigma-v2", "0"], "sigma_v2 > 0"),
+        ],
+    )
+    def test_bad_config_fails_before_reading(self, workspace, tmp_path, monkeypatch,
+                                             capsys, flags, message):
+        def fail(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr("kfunmix.cli.load_dataset", fail)
+        rc = main(["run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
+                   *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_check_leaves_no_file_behind(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         rc = main([

@@ -397,6 +397,22 @@ class TestMatrixCsv:
         save_matrix_csv(load_matrix_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("case", ["edge-values", "edge-column", "random"])
+    def test_matches_a_format_float_loop(self, tmp_path, case):
+        """The written bytes equal a per-entry format_float join, row by row."""
+        edge = [-0.0, 5e-324, 1e-310, np.finfo(np.float64).max, 1 / 3, 2.5e-17, 1.2e17]
+        rng = np.random.default_rng(3)
+        values = {
+            "edge-values": np.array([edge]),
+            "edge-column": np.array([edge]).T,
+            "random": rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6)),
+        }[case]
+        lines = [f"{values.shape[0]},{values.shape[1]}"]
+        lines.extend(",".join(format_float(v) for v in row) for row in values)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(values, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")

@@ -143,12 +143,10 @@ class TestInitPipeline:
             init_pipeline(init_rows, config)
 
     def test_rls_needs_positive_process_noise(self):
-        _, init_rows, _ = small_stream_setup()
-        config = PipelineConfig(
-            n_endmembers=2, n_init=8, n_harmonics=4, updater="rls", sigma_v2=0.0
-        )
         with pytest.raises(ValueError, match="sigma_v2 > 0"):
-            init_pipeline(init_rows, config)
+            PipelineConfig(
+                n_endmembers=2, n_init=8, n_harmonics=4, updater="rls", sigma_v2=0.0
+            )
 
     def test_dl_gram_starts_from_init_abundances(self):
         _, _, state = small_stream_setup(updater="dl")
