@@ -18,10 +18,13 @@ points and the K values, so a drift of the host's speed reaches all of them
 alike.  Each round also times a fixed reference workload (``host_ref``); a
 figure divided by it compares across hosts and runs better than a raw one.
 
-Set-up is timed once a round, layer by layer (``setup_us``): ``load_dataset``
-of an L400 x 1030 dataset saved once to a temporary directory, the P2 order
-of a 1000 x 200 set at purity cap 0.8 (340 spectra, 50 clusters), and the
-``init_pipeline`` call that starts each operating point's stream.
+Set-up is timed once a round, layer by layer (``setup_us``): the start-up
+of a fresh interpreter that runs ``import kfunmix.cli`` with ``--src`` on
+``PYTHONPATH``, less that of a bare ``python -c pass`` (``import_kfunmix``),
+``load_dataset`` of an L400 x 1030 dataset saved once to a temporary
+directory, the P2 order of a 1000 x 200 set at purity cap 0.8 (340
+spectra, 50 clusters), and the ``init_pipeline`` call that starts each
+operating point's stream.
 
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -103,6 +107,19 @@ def stream_round(data, config, steps: int, out: dict[str, list[float]]) -> float
     return init_s
 
 
+def import_seconds(src: str) -> float:
+    """Wall seconds a fresh ``import kfunmix.cli`` adds to a bare interpreter start."""
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def wall(code: str) -> float:
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        return time.perf_counter() - t0
+
+    return wall("import kfunmix.cli") - wall("pass")
+
+
 def host_reference(rng: np.random.Generator) -> float:
     """Seconds for a fixed mix of small BLAS, LAPACK and elementwise calls."""
     a = rng.uniform(size=(400, 30))
@@ -156,13 +173,14 @@ def main(argv: list[str] | None = None) -> int:
 
     layers = {name: {layer: [] for layer in LAYERS} for name, _, _ in streams}
     init = {name: [] for name, _, _ in streams}
-    load, p2 = [], []
+    imports, load, p2 = [], [], []
     fcls_one = {k: [] for k in ks}
     fcls_batch = {k: [] for k in ks}
     host = []
     clock = time.perf_counter
     for _ in range(args.rounds):
         host.append(host_reference(rng))
+        imports.append(import_seconds(os.path.abspath(args.src)))
         t0 = clock()
         datamodel.load_dataset(data_dir.name)
         load.append(clock() - t0)
@@ -189,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         "steps_per_round": args.steps,
         "host_ref_us": summary(host),
         "setup_us": {
+            "import_kfunmix": summary(imports),
             "load_dataset": summary(load),
             "protocol_p2": summary(p2),
             "init_pipeline": {name: summary(v) for name, v in init.items()},

@@ -53,14 +53,29 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Open ``path`` for writing, so a bad output fails before any work is done."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_order(args: argparse.Namespace) -> int:
+    if args.protocol == "p2":
+        if args.n_clusters is None:
+            raise ValueError("--n-clusters is required for protocol p2")
+        if args.n_clusters < 1:
+            raise ValueError("--n-clusters must be >= 1")
+        if args.n_essential is not None:
+            P2Config(args.n_essential, args.n_clusters, args.seed)
+    _check_writable(args.out)
     bundle = load_dataset(args.data)
     n = bundle.spectra.n_spectra
     if args.protocol == "p1":
         order = protocol_p1(n, shuffle_seed=args.seed if args.shuffle else None)
     else:
-        if args.n_clusters is None:
-            raise ValueError("--n-clusters is required for protocol p2")
         n_essential = args.n_essential if args.n_essential is not None else n
         basis = build_basis(bundle.spectra.n_channels, 2)
         order = protocol_p2(
@@ -69,15 +84,6 @@ def _cmd_order(args: argparse.Namespace) -> int:
     save_order_csv(order, args.out)
     print(f"wrote {len(order.indices)}-index {args.protocol} order to {args.out}")
     return 0
-
-
-def _check_writable(path: str) -> None:
-    """Open ``path`` for writing, so a bad output fails before any work is done."""
-    existed = os.path.exists(path)
-    with open(path, "a", encoding="utf-8"):
-        pass
-    if not existed:
-        os.remove(path)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -7,12 +7,18 @@ parts of the first Fourier harmonic of each max-normalized spectrum),
 convex hull layers are peeled until enough candidates accumulate, the
 candidates are clustered, and clusters then take turns contributing their
 most central remaining member, with each round shuffled.
+
+The points are sorted once by (x, y, index); each hull layer is one
+monotone-chain pass (lower and upper chain) over the sites that remain
+in that order, so peeling never sorts again.  The round-robin reads one
+(clusters x candidates) squared-distance matrix, computed once.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +67,56 @@ def protocol_p1(n: int, shuffle_seed: int | None = None) -> AcquisitionOrder:
     return AcquisitionOrder(tuple(int(i) for i in idx))
 
 
-def _orientation(
-    o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
-) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _sorted_sites(points: FloatArray) -> list[tuple[float, float, int]]:
+    """(x, y, index) of every point as plain floats, sorted by (x, y, index).
+
+    Raises ValueError naming the first row that is not finite, since the
+    sort needs a total order.
+    """
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+    if bad.size:
+        raise ValueError(f"phasor point of row {int(bad[0])} is not finite: {points[bad[0]]}")
+    order = np.lexsort((np.arange(points.shape[0]), points[:, 1], points[:, 0]))
+    return [(x, y, int(i)) for (x, y), i in zip(points[order].tolist(), order)]
+
+
+def _hull_layer(sites: list[tuple[float, float, int]]) -> list[int]:
+    """Hull vertex indices, counterclockwise from the lowest (x, y) site.
+
+    ``sites`` is sorted by (x, y, index).  A run of coincident sites (+0.0
+    and -0.0 compare equal) counts once, as its first, lowest index.  The
+    lower and upper monotone chains run on plain floats: the orientation
+    tests are the same IEEE operations as on NumPy scalars, without a NumPy
+    call per operation.
+    """
+    unique: list[tuple[float, float, int]] = []
+    px = py = None
+    for site in sites:
+        x, y, _ = site
+        if x != px or y != py:
+            unique.append(site)
+            px, py = x, y
+    if len(unique) <= 2:
+        return [i for _, _, i in unique]
+
+    def chain(seq: Iterable[tuple[float, float, int]]) -> list[tuple[float, float, int]]:
+        out: list[tuple[float, float, int]] = []
+        for site in seq:
+            x, y, _ = site
+            while len(out) > 1:
+                ox, oy, _ = out[-2]
+                ax, ay, _ = out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                    break
+                out.pop()
+            out.append(site)
+        return out
+
+    hull = [i for _, _, i in chain(unique)[:-1]]
+    # On nearly collinear sites, rounding can leave a site on both chains.
+    on_lower = set(hull)
+    hull.extend(i for _, _, i in chain(reversed(unique))[:-1] if i not in on_lower)
+    return hull
 
 
 def convex_hull_phasor(points: FloatArray) -> np.ndarray:
@@ -73,44 +125,14 @@ def convex_hull_phasor(points: FloatArray) -> np.ndarray:
     Collinear points interior to an edge are excluded; a fully collinear
     input yields its two extreme points, and a single (possibly repeated)
     point yields one index.  Ties between coincident points resolve to the
-    lowest original index.
+    lowest original index.  Raises ValueError on a non-finite point.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-
-    # Deduplicate exact coincidences, keeping the lowest index of each site.
-    # Plain floats: the orientation tests below are the same IEEE operations
-    # as on NumPy scalars, without a NumPy call per operation.
-    seen: dict[tuple[float, float], int] = {}
-    for i, (x, y) in enumerate(pts.tolist()):
-        seen.setdefault((x, y), i)
-    unique = sorted(seen.items())  # lexicographic by (x, y)
-    if len(unique) == 1:
-        return np.array([unique[0][1]], dtype=int)
-    if len(unique) == 2:
-        return np.array([unique[0][1], unique[1][1]], dtype=int)
-
-    coords = [c for c, _ in unique]
-    original = [i for _, i in unique]
-
-    def chain(order: range) -> list[int]:
-        out: list[int] = []
-        for pos in order:
-            while (
-                len(out) >= 2
-                and _orientation(coords[out[-2]], coords[out[-1]], coords[pos]) <= 0.0
-            ):
-                out.pop()
-            out.append(pos)
-        return out
-
-    lower = chain(range(len(coords)))
-    upper = chain(range(len(coords) - 1, -1, -1))
-    hull_positions = lower[:-1] + upper[:-1]
-    return np.array([original[p] for p in hull_positions], dtype=int)
+    return np.array(_hull_layer(_sorted_sites(pts)), dtype=int)
 
 
 def _kmeans(
@@ -186,11 +208,14 @@ def protocol_p2(
     rounds, each cluster contributes the unclaimed candidate nearest its
     centroid, the round is shuffled, and rounds repeat until n_essential
     indices are ordered.  A degenerate embedding (all points coincide)
-    falls back to P1 with a warning.
+    falls back to P1 with a warning; a spectrum whose phasor point is not
+    finite raises ValueError naming its row.
     """
     rows = np.asarray(spectra)
     n = rows.shape[0]
-    points = phasor_embedding(rows, basis)
+    with np.errstate(invalid="ignore"):  # a non-finite row is named below
+        points = phasor_embedding(rows, basis)
+    sites = _sorted_sites(points)
 
     if np.all(points == points[0]):
         warnings.warn(
@@ -202,31 +227,29 @@ def protocol_p2(
     n_essential = min(config.n_essential, n)
     rng = np.random.default_rng(config.seed)
 
-    remaining_mask = np.ones(n, dtype=bool)
     candidates: list[int] = []
-    while len(candidates) < n_essential and np.any(remaining_mask):
-        remaining_idx = np.nonzero(remaining_mask)[0]
-        layer = convex_hull_phasor(points[remaining_idx])
-        for pos in remaining_idx[layer]:
-            candidates.append(int(pos))
-            remaining_mask[pos] = False
+    while len(candidates) < n_essential and sites:
+        layer = _hull_layer(sites)
+        candidates.extend(layer)
+        peeled = set(layer)
+        sites = [site for site in sites if site[2] not in peeled]
 
     cand = np.array(sorted(candidates))
     k = min(config.n_clusters, cand.size)
     _, centroids = _kmeans(points[cand], k, rng)
 
-    taken = np.zeros(cand.size, dtype=bool)
+    # Squared distance of every candidate to every centroid, computed once.
+    dist = np.sum((points[cand][None, :, :] - centroids[:, None, :]) ** 2, axis=2)
+    open_pos = np.arange(cand.size)
     ordered: list[int] = []
-    while len(ordered) < n_essential and not np.all(taken):
+    while len(ordered) < n_essential and open_pos.size:
         round_indices: list[int] = []
         for j in range(k):
-            open_pos = np.nonzero(~taken)[0]
             if open_pos.size == 0:
                 break
-            dist = np.sum((points[cand[open_pos]] - centroids[j]) ** 2, axis=1)
-            chosen = open_pos[int(np.argmin(dist))]
-            taken[chosen] = True
-            round_indices.append(int(cand[chosen]))
+            arg = int(np.argmin(dist[j, open_pos]))
+            round_indices.append(int(cand[open_pos[arg]]))
+            open_pos = np.delete(open_pos, arg)
         ordered.extend(int(i) for i in rng.permutation(round_indices))
     return AcquisitionOrder(tuple(ordered[:n_essential]))
 

@@ -12,6 +12,13 @@ chopped into short segments, and the statistic is the mean over spectra
 of the median per-segment variance.  On smooth data this lands between
 roughly half the true variance and the true variance, since smoothing
 absorbs part of the noise itself.
+
+The filter is the cubic 5-point Savitzky-Golay smooth, written out in
+NumPy from its fixed rational weights: (-3, 12, 17, 12, -3)/35 inside,
+and the cubic fit to the end window at the two samples of each end.
+``scipy.signal.savgol_filter`` computes the same smooth, but importing
+``scipy.signal`` pulls in ``scipy.stats`` and about a quarter of the
+package's import footprint, so no kfunmix module imports it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .datamodel import (
     ConcentrationMatrix,
@@ -158,10 +164,29 @@ def generate_dataset(config: SynthConfig) -> DatasetBundle:
 def savitzky_golay(y: FloatArray) -> FloatArray:
     """Cubic least-squares smooth over 5-sample windows along the last axis.
 
-    The end samples are fit on the end windows.  Raises ValueError when the
-    last axis holds fewer than 5 samples.
+    Interior samples take the weights (-3, 12, 17, 12, -3)/35.  The two
+    samples at each end are the cubic fit to the end window evaluated
+    there: (69, 4, -6, 4, -1)/70 for the first, (2, 27, 12, -8, 2)/35 for
+    the second, mirrored at the far end.  This equals
+    ``scipy.signal.savgol_filter(y, 5, 3, mode="interp")`` to rounding.
+    Every sample is an elementwise sum over its window, so a row smoothed
+    alone equals the same row smoothed in a batch bit for bit.  Raises
+    ValueError when the last axis holds fewer than 5 samples.
     """
-    return savgol_filter(y, window_length=5, polyorder=3, mode="interp")
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 0 or y.shape[-1] < 5:
+        raise ValueError(
+            f"need at least 5 samples along the last axis, got shape {y.shape}"
+        )
+    n = y.shape[-1]
+    a0, a1, a2, a3, a4 = (y[..., i : n - 4 + i] for i in range(5))
+    out = np.empty_like(y)
+    out[..., 2:-2] = (17.0 * a2 + 12.0 * (a1 + a3) - 3.0 * (a0 + a4)) / 35.0
+    for end, step in ((0, 1), (-1, -1)):
+        e0, e1, e2, e3, e4 = (y[..., end + step * i] for i in range(5))
+        out[..., end] = (69.0 * e0 + 4.0 * (e1 + e3) - 6.0 * e2 - e4) / 70.0
+        out[..., end + step] = (2.0 * (e0 + e4) + 27.0 * e1 + 12.0 * e2 - 8.0 * e3) / 35.0
+    return out
 
 
 def estimate_noise_variance(spectra: SpectraMatrix | FloatArray) -> float:

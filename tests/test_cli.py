@@ -128,6 +128,33 @@ class TestOrder:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "flags, out, message",
+        [
+            (["--protocol", "p2"], "o.csv", "--n-clusters is required"),
+            (["--protocol", "p2", "--n-clusters", "0"], "o.csv", "--n-clusters must be >= 1"),
+            (["--protocol", "p2", "--n-clusters", "2", "--n-essential", "0"], "o.csv",
+             "n_essential must be >= 1"),
+            (["--protocol", "p2", "--n-clusters", "5", "--n-essential", "3"], "o.csv",
+             "n_clusters must be in"),
+            (["--protocol", "p1"], ".", "Is a directory"),
+            (["--protocol", "p2", "--n-clusters", "2"], "missing/o.csv", "No such file"),
+        ],
+    )
+    def test_bad_arguments_fail_before_reading(self, workspace, tmp_path, monkeypatch,
+                                               capsys, flags, out, message):
+        def fail(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr("kfunmix.cli.load_dataset", fail)
+        rc = main(["order", "--data", str(workspace / "ds"), "--out", str(tmp_path / out),
+                   *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_trace_covers_the_ordered_stream(self, workspace):
         records, comments = read_trace_csv(workspace / "trace.csv")

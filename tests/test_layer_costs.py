@@ -28,7 +28,9 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     assert set(report["step_us"]) == {name for name, *_ in layer_costs.OPERATING_POINTS}
     setup = report["setup_us"]
     assert set(setup["init_pipeline"]) == set(report["step_us"])
-    figures = [report["host_ref_us"], setup["load_dataset"], setup["protocol_p2"]]
+    assert set(setup) == {"import_kfunmix", "load_dataset", "protocol_p2", "init_pipeline"}
+    figures = [report["host_ref_us"], setup["import_kfunmix"], setup["load_dataset"],
+               setup["protocol_p2"]]
     figures.extend(setup["init_pipeline"].values())
     for per_layer in report["step_us"].values():
         assert tuple(per_layer) == layer_costs.LAYERS

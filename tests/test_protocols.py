@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as QhullConvexHull
 
+from kfunmix import protocols
 from kfunmix.fourier import build_basis
 from kfunmix.protocols import (
     AcquisitionOrder,
@@ -57,6 +58,103 @@ def gift_wrap_vertices(points):
         hull.append(nxt)
         current = nxt
     return set(hull)
+
+
+def reference_hull(points):
+    """Hull of one layer as first written: dedup in a dict, sort, chain.
+
+    The lowest index of each coincident site wins (the dict keeps the first
+    key seen, and +0.0 == -0.0 hashes alike); the chains run on the sorted
+    unique sites.
+    """
+    seen = {}
+    for i, (x, y) in enumerate(np.asarray(points, dtype=np.float64).tolist()):
+        seen.setdefault((x, y), i)
+    unique = sorted(seen.items())
+    if len(unique) <= 2:
+        return np.array([i for _, i in unique], dtype=int)
+    coords = [c for c, _ in unique]
+
+    def chain(order):
+        out = []
+        for pos in order:
+            while len(out) >= 2 and cross(coords[out[-2]], coords[out[-1]], coords[pos]) <= 0.0:
+                out.pop()
+            out.append(pos)
+        return out
+
+    lower = chain(range(len(coords)))
+    upper = chain(range(len(coords) - 1, -1, -1))
+    return np.array([unique[p][1] for p in lower[:-1] + upper[:-1]], dtype=int)
+
+
+def reference_p2_order(points, config):
+    """P2 on given phasor points as first written: one hull per layer over
+    the remaining points, then a nearest-open pick per cluster and round
+    with the distances recomputed for every pick."""
+    n = points.shape[0]
+    n_essential = min(config.n_essential, n)
+    rng = np.random.default_rng(config.seed)
+    remaining_mask = np.ones(n, dtype=bool)
+    candidates = []
+    while len(candidates) < n_essential and np.any(remaining_mask):
+        remaining_idx = np.nonzero(remaining_mask)[0]
+        for pos in remaining_idx[reference_hull(points[remaining_idx])]:
+            candidates.append(int(pos))
+            remaining_mask[pos] = False
+    cand = np.array(sorted(candidates))
+    k = min(config.n_clusters, cand.size)
+    _, centroids = protocols._kmeans(points[cand], k, rng)
+    taken = np.zeros(cand.size, dtype=bool)
+    ordered = []
+    while len(ordered) < n_essential and not np.all(taken):
+        round_indices = []
+        for j in range(k):
+            open_pos = np.nonzero(~taken)[0]
+            if open_pos.size == 0:
+                break
+            dist = np.sum((points[cand[open_pos]] - centroids[j]) ** 2, axis=1)
+            chosen = open_pos[int(np.argmin(dist))]
+            taken[chosen] = True
+            round_indices.append(int(cand[chosen]))
+        ordered.extend(int(i) for i in rng.permutation(round_indices))
+    return tuple(ordered[:n_essential])
+
+
+def coincident_points(rng, n):
+    """Gaussian points where a third repeat earlier ones, some with the sign
+    of a zero coordinate flipped."""
+    pts = rng.normal(size=(n, 2))
+    pts[rng.integers(n, size=n // 8), rng.integers(2, size=n // 8)] = 0.0
+    for i in range(n // 3, n):
+        if rng.uniform() < 0.5:
+            pts[i] = pts[rng.integers(i)]
+    pts[: n // 2] *= np.where(pts[: n // 2] == 0.0, -1.0, 1.0)
+    return pts
+
+
+def integer_grid_points(rng, n):
+    return rng.integers(-6, 7, size=(n, 2)).astype(np.float64)
+
+
+def collinear_points(rng, n):
+    """Points on one line with exact coordinates, so every orientation test
+    reads exactly zero."""
+    t = rng.integers(-20, 21, size=n).astype(np.float64)
+    return np.column_stack([0.5 + 3.0 * t, -1.0 + 2.0 * t])
+
+
+def nearly_collinear_points(rng, n):
+    """Points on one line up to the rounding of their coordinates."""
+    t = rng.integers(-20, 21, size=n).astype(np.float64) / 7.0
+    return np.column_stack([0.5 + 3.0 * t, -1.0 + 2.0 * t])
+
+
+POINT_SETS = {
+    "coincident": coincident_points,
+    "integer_grid": integer_grid_points,
+    "collinear": collinear_points,
+}
 
 
 def signed_area(coords):
@@ -123,6 +221,38 @@ class TestConvexHull:
             a, b = hull[j], hull[(j + 1) % len(idx)]
             side = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
             assert np.min(side) > -1e-9
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SETS))
+    def test_matches_the_dict_and_sort_reference(self, kind):
+        """Same vertices in the same order as the per-call dict-and-sort hull."""
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            pts = POINT_SETS[kind](rng, int(rng.integers(1, 120)))
+            np.testing.assert_array_equal(
+                convex_hull_phasor(pts), reference_hull(pts), err_msg=f"trial {trial}"
+            )
+
+    def test_nearly_collinear_points_are_listed_once(self):
+        """Rounding can put a site on both chains; it is one vertex."""
+        rng = np.random.default_rng(13)
+        repeated = 0
+        for trial in range(60):
+            pts = nearly_collinear_points(rng, int(rng.integers(3, 120)))
+            idx = convex_hull_phasor(pts).tolist()
+            reference = reference_hull(pts).tolist()
+            repeated += len(reference) > len(set(reference))
+            assert len(idx) == len(set(idx)), f"trial {trial}"
+            assert set(idx) == set(reference), f"trial {trial}"
+        assert repeated > 0
+
+    def test_signed_zeros_are_one_site(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.5, 3.0]])
+        np.testing.assert_array_equal(convex_hull_phasor(pts), [0, 2, 4])
+
+    def test_rejects_a_non_finite_point(self):
+        pts = np.array([[0.0, 0.0], [1.0, np.inf], [2.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            convex_hull_phasor(pts)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
@@ -247,6 +377,26 @@ class TestProtocolP2:
         assert order.indices[:8] == (713, 970, 135, 505, 6, 924, 39, 633)
         assert digest == "4b6f9a1a14c886b16c4fa5fb7d63a2c90adb4a66249a808ca7fbda5f69184337"
 
+    def test_rejects_a_non_finite_spectrum_naming_its_row(self):
+        rows, _ = self.planted_cluster_rows()
+        rows[9, 4] = np.inf
+        rows[3, 10] = np.nan
+        basis = build_basis(rows.shape[1], 2)
+        with pytest.raises(ValueError, match="row 3 is not finite"):
+            protocol_p2(rows, basis, P2Config(n_essential=6, n_clusters=3, seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 12])
+    def test_noiseless_two_component_set_gives_an_order(self, seed):
+        """Noiseless mixtures of two spectra embed on a line up to rounding.
+        Listing a hull vertex twice once made it a candidate twice, and
+        these two sets then raised "order contains duplicate indices"."""
+        data = generate_dataset(
+            SynthConfig(n_spectra=300, n_channels=100, n_endmembers=2,
+                        snr_db=float("inf"), seed=seed)
+        )
+        order = protocol_p2(data.spectra.values, build_basis(100, 2), P2Config(300, 10, seed))
+        assert sorted(order.indices) == list(range(300))
+
     def test_degenerate_embedding_falls_back(self):
         rows = np.tile(np.linspace(0.1, 1.0, 24), (8, 1))
         basis = build_basis(24, 2)
@@ -265,6 +415,54 @@ class TestProtocolP2:
             P2Config(n_essential=0, n_clusters=1)
         with pytest.raises(ValueError, match="n_clusters must be in"):
             P2Config(n_essential=3, n_clusters=4)
+
+
+# (n_spectra, n_endmembers, purity_cap, n_essential, n_clusters): 40 generated sets,
+# capped and uncapped, n from 200 to 1000, essentials from 10 to every spectrum.
+GENERATED_SETS = [
+    (n, k, cap, min(ess, n), min(clusters, ess, n))
+    for n, k, cap in [
+        (200, 3, None), (200, 3, 0.8), (350, 4, None), (500, 3, 0.8), (500, 5, 0.6),
+        (650, 4, 0.9), (800, 3, None), (1000, 3, 0.8), (1000, 5, None), (1000, 4, 0.7),
+    ]
+    for ess, clusters in [(10, 1), (60, 7), (340, 50), (1000, 25)]
+]
+
+
+class TestP2MatchesReference:
+    """The one-sort peel and the precomputed distance matrix give the orders
+    of the per-layer hull peel and the per-pick distance loop exactly."""
+
+    @pytest.mark.parametrize("n, k, cap, n_essential, n_clusters", GENERATED_SETS)
+    def test_generated_sets(self, n, k, cap, n_essential, n_clusters):
+        seed = n + 7 * k + n_essential
+        data = generate_dataset(
+            SynthConfig(
+                n_spectra=n, n_channels=120, n_endmembers=k, snr_db=20.0,
+                purity_cap=cap, seed=seed,
+            )
+        )
+        basis = build_basis(120, 2)
+        config = P2Config(n_essential, n_clusters, seed)
+        points = phasor_embedding(data.spectra.values, basis)
+        expected = reference_p2_order(points, config)
+        assert protocol_p2(data.spectra.values, basis, config).indices == expected
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SETS))
+    def test_point_sets(self, kind, monkeypatch):
+        """Coincident (signed-zero), integer-grid and collinear points, fed
+        to protocol_p2 in place of the phasor embedding."""
+        rng = np.random.default_rng(12)
+        for trial in range(15):
+            n = int(rng.integers(3, 300))
+            pts = POINT_SETS[kind](rng, n)
+            if np.all(pts == pts[0]):
+                continue
+            n_essential = int(rng.integers(1, n + 1))
+            config = P2Config(n_essential, int(rng.integers(1, n_essential + 1)), trial)
+            monkeypatch.setattr(protocols, "phasor_embedding", lambda rows, basis: pts)
+            got = protocol_p2(np.zeros((n, 4)), None, config).indices
+            assert got == reference_p2_order(pts, config), f"trial {trial}"
 
 
 class TestAcquisitionOrder:

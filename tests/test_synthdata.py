@@ -1,6 +1,13 @@
 """Tests for synthetic mixtures, the smoother, and noise-floor estimation."""
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.signal import savgol_filter
 
 from kfunmix import synthdata
 from kfunmix.metrics import sad
@@ -49,6 +56,60 @@ class TestSavitzkyGolay:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             savitzky_golay(np.ones(4))
+        with pytest.raises(ValueError):
+            savitzky_golay(np.float64(1.0))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_matches_scipy_savgol_filter(self, rows):
+        """scipy's interp mode fits the end windows with polyfit; the fixed
+        weights agree with it to rounding for every length from 5 to 400."""
+        rng = np.random.default_rng(4)
+        for n in range(5, 401):
+            shape = (n,) if rows is None else (rows, n)
+            y = rng.normal(size=shape) * rng.uniform(0.01, 100.0)
+            reference = savgol_filter(y, 5, 3, mode="interp")
+            np.testing.assert_allclose(
+                savitzky_golay(y), reference, rtol=1e-13,
+                atol=1e-13 * np.max(np.abs(reference)), err_msg=f"length {n}",
+            )
+
+    def test_edge_weights_are_the_exact_cubic_fit(self):
+        """Against the rational weights summed exactly, every sample is within
+        a few units in the last place of the largest value."""
+        first = [Fraction(w, 70) for w in (69, 4, -6, 4, -1)]
+        second = [Fraction(w, 35) for w in (2, 27, 12, -8, 2)]
+        inner = [Fraction(w, 35) for w in (-3, 12, 17, 12, -3)]
+        rng = np.random.default_rng(5)
+        for n in range(5, 13):
+            y = rng.normal(size=n)
+            exact = [Fraction(v) for v in y]
+            back = exact[::-1]
+            expected = [sum(w * v for w, v in zip(inner, exact[i - 2 : i + 3]))
+                        for i in range(n)]
+            expected[0] = sum(w * v for w, v in zip(first, exact))
+            expected[1] = sum(w * v for w, v in zip(second, exact))
+            expected[-1] = sum(w * v for w, v in zip(first, back))
+            expected[-2] = sum(w * v for w, v in zip(second, back))
+            expected = np.array([float(v) for v in expected])
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(savitzky_golay(y) - expected)) <= 4e-16 * scale
+
+
+def test_no_kfunmix_module_imports_scipy_signal_or_stats():
+    """scipy.signal pulls in scipy.stats and about a quarter of the import
+    footprint; no module of the package needs either."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys\n"
+        "import kfunmix.pipeline, kfunmix.cli, kfunmix.mcrals, kfunmix.vca\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGeneratePureSpectra:
