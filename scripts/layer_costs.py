@@ -26,6 +26,12 @@ directory, the P2 order of a 1000 x 200 set at purity cap 0.8 (340
 spectra, 50 clusters), and the ``init_pipeline`` call that starts each
 operating point's stream.
 
+BLAS and OpenMP run on one thread, as in the benchmark: before NumPy is
+imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are set to 1 unless the caller set them, and the
+import-timing subprocess inherits them.  ``blas_threads`` in the report
+gives the values in effect.
+
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
 (default: this checkout's ``src``), so one copy of it measures any checkout
@@ -53,7 +59,11 @@ import sys
 import tempfile
 import time
 
-import numpy as np
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in THREAD_ENV:
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402  (after the thread settings)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
@@ -203,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         "src": os.path.abspath(args.src),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ[name] for name in THREAD_ENV},
         "rounds": args.rounds,
         "steps_per_round": args.steps,
         "host_ref_us": summary(host),

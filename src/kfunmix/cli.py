@@ -15,14 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .datamodel import format_float, load_dataset, save_dataset
 from .fourier import build_basis
 from .kalman import NumericalError
-from .metrics import read_trace_csv, write_trace_csv
-from .pipeline import BASELINES, UPDATERS, PipelineConfig, run_experiment
+from .metrics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
+from .pipeline import BASELINES, STRIDES, UPDATERS, PipelineConfig, run_experiment
+from .pipeline import check_experiment_options
 from .protocols import P2Config, load_order_csv, protocol_p1, protocol_p2, save_order_csv
 from .synthdata import SynthConfig, generate_dataset
 
@@ -34,21 +36,21 @@ def _parse_alpha(text: str) -> float | tuple[float, ...]:
     return values[0] if len(values) == 1 else tuple(values)
 
 
+def _given(args: argparse.Namespace, config_class: type) -> dict:
+    names = {f.name for f in fields(config_class)}
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        n_spectra=args.n_spectra,
-        n_channels=args.n_channels,
-        n_endmembers=args.n_endmembers,
-        snr_db=args.snr_db,
-        alpha=_parse_alpha(args.alpha),
-        purity_cap=args.purity_cap,
-        seed=args.seed,
-    )
+    given = _given(args, SynthConfig)
+    if "alpha" in given:
+        given["alpha"] = _parse_alpha(given["alpha"])
+    config = SynthConfig(**given)
     bundle = generate_dataset(config)
     save_dataset(bundle, args.out)
     print(
-        f"wrote {args.n_spectra}x{args.n_channels} dataset "
-        f"(K={args.n_endmembers}, snr={args.snr_db} dB) to {args.out}"
+        f"wrote {config.n_spectra}x{config.n_channels} dataset "
+        f"(K={config.n_endmembers}, snr={config.snr_db} dB) to {args.out}"
     )
     return 0
 
@@ -63,59 +65,39 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
+    p2_config = None
     if args.protocol == "p2":
+        # argparse cannot make an option required for one choice only.
         if args.n_clusters is None:
             raise ValueError("--n-clusters is required for protocol p2")
-        if args.n_clusters < 1:
-            raise ValueError("--n-clusters must be >= 1")
-        if args.n_essential is not None:
-            P2Config(args.n_essential, args.n_clusters, args.seed)
+        p2_config = P2Config(args.n_essential, args.n_clusters, args.seed)
     _check_writable(args.out)
     bundle = load_dataset(args.data)
-    n = bundle.spectra.n_spectra
-    if args.protocol == "p1":
-        order = protocol_p1(n, shuffle_seed=args.seed if args.shuffle else None)
+    if p2_config is None:
+        shuffle_seed = args.seed if args.shuffle else None
+        order = protocol_p1(bundle.spectra.n_spectra, shuffle_seed=shuffle_seed)
     else:
-        n_essential = args.n_essential if args.n_essential is not None else n
         basis = build_basis(bundle.spectra.n_channels, 2)
-        order = protocol_p2(
-            bundle.spectra, basis, P2Config(n_essential, args.n_clusters, args.seed)
-        )
+        order = protocol_p2(bundle.spectra, basis, p2_config)
     save_order_csv(order, args.out)
     print(f"wrote {len(order.indices)}-index {args.protocol} order to {args.out}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        n_endmembers=args.n_endmembers,
-        n_init=args.n_init,
-        eta=args.eta,
-        n_harmonics=args.n_harmonics,
-        sigma_v2=args.sigma_v2,
-        updater=args.updater,
-        rls_forgetting=args.rls_forgetting,
-        seed=args.seed,
-    )
-    baselines = tuple(s for s in args.baselines.split(",") if s) if args.baselines else ()
+    config = PipelineConfig(**_given(args, PipelineConfig))
+    strides = {name: value for name, value in vars(args).items() if name in STRIDES}
+    baselines = tuple(s for s in args.baselines.split(",") if s)
+    check_experiment_options(baselines, **strides)
     stem, ext = os.path.splitext(args.out)
     baseline_paths = {name: f"{stem}.{name}{ext}" for name in baselines}
     for path in (args.out, *baseline_paths.values()):
         _check_writable(path)
     bundle = load_dataset(args.data)
-    if args.order is not None:
-        order = load_order_csv(args.order)
-    else:
-        order = protocol_p1(bundle.spectra.n_spectra)
+    n = bundle.spectra.n_spectra
+    order = load_order_csv(args.order) if args.order is not None else protocol_p1(n)
     result = run_experiment(
-        bundle,
-        order,
-        config,
-        eval_stride=args.eval_stride,
-        abundance_stride=args.abundance_stride,
-        baselines=baselines,
-        baseline_stride=args.baseline_stride,
-        flush_path=args.out,
+        bundle, order, config, baselines=baselines, flush_path=args.out, **strides
     )
     write_trace_csv(result.trace.records, args.out, comments=result.trace.config_snapshot)
     for name, trace in result.baselines.items():
@@ -142,14 +124,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             return float("nan"), float("nan")
         return float(np.mean(present)), float(np.std(present))
 
-    lines = [
-        "t,n_traces,asad_deg_mean,asad_deg_std,rmse_mean,rmse_std,"
-        "re_mean,re_std,wall_ms_mean,wall_ms_std"
-    ]
+    metrics = TRACE_COLUMNS[1:]
+    lines = ["t,n_traces," + ",".join(f"{m}_mean,{m}_std" for m in metrics)]
     for t in sorted(groups):
         recs = groups[t]
         cells = [str(t), str(len(recs))]
-        for field in ("asad_deg", "rmse", "re", "wall_ms"):
+        for field in metrics:
             mean, std = stats([getattr(r, field) for r in recs])
             cells.append(format_float(mean))
             cells.append(format_float(std))
@@ -167,28 +147,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kfunmix",
-        description="Streaming spectral unmixing in a truncated Fourier subspace.",
+        description="Streaming spectral unmixing in a truncated Fourier subspace. "
+        "An omitted setting of synth or run takes the library's default.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    # An omitted synth or run option stays out of the namespace, so the library
+    # owns its default and its check; an option the CLI owns states its default.
+    p = sub.add_parser(
+        "synth", help="generate a synthetic dataset directory", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-spectra", type=int, required=True)
     p.add_argument("--n-channels", type=int, required=True)
     p.add_argument("--n-endmembers", type=int, required=True)
-    p.add_argument("--snr-db", type=float, default=20.0)
+    p.add_argument("--snr-db", type=float)
+    p.add_argument("--alpha", help="Dirichlet concentration, a number or comma list per component")
     p.add_argument(
-        "--alpha",
-        default="1.0",
-        help="Dirichlet concentration, a number or comma list per component",
+        "--purity-cap", type=float, help="reject mixtures whose largest abundance exceeds this cap"
     )
-    p.add_argument(
-        "--purity-cap",
-        type=float,
-        default=None,
-        help="reject mixtures whose largest abundance exceeds this cap",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("order", help="compute an acquisition order for a dataset")
@@ -203,25 +181,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-clusters", type=int, default=None, help="p2: cluster count")
     p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("run", help="stream a dataset and write metric traces")
+    p = sub.add_parser(
+        "run", help="stream a dataset and write metric traces", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--order", default=None, help="order file (default: native order)")
     p.add_argument("--out", required=True, help="output trace file")
     p.add_argument("--n-endmembers", type=int, required=True)
-    p.add_argument("--n-init", type=int, default=30)
-    p.add_argument("--eta", type=float, default=87.0)
-    p.add_argument(
-        "--n-harmonics", type=int, default=None, help="override the eta-based choice"
-    )
-    p.add_argument("--sigma-v2", type=float, default=1.0)
-    p.add_argument("--updater", choices=UPDATERS, default="kalman")
-    p.add_argument("--rls-forgetting", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-stride", type=int, default=1)
+    p.add_argument("--n-init", type=int)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--n-harmonics", type=int, help="override the eta-based choice")
+    p.add_argument("--sigma-v2", type=float)
+    p.add_argument("--updater", choices=UPDATERS)
+    p.add_argument("--rls-forgetting", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eval-stride", type=int)
     p.add_argument(
         "--abundance-stride",
         type=int,
-        default=1,
         help="cadence of the batch abundance re-estimate (0 disables rmse/re)",
     )
     p.add_argument(
@@ -229,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=f"comma list from {BASELINES}, re-run at --baseline-stride",
     )
-    p.add_argument("--baseline-stride", type=int, default=20)
+    p.add_argument("--baseline-stride", type=int)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="aggregate metric traces across repetitions")

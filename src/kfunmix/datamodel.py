@@ -27,6 +27,8 @@ FloatArray = npt.NDArray[np.float64]
 NONNEG_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 
+FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip any float64 exactly
+
 # How np.loadtxt reports a token it cannot convert: 0-based data row, 1-based column.
 _PARSER_ERROR = re.compile(r"could not convert string .* at row (\d+), column (\d+)\.", re.S)
 
@@ -168,17 +170,15 @@ class DatasetBundle:
 
 
 def format_float(x: float | None) -> str:
-    # 17 significant digits round-trips any float64 exactly; None reads "nan".
-    return "nan" if x is None else f"{x:.17g}"
+    return "nan" if x is None else FLOAT_FORMAT % x  # None reads as NaN does
 
 
 def save_matrix_csv(values: npt.ArrayLike, path: str | os.PathLike[str]) -> None:
     """Write a matrix as headered CSV: first line `rows,cols`, then the rows."""
     arr = _as_float_matrix(values, "matrix")
     rows, cols = arr.shape
-    # "%.17g" writes what format_float does, so every float64 round-trips.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, arr, fmt="%.17g", delimiter=",", header=f"{rows},{cols}", comments="")
+        np.savetxt(fh, arr, fmt=FLOAT_FORMAT, delimiter=",", header=f"{rows},{cols}", comments="")
 
 
 def load_matrix_csv(path: str | os.PathLike[str]) -> FloatArray:

@@ -47,7 +47,6 @@ class McrResult:
     concentrations: ConcentrationMatrix
     endmembers: EndmemberMatrix
     residuals: tuple[float, ...]
-    n_iters: int
 
 
 def pca_nonneg_init(
@@ -133,5 +132,4 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
         concentrations=ConcentrationMatrix(conc),
         endmembers=EndmemberMatrix(s),
         residuals=tuple(residuals),
-        n_iters=len(residuals),
     )

@@ -14,17 +14,19 @@ norm, with a rank-K PCA projection giving the attainable lower bound.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import get_args, get_type_hints
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import (
+    FLOAT_FORMAT,
     ConcentrationMatrix,
     EndmemberMatrix,
     FloatArray,
     SpectraMatrix,
-    format_float,
 )
 
 
@@ -161,7 +163,12 @@ class MetricRecord:
             raise ValueError("wall_ms must be >= 0")
 
 
-TRACE_HEADER = "t,asad_deg,rmse,re,wall_ms"
+# A trace has one column per MetricRecord field: t, then the metrics as
+# format_float writes them ("nan" stands for None in a field that may be None).
+TRACE_COLUMNS = tuple(f.name for f in fields(MetricRecord))
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# Per metric column: whether its field may be None, so that "nan" reads as None.
+_MAY_BE_NONE = [type(None) in get_args(h) for h in get_type_hints(MetricRecord).values()][1:]
 
 
 def write_trace_csv(
@@ -174,11 +181,16 @@ def write_trace_csv(
     if comments:
         lines.extend(f"# {k}={comments[k]}" for k in sorted(comments))
     lines.append(TRACE_HEADER)
-    for rec in records:
-        lines.append(
-            f"{rec.t},{format_float(rec.asad_deg)},{format_float(rec.rmse)},"
-            f"{format_float(rec.re)},{format_float(rec.wall_ms)}"
-        )
+    # One %-format per row. A column holding None is formatted beforehand as
+    # format_float would, inline to save a call per value.
+    columns = list(zip(*map(attrgetter(*TRACE_COLUMNS), records)))
+    specs = ["%s"] + [FLOAT_FORMAT] * (len(TRACE_COLUMNS) - 1)
+    for i, column in enumerate(columns):
+        if None in column:
+            columns[i] = ["nan" if v is None else FLOAT_FORMAT % v for v in column]
+            specs[i] = "%s"
+    row_format = ",".join(specs)
+    lines.extend(row_format % row for row in zip(*columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -204,20 +216,16 @@ def read_trace_csv(
                 raise ValueError(f"{path}: line {line_no}: unexpected header {line!r}")
             body_seen = True
             continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"{path}: line {line_no}: expected 5 fields")
+        cells = line.split(",")
+        if len(cells) != len(TRACE_COLUMNS):
+            raise ValueError(f"{path}: line {line_no}: expected {len(TRACE_COLUMNS)} fields")
         try:
-            vals = [float(f) for f in fields[1:]]
-            records.append(
-                MetricRecord(
-                    t=int(fields[0]),
-                    asad_deg=None if np.isnan(vals[0]) else vals[0],
-                    rmse=None if np.isnan(vals[1]) else vals[1],
-                    re=None if np.isnan(vals[2]) else vals[2],
-                    wall_ms=vals[3],
-                )
+            values = [float(cell) for cell in cells[1:]]
+            metrics = (
+                None if may_be_none and np.isnan(v) else v
+                for v, may_be_none in zip(values, _MAY_BE_NONE)
             )
+            records.append(MetricRecord(int(cells[0]), *metrics))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return tuple(records), comments

@@ -50,6 +50,8 @@ from .vca import vca
 
 UPDATERS = ("kalman", "rls", "dl")
 BASELINES = ("vca", "mcr-als")
+# The stride keywords of run_experiment, each with its least allowed value.
+STRIDES = {"eval_stride": 1, "abundance_stride": 0, "baseline_stride": 1}
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,16 @@ def _baseline_endmembers(
     return mcr_als(acquired, McrConfig(init)).endmembers
 
 
+def check_experiment_options(baselines: tuple[str, ...], **strides: int) -> None:
+    """Raise ValueError for an unknown baseline or a given stride below its least value."""
+    for name, least in STRIDES.items():
+        if name in strides and strides[name] < least:
+            raise ValueError(f"{name} must be >= {least}")
+    for name in baselines:
+        if name not in BASELINES:
+            raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
+
+
 def run_experiment(
     dataset: DatasetBundle,
     order: AcquisitionOrder,
@@ -314,15 +326,12 @@ def run_experiment(
     ExperimentResult
         Main trace plus one trace per requested baseline.
     """
-    if eval_stride < 1:
-        raise ValueError("eval_stride must be >= 1")
-    if abundance_stride < 0:
-        raise ValueError("abundance_stride must be >= 0")
-    if baseline_stride < 1:
-        raise ValueError("baseline_stride must be >= 1")
-    for name in baselines:
-        if name not in BASELINES:
-            raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
+    check_experiment_options(
+        baselines,
+        eval_stride=eval_stride,
+        abundance_stride=abundance_stride,
+        baseline_stride=baseline_stride,
+    )
 
     rows_all = dataset.spectra.values
     if max(order.indices) >= rows_all.shape[0]:

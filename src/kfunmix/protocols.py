@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,15 @@ class AcquisitionOrder:
 
 @dataclass(frozen=True)
 class P2Config:
-    n_essential: int
+    n_essential: int | None  # None orders every spectrum
     n_clusters: int
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_essential < 1:
+        if self.n_essential is not None and self.n_essential < 1:
             raise ValueError("n_essential must be >= 1")
-        if not 1 <= self.n_clusters <= self.n_essential:
+        too_many = self.n_essential is not None and self.n_clusters > self.n_essential
+        if self.n_clusters < 1 or too_many:
             raise ValueError("n_clusters must be in [1, n_essential]")
 
 
@@ -207,12 +208,15 @@ def protocol_p2(
     run out; (3) k-means the candidates into n_clusters groups; (4) in
     rounds, each cluster contributes the unclaimed candidate nearest its
     centroid, the round is shuffled, and rounds repeat until n_essential
-    indices are ordered.  A degenerate embedding (all points coincide)
-    falls back to P1 with a warning; a spectrum whose phasor point is not
-    finite raises ValueError naming its row.
+    indices are ordered; an n_essential of None stands for n, the spectrum
+    count.  A degenerate embedding (all points coincide) falls back to P1
+    with a warning; a spectrum whose phasor point is not finite raises
+    ValueError naming its row.
     """
     rows = np.asarray(spectra)
     n = rows.shape[0]
+    if config.n_essential is None:
+        config = replace(config, n_essential=n)
     with np.errstate(invalid="ignore"):  # a non-finite row is named below
         points = phasor_embedding(rows, basis)
     sites = _sorted_sites(points)

@@ -1,15 +1,21 @@
 """End-to-end tests of the command line front end (in process)."""
 
+import argparse
+import hashlib
+import inspect
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kfunmix.cli import main
+from kfunmix.cli import build_parser, main
 from kfunmix.datamodel import load_dataset
 from kfunmix.kalman import NumericalError, kf_update
 from kfunmix.metrics import read_trace_csv
+from kfunmix.pipeline import PipelineConfig, run_experiment
 from kfunmix.protocols import load_order_csv
+from kfunmix.synthdata import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,38 @@ def workspace(tmp_path_factory):
     return root
 
 
+def subcommand_parsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    def test_synth_and_run_options_hold_no_library_default(self):
+        """Every option that sets a SynthConfig or PipelineConfig field or a
+        run_experiment keyword is required or suppressed when omitted.
+        ``--baselines`` is exempt: it is a comma list the CLI parses."""
+        library = {f.name for f in fields(SynthConfig) + fields(PipelineConfig)}
+        library |= {
+            name for name, param in inspect.signature(run_experiment).parameters.items()
+            if param.kind is param.KEYWORD_ONLY and name != "baselines"
+        }
+        parsers = subcommand_parsers()
+        optional = []
+        for command in ("synth", "run"):
+            for action in parsers[command]._actions:
+                if action.dest in library and not action.required:
+                    assert action.default is argparse.SUPPRESS, (command, action.dest)
+                    optional.append(action.dest)
+        assert len(optional) == 14
+
+    def test_help_lists_every_option(self, capsys):
+        for command, parser in subcommand_parsers().items():
+            assert main([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            for action in parser._actions:
+                assert all(flag in out for flag in action.option_strings)
+
+
 class TestSynth:
     def test_writes_a_loadable_dataset(self, workspace, capsys):
         bundle = load_dataset(workspace / "ds")
@@ -49,6 +87,26 @@ class TestSynth:
         ])
         assert rc == 0
         assert "wrote 12x40 dataset" in capsys.readouterr().out
+
+    def test_omitted_settings_take_the_config_defaults(self, tmp_path, monkeypatch, capsys):
+        configs = []
+
+        def fake(config):
+            configs.append(config)
+            raise ValueError("stop")
+
+        monkeypatch.setattr("kfunmix.cli.generate_dataset", fake)
+        base = ["synth", "--out", str(tmp_path / "d"), "--n-spectra", "12",
+                "--n-channels", "40", "--n-endmembers", "2"]
+        assert main(base) == 2
+        assert main([*base, "--snr-db", "30", "--alpha", "2,3", "--purity-cap", "0.8",
+                     "--seed", "4"]) == 2
+        capsys.readouterr()
+        assert configs == [
+            SynthConfig(n_spectra=12, n_channels=40, n_endmembers=2),
+            SynthConfig(n_spectra=12, n_channels=40, n_endmembers=2, snr_db=30.0,
+                        alpha=(2.0, 3.0), purity_cap=0.8, seed=4),
+        ]
 
     def test_alpha_accepts_a_comma_list(self, tmp_path):
         rc = main([
@@ -120,6 +178,19 @@ class TestOrder:
         assert rc == 2
         assert "--n-clusters is required" in capsys.readouterr().err
 
+    def test_p2_without_n_essential_orders_every_spectrum(self, workspace, tmp_path):
+        """The order the CLI gave when it filled in the dataset size itself."""
+        out = tmp_path / "p2.csv"
+        rc = main([
+            "order", "--data", str(workspace / "ds"), "--protocol", "p2",
+            "--n-clusters", "10", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        order = load_order_csv(out)
+        digest = hashlib.sha256(",".join(map(str, order.indices)).encode()).hexdigest()
+        assert order.indices[:8] == (45, 65, 31, 52, 37, 1, 26, 3)
+        assert digest == "f073ff3e467a34bc2c357d36dab682fd5c705a3bd6411d16bb0508a69825853e"
+
     def test_missing_dataset_is_an_input_error(self, tmp_path, capsys):
         rc = main([
             "order", "--data", str(tmp_path / "nope"), "--protocol", "p1",
@@ -132,7 +203,7 @@ class TestOrder:
         "flags, out, message",
         [
             (["--protocol", "p2"], "o.csv", "--n-clusters is required"),
-            (["--protocol", "p2", "--n-clusters", "0"], "o.csv", "--n-clusters must be >= 1"),
+            (["--protocol", "p2", "--n-clusters", "0"], "o.csv", "n_clusters must be in"),
             (["--protocol", "p2", "--n-clusters", "2", "--n-essential", "0"], "o.csv",
              "n_essential must be >= 1"),
             (["--protocol", "p2", "--n-clusters", "5", "--n-essential", "3"], "o.csv",
@@ -226,6 +297,11 @@ class TestRun:
             (["--n-endmembers", "2", "--eta", "0"], "eta"),
             (["--n-endmembers", "3", "--n-init", "2"], "n_init"),
             (["--n-endmembers", "2", "--updater", "rls", "--sigma-v2", "0"], "sigma_v2 > 0"),
+            (["--n-endmembers", "2", "--eval-stride", "0"], "eval_stride must be >= 1"),
+            (["--n-endmembers", "2", "--abundance-stride", "-1"],
+             "abundance_stride must be >= 0"),
+            (["--n-endmembers", "2", "--baseline-stride", "0"], "baseline_stride must be >= 1"),
+            (["--n-endmembers", "2", "--baselines", "pls"], "unknown baseline 'pls'"),
         ],
     )
     def test_bad_config_fails_before_reading(self, workspace, tmp_path, monkeypatch,
@@ -240,6 +316,46 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def captured_call(workspace, tmp_path, monkeypatch, flags):
+        """The config and keywords ``kfunmix run`` hands to run_experiment."""
+        calls = []
+
+        def fake(dataset, order, config, **keywords):
+            calls.append((config, keywords))
+            raise ValueError("stop")
+
+        monkeypatch.setattr("kfunmix.cli.run_experiment", fake)
+        out = tmp_path / "t.csv"
+        assert main(["run", "--data", str(workspace / "ds"), "--out", str(out), *flags]) == 2
+        [(config, keywords)] = calls
+        assert keywords.pop("flush_path") == str(out)
+        return config, keywords
+
+    def test_omitted_settings_take_the_library_defaults(self, workspace, tmp_path,
+                                                        monkeypatch, capsys):
+        config, keywords = self.captured_call(
+            workspace, tmp_path, monkeypatch, ["--n-endmembers", "3"]
+        )
+        capsys.readouterr()
+        assert config == PipelineConfig(n_endmembers=3)
+        assert keywords == {"baselines": ()}
+
+    def test_given_settings_pass_through(self, workspace, tmp_path, monkeypatch, capsys):
+        config, keywords = self.captured_call(workspace, tmp_path, monkeypatch, [
+            "--n-endmembers", "2", "--n-init", "12", "--eta", "90", "--n-harmonics", "5",
+            "--sigma-v2", "0.5", "--updater", "rls", "--rls-forgetting", "0.9",
+            "--seed", "3", "--eval-stride", "4", "--abundance-stride", "0",
+            "--baselines", "vca,mcr-als", "--baseline-stride", "7",
+        ])
+        capsys.readouterr()
+        assert config == PipelineConfig(
+            n_endmembers=2, n_init=12, eta=90.0, n_harmonics=5, sigma_v2=0.5,
+            updater="rls", rls_forgetting=0.9, seed=3,
+        )
+        assert keywords == {"baselines": ("vca", "mcr-als"), "eval_stride": 4,
+                            "abundance_stride": 0, "baseline_stride": 7}
 
     def test_output_check_leaves_no_file_behind(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

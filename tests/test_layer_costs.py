@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,8 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     assert layer_costs.main(["--rounds", "1", "--steps", "2", "--calls", "2", "--max-k", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["rounds"] == 1 and report["steps_per_round"] == 2
+    assert set(report["blas_threads"]) == set(layer_costs.THREAD_ENV)
+    assert all(value for value in report["blas_threads"].values())
     assert set(report["step_us"]) == {name for name, *_ in layer_costs.OPERATING_POINTS}
     setup = report["setup_us"]
     assert set(setup["init_pipeline"]) == set(report["step_us"])
@@ -40,6 +45,21 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
         figures.extend(report[key].values())
     for figure in figures:
         assert 0.0 < figure["median"] <= figure["p95"]
+
+
+def test_pins_blas_threads_unless_the_caller_set_them():
+    env = {k: v for k, v in os.environ.items() if k not in layer_costs.THREAD_ENV}
+    env["OMP_NUM_THREADS"] = "2"
+    code = (
+        "import os, runpy, sys; runpy.run_path(sys.argv[1]); "
+        "print(','.join(os.environ[name] for name in sys.argv[2:]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPT), *layer_costs.THREAD_ENV],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    expected = ["2" if name == "OMP_NUM_THREADS" else "1" for name in layer_costs.THREAD_ENV]
+    assert out.split() == [",".join(expected)]
 
 
 @pytest.mark.parametrize("args", [["--rounds", "0"], ["--max-k", "13"], ["--max-k", "1"]])

@@ -1,6 +1,7 @@
 """Tests for evaluation metrics and the metric-trace CSV format."""
 import itertools
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from kfunmix.datamodel import ConcentrationMatrix, EndmemberMatrix, SpectraMatrix
 from kfunmix.metrics import (
+    TRACE_COLUMNS,
     MetricRecord,
     align_components,
     asad,
@@ -318,6 +320,31 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(self.records(), path)
         assert "32,nan,nan,nan,1.75" in path.read_text()
+
+    def test_file_bytes_and_exact_round_trip(self, tmp_path):
+        """The bytes the column-by-column writer once produced."""
+        path = tmp_path / "trace.csv"
+        records = (*self.records(), MetricRecord(33, 0.1 + 0.2, 1e-300, 5.0, 1 / 3))
+        write_trace_csv(records, path, comments={"k": "v"})
+        assert path.read_bytes() == (
+            b"# k=v\nt,asad_deg,rmse,re,wall_ms\n"
+            b"31,12.5,0.080000000000000002,0.14999999999999999,2.25\n"
+            b"32,nan,nan,nan,1.75\n"
+            b"33,0.30000000000000004,1e-300,5,0.33333333333333331\n"
+        )
+        assert read_trace_csv(path) == (records, {"k": "v"})
+
+    def test_columns_are_the_record_fields(self):
+        assert TRACE_COLUMNS == tuple(f.name for f in fields(MetricRecord))
+        assert TRACE_COLUMNS == ("t", "asad_deg", "rmse", "re", "wall_ms")
+
+    def test_nan_wall_time_stays_nan(self, tmp_path):
+        """Only the fields that may be None read "nan" as None."""
+        path = tmp_path / "trace.csv"
+        path.write_text("t,asad_deg,rmse,re,wall_ms\n31,nan,nan,nan,nan\n")
+        (record,), _ = read_trace_csv(path)
+        assert record.asad_deg is None and record.rmse is None and record.re is None
+        assert np.isnan(record.wall_ms)
 
     def test_unexpected_header(self, tmp_path):
         path = tmp_path / "trace.csv"

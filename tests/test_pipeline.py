@@ -12,7 +12,10 @@ from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonic
 from kfunmix.kalman import NumericalError, kf_update
 from kfunmix.metrics import read_trace_csv, sad
 from kfunmix.pipeline import (
+    BASELINES,
+    STRIDES,
     PipelineConfig,
+    check_experiment_options,
     init_pipeline,
     pipeline_step,
     run_experiment,
@@ -532,6 +535,16 @@ class TestRunExperiment:
             run_experiment(data, order, stream_config(), baseline_stride=0)
         with pytest.raises(ValueError, match="unknown baseline 'pls'"):
             run_experiment(data, order, stream_config(), baselines=("pls",))
+
+    def test_option_check_reads_only_the_strides_given(self):
+        check_experiment_options(())
+        check_experiment_options(BASELINES, abundance_stride=0)
+        for name, least in STRIDES.items():
+            check_experiment_options((), **{name: least})
+            with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+                check_experiment_options((), **{name: least - 1})
+        with pytest.raises(ValueError, match="unknown baseline 'pls'"):
+            check_experiment_options(("vca", "pls"), eval_stride=1)
 
     def test_flushes_partial_trace_on_numerical_failure(self, tmp_path, monkeypatch):
         data = stream_dataset()

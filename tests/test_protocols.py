@@ -416,6 +416,21 @@ class TestProtocolP2:
         with pytest.raises(ValueError, match="n_clusters must be in"):
             P2Config(n_essential=3, n_clusters=4)
 
+    def test_no_n_essential_orders_every_spectrum(self):
+        rows, _ = self.planted_cluster_rows()
+        basis = build_basis(rows.shape[1], 2)
+        every = protocol_p2(rows, basis, P2Config(None, 5, seed=2))
+        assert every == protocol_p2(rows, basis, P2Config(rows.shape[0], 5, seed=2))
+
+    def test_no_n_essential_checks_clusters_against_the_spectrum_count(self):
+        with pytest.raises(ValueError, match="n_clusters must be in"):
+            P2Config(n_essential=None, n_clusters=0)
+        rows, _ = self.planted_cluster_rows()
+        basis = build_basis(rows.shape[1], 2)
+        assert len(protocol_p2(rows, basis, P2Config(None, rows.shape[0])).indices) == 90
+        with pytest.raises(ValueError, match="n_clusters must be in"):
+            protocol_p2(rows, basis, P2Config(None, rows.shape[0] + 1))
+
 
 # (n_spectra, n_endmembers, purity_cap, n_essential, n_clusters): 40 generated sets,
 # capped and uncapped, n from 200 to 1000, essentials from 10 to every spectrum.
