@@ -24,7 +24,10 @@ of a fresh interpreter that runs ``import kfunmix.cli`` with ``--src`` on
 ``load_dataset`` of an L400 x 1030 dataset saved once to a temporary
 directory, the P2 order of a 1000 x 200 set at purity cap 0.8 (340
 spectra, 50 clusters), and the ``init_pipeline`` call that starts each
-operating point's stream.
+operating point's stream.  The importing process also prints its own peak
+RSS (``VmHWM`` from ``/proc/self/status``, so Linux only);
+``import_rss_mb`` is the median of those over the rounds, the memory that
+loading kfunmix and its dependencies takes before any data is read.
 
 BLAS and OpenMP run on one thread, as in the benchmark: before NumPy is
 imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -117,17 +120,30 @@ def stream_round(data, config, steps: int, out: dict[str, list[float]]) -> float
     return init_s
 
 
-def import_seconds(src: str) -> float:
-    """Wall seconds a fresh ``import kfunmix.cli`` adds to a bare interpreter start."""
+def import_cost(src: str) -> tuple[float, float]:
+    """Wall seconds a fresh ``import kfunmix.cli`` adds to a bare interpreter
+    start, and the peak RSS in MB of the process that imported it."""
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
+    # Both processes print their peak RSS in KB, so the wall-time difference
+    # is the import alone.  Linux carries ru_maxrss across exec from the
+    # process that spawned the child, so it would read this script's peak;
+    # VmHWM counts the child's own pages only.
+    report_rss = (
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))"
+    )
 
-    def wall(code: str) -> float:
+    def run(code: str) -> tuple[float, float]:
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
-        return time.perf_counter() - t0
+        out = subprocess.run(
+            [sys.executable, "-c", f"{code}; {report_rss}"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        return time.perf_counter() - t0, int(out) / 1024
 
-    return wall("import kfunmix.cli") - wall("pass")
+    import_s, import_rss_mb = run("import kfunmix.cli")
+    return import_s - run("pass")[0], import_rss_mb
 
 
 def host_reference(rng: np.random.Generator) -> float:
@@ -183,14 +199,16 @@ def main(argv: list[str] | None = None) -> int:
 
     layers = {name: {layer: [] for layer in LAYERS} for name, _, _ in streams}
     init = {name: [] for name, _, _ in streams}
-    imports, load, p2 = [], [], []
+    imports, import_rss, load, p2 = [], [], [], []
     fcls_one = {k: [] for k in ks}
     fcls_batch = {k: [] for k in ks}
     host = []
     clock = time.perf_counter
     for _ in range(args.rounds):
         host.append(host_reference(rng))
-        imports.append(import_seconds(os.path.abspath(args.src)))
+        import_s, import_rss_mb = import_cost(os.path.abspath(args.src))
+        imports.append(import_s)
+        import_rss.append(import_rss_mb)
         t0 = clock()
         datamodel.load_dataset(data_dir.name)
         load.append(clock() - t0)
@@ -223,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             "protocol_p2": summary(p2),
             "init_pipeline": {name: summary(v) for name, v in init.items()},
         },
+        "import_rss_mb": float(np.median(import_rss)),
         "step_us": {
             name: {layer: summary(v) for layer, v in per.items()} for name, per in layers.items()
         },

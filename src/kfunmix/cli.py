@@ -30,9 +30,14 @@ from .synthdata import SynthConfig, generate_dataset
 
 
 def _parse_alpha(text: str) -> float | tuple[float, ...]:
-    values = [float(p) for p in text.split(",") if p.strip()]
+    values = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"--alpha: {token!r} is not a number") from None
     if not values:
-        raise ValueError("alpha must contain at least one number")
+        raise ValueError("--alpha: no number given")
     return values[0] if len(values) == 1 else tuple(values)
 
 

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .abundance import FclsConfig, estimate_concentrations
 from .datamodel import (
@@ -66,6 +65,9 @@ def pca_nonneg_init(
 
 def _endmember_step(rows: FloatArray, concentrations: FloatArray) -> FloatArray:
     """Per-channel NNLS: each channel's endmember values fit that channel's data."""
+    # Imported here: scipy.optimize is ~20 MB that only this baseline uses.
+    from scipy.optimize import nnls
+
     design = concentrations
     if np.linalg.cond(design) > RANK_COND_LIMIT:
         warnings.warn(

@@ -4,22 +4,24 @@ Endmember error is the spectral angle in degrees, averaged after an
 optimal one-to-one alignment between estimated and true components.  An
 angle is θ = 2·atan2(‖â − b̂‖, ‖â + b̂‖) on unit vectors, which is accurate
 at every angle, 0 included; the arccos of a rounded cosine is not near 0.
-All K² angles come from one K×K matrix, one ``linear_sum_assignment`` on it
+All K² angles come from one K×K matrix, one minimum-cost assignment on it
 picks the alignment, and the average reads the matched entries of the same
-matrix.  Abundance error is a root mean square over all entries after
-applying the same alignment.  Reconstruction error is relative in Frobenius
-norm, with a rank-K PCA projection giving the attainable lower bound.
+matrix.  The assignment is an in-repo O(K³) Hungarian method, so evaluation
+needs no ``scipy.optimize``.  Abundance error is a root mean square over all
+entries after applying the same alignment.  Reconstruction error is relative
+in Frobenius norm, with a rank-K PCA projection giving the attainable lower
+bound.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import get_args, get_type_hints
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .datamodel import (
     FLOAT_FORMAT,
@@ -67,10 +69,70 @@ def _angle_matrix(
 
 
 def _assign(angles: FloatArray) -> np.ndarray:
-    rows, cols = linear_sum_assignment(angles)
-    perm = np.empty(angles.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm
+    """Permutation p minimizing the sum of angles[k, p[k]] over k.
+
+    The Hungarian method in its shortest-augmenting-path form with row and
+    column potentials (Kuhn 1955; Munkres 1957; Jonker & Volgenant 1987),
+    O(K³) in plain Python.  Rows join one at a time; each takes the
+    cheapest path of reduced costs to a free column, and the columns along
+    the path shift to the rows behind them.  Ties go to the lowest column
+    index: of the columns that reach the minimum reduced cost, the first
+    is taken, so an all-equal matrix gives the identity.  Where several
+    permutations share the minimum total, the one returned has that total
+    but need not be the one another solver returns.
+    """
+    cost = angles.tolist()
+    # Finite entries of at most 180 degrees cannot overflow the sum.
+    if not math.isfinite(sum(map(sum, cost))):
+        raise ValueError("assignment costs must be finite")
+    # Each row's cheapest column, the lowest index among equals.  When no two
+    # rows share one, no total can undercut the sum of the row minima, and the
+    # loop below would place each row there at its first scan.
+    cheapest = [row.index(min(row)) for row in cost]
+    if len(set(cheapest)) == len(cheapest):
+        return np.array(cheapest, dtype=int)
+    n = len(cost)
+    row_pot = [0.0] * n
+    col_pot = [0.0] * n
+    row_of = [-1] * n  # row matched to each column, -1 while free
+    prev_col = [0] * n  # predecessor of each column on the path, -1 for the new row
+    for new_row in range(n):
+        row, col = new_row, -1
+        slack = [math.inf] * n  # least reduced cost of a path to each column
+        free = list(range(n))  # columns no path from the new row reaches yet
+        reached = []  # matched columns the paths pass through
+        while True:
+            costs = cost[row]
+            base = row_pot[row]
+            delta = math.inf
+            for j in free:
+                reduced = costs[j] - base - col_pot[j]
+                if reduced < slack[j]:
+                    slack[j] = reduced
+                    prev_col[j] = col
+                if slack[j] < delta:
+                    delta = slack[j]
+                    nearest = j
+            row_pot[new_row] += delta
+            for j in reached:
+                row_pot[row_of[j]] += delta
+                col_pot[j] -= delta
+            col = nearest
+            row = row_of[col]
+            if row < 0:
+                break
+            free.remove(col)
+            for j in free:
+                slack[j] -= delta
+            reached.append(col)
+        while col >= 0:  # shift each row on the path one column along it
+            before = prev_col[col]
+            row_of[col] = row_of[before] if before >= 0 else new_row
+            col = before
+    perm = [0] * n
+    for j in range(n):
+        perm[row_of[j]] = j
+    return np.array(perm, dtype=int)
 
 
 def align_components(

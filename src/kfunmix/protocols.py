@@ -276,4 +276,9 @@ def load_order_csv(path: str | os.PathLike[str]) -> AcquisitionOrder:
             indices.append(int(line))
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: non-integer index {line!r}") from None
-    return AcquisitionOrder(tuple(indices))
+    if not indices:
+        raise ValueError(f"{path}: holds no index lines")
+    try:
+        return AcquisitionOrder(tuple(indices))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -121,7 +121,16 @@ class TestSynth:
             "--n-channels", "40", "--n-endmembers", "2", "--alpha", ",",
         ])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --alpha: no number given\n"
+
+    def test_non_numeric_alpha_names_the_option_and_token(self, tmp_path, capsys):
+        rc = main([
+            "synth", "--out", str(tmp_path / "d"), "--n-spectra", "12",
+            "--n-channels", "40", "--n-endmembers", "2", "--alpha", "2,x",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --alpha: 'x' is not a number\n"
+        assert not (tmp_path / "d").exists()
 
     def test_invalid_size_is_a_config_error(self, tmp_path, capsys):
         rc = main([
@@ -263,6 +272,28 @@ class TestRun:
         assert records[-1].t == 80
         assert comments["abundance_stride"] == "0"
         assert all(rec.rmse is None for rec in records)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "holds no index lines"),
+            ("\n", "holds no index lines"),
+            ("# only a comment\n\n# and another\n", "holds no index lines"),
+            ("1\n1\n", "order contains duplicate indices"),
+            ("-1\n", "order contains negative indices"),
+        ],
+    )
+    def test_bad_order_file_is_an_input_error_naming_it(self, workspace, tmp_path,
+                                                        capsys, text, message):
+        order = tmp_path / "bad.csv"
+        order.write_text(text)
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--order", str(order),
+            "--out", str(tmp_path / "t.csv"), "--n-endmembers", "2",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {order}: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_out_is_a_directory_is_an_input_error(self, workspace, tmp_path,
                                                   monkeypatch, capsys):

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from kfunmix.datamodel import ConcentrationMatrix, EndmemberMatrix, SpectraMatrix
 from kfunmix.metrics import (
     TRACE_COLUMNS,
+    _assign,
     MetricRecord,
     align_components,
     asad,
@@ -122,26 +123,99 @@ class TestAlignComponents:
             metric(est, truth)
 
 
-class TestAngleMatrixOracle:
-    """align_components and asad against the per-pair `sad` loop."""
+def second_best_total(cost: np.ndarray, best: np.ndarray) -> float:
+    """Least total of a permutation other than ``best``.
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    Any other permutation leaves out some matched pair of ``best``, so the
+    runner-up is the cheapest assignment with one of those pairs forbidden.
+    """
+    if cost.shape[0] == 1:
+        return np.inf
+    totals = []
+    for row, col in enumerate(best):
+        banned = cost.copy()
+        banned[row, col] = np.inf
+        rows, cols = linear_sum_assignment(banned)
+        totals.append(banned[rows, cols].sum())
+    return min(totals)
+
+
+def brute_force_total(cost: np.ndarray) -> float:
+    k = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(k))))
+    return float(cost[np.arange(k), perms].sum(axis=1).min())
+
+
+def is_permutation(perm: np.ndarray, k: int) -> bool:
+    return perm.shape == (k,) and sorted(perm.tolist()) == list(range(k))
+
+
+class TestAngleMatrixOracle:
+    """align_components and asad against the per-pair `sad` loop, with
+    scipy's linear_sum_assignment as the assignment oracle."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_per_pair_loop(self, k):
         rng = np.random.default_rng(100 + k)
-        perms = np.array(list(itertools.permutations(range(k))))
         rows = np.arange(k)
         for n_channels in (2, 3, 7, 40, 400):
-            for draw in (rng.uniform, rng.normal):
-                est = draw(size=(n_channels, k))
-                truth = draw(size=(n_channels, k))
+            cases = [(draw(size=(n_channels, k)), draw(size=(n_channels, k)))
+                     for draw in (rng.uniform, rng.normal)]
+            # A noisy permuted copy, as a converged estimate is: each row's
+            # cheapest column is then usually its own.
+            truth = rng.uniform(size=(n_channels, k))
+            noise = rng.normal(scale=0.01, size=(n_channels, k))
+            cases.append((truth[:, rng.permutation(k)] + noise, truth))
+            for est, truth in cases:
                 cost = oracle_angles(est, truth)
                 _, oracle_perm = linear_sum_assignment(cost)  # rows come back as 0..k-1
+                oracle_total = cost[rows, oracle_perm].sum()
                 oracle_asad = float(np.mean(cost[rows, oracle_perm]))
 
                 assert abs(asad(est, truth) - oracle_asad) < 1e-10
-                totals = np.sort(cost[rows, perms].sum(axis=1))
-                if k == 1 or totals[1] - totals[0] > 1e-6:
+                if second_best_total(cost, oracle_perm) - oracle_total > 1e-6:
                     np.testing.assert_array_equal(align_components(est, truth), oracle_perm)
+
+
+class TestAssignmentTies:
+    """Where several permutations share the least total, any of them may be
+    returned; its total must be the least and it must be a permutation."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_all_equal_costs_give_the_identity(self, k):
+        for value in (0.0, 1.0, 45.0):
+            perm = _assign(np.full((k, k), value))
+            np.testing.assert_array_equal(perm, np.arange(k))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_integer_rounded_costs(self, k):
+        rng = np.random.default_rng(200 + k)
+        for scale in (1.0, 10.0, 45.0):
+            for _ in range(20):
+                cost = np.round(rng.uniform(0.0, 90.0, size=(k, k)) / scale)
+                perm = _assign(cost)
+                assert is_permutation(perm, k)
+                assert cost[np.arange(k), perm].sum() == brute_force_total(cost)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_duplicated_columns(self, k):
+        rng = np.random.default_rng(300 + k)
+        for n_copies in range(2, k + 1):
+            truth = rng.uniform(size=(40, k))
+            est = rng.uniform(size=(40, k))
+            est[:, 1:n_copies] = est[:, :1]  # n_copies equal estimates
+            cost = oracle_angles(est, truth)
+            perm = align_components(est, truth)
+            assert is_permutation(perm, k)
+            assert abs(cost[np.arange(k), perm].sum() - brute_force_total(cost)) < 1e-9
+            assert abs(asad(est, truth) - brute_force_total(cost) / k) < 1e-10
+
+    def test_non_finite_costs_are_rejected(self):
+        for bad in (np.nan, np.inf):
+            cost = np.ones((3, 3))
+            cost[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                _assign(cost)
 
 
 class TestAsad:

@@ -1,6 +1,10 @@
 """Tests for the streaming pipeline and the experiment runner."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -595,3 +599,40 @@ class TestRunExperiment:
             )
         records, _ = read_trace_csv(out)
         assert [rec.t for rec in records] == [11, 12, 13]
+
+
+def run_in_fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this checkout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+EXPERIMENT_CODE = """
+import sys
+import kfunmix.cli
+from kfunmix.pipeline import PipelineConfig, run_experiment
+from kfunmix.protocols import protocol_p1
+from kfunmix.synthdata import SynthConfig, generate_dataset
+data = generate_dataset(SynthConfig(n_spectra=40, n_channels=40, n_endmembers=2, seed=3))
+result = run_experiment(
+    data, protocol_p1(40), PipelineConfig(n_endmembers=2, n_init=10, n_harmonics=6),
+    eval_stride=10, baselines=({baseline!r},), baseline_stride=10,
+)
+assert result.trace.records[-1].asad_deg is not None
+assert result.baselines[{baseline!r}].records[-1].asad_deg is not None
+print("scipy.optimize" in sys.modules)
+"""
+
+
+class TestImportFootprint:
+    """scipy.optimize (about 20 MB) is loaded only by the MCR-ALS baseline."""
+
+    def test_stream_records_and_vca_baseline_leave_it_unloaded(self):
+        assert run_in_fresh_interpreter(EXPERIMENT_CODE.format(baseline="vca")) == "False\n"
+
+    def test_mcr_als_baseline_imports_it_when_called(self):
+        assert run_in_fresh_interpreter(EXPERIMENT_CODE.format(baseline="mcr-als")) == "True\n"
