@@ -25,9 +25,10 @@ of a fresh interpreter that runs ``import kfunmix.cli`` with ``--src`` on
 directory, the P2 order of a 1000 x 200 set at purity cap 0.8 (340
 spectra, 50 clusters), and the ``init_pipeline`` call that starts each
 operating point's stream.  The importing process also prints its own peak
-RSS (``VmHWM`` from ``/proc/self/status``, so Linux only);
-``import_rss_mb`` is the median of those over the rounds, the memory that
-loading kfunmix and its dependencies takes before any data is read.
+RSS (``VmHWM`` from ``/proc/self/status``); ``import_rss_mb`` is the
+median of those over the rounds, the memory that loading kfunmix and its
+dependencies takes before any data is read, or null on a host without
+``/proc``, where every other figure is still reported.
 
 BLAS and OpenMP run on one thread, as in the benchmark: before NumPy is
 imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -120,30 +121,34 @@ def stream_round(data, config, steps: int, out: dict[str, list[float]]) -> float
     return init_s
 
 
-def import_cost(src: str) -> tuple[float, float]:
+# The importing child prints its own peak RSS in KB, or nothing where the
+# host has no /proc.  ru_maxrss would not do: Linux carries it across exec
+# from the spawning process, so it would read this script's peak; VmHWM
+# counts the child's own pages only.  The read adds well under a millisecond.
+PEAK_RSS_KB = (
+    "import os\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    print(next(line.split()[1] for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')))"
+)
+
+
+def import_cost(src: str) -> tuple[float, float | None]:
     """Wall seconds a fresh ``import kfunmix.cli`` adds to a bare interpreter
-    start, and the peak RSS in MB of the process that imported it."""
+    start, and the peak RSS in MB of the process that imported it (None
+    where the host has no ``/proc``)."""
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
-    # Both processes print their peak RSS in KB, so the wall-time difference
-    # is the import alone.  Linux carries ru_maxrss across exec from the
-    # process that spawned the child, so it would read this script's peak;
-    # VmHWM counts the child's own pages only.
-    report_rss = (
-        "print(next(line.split()[1] for line in open('/proc/self/status')"
-        " if line.startswith('VmHWM:')))"
-    )
 
-    def run(code: str) -> tuple[float, float]:
+    def wall(code: str) -> tuple[float, str]:
         t0 = time.perf_counter()
         out = subprocess.run(
-            [sys.executable, "-c", f"{code}; {report_rss}"],
-            env=env, check=True, capture_output=True, text=True,
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
         ).stdout
-        return time.perf_counter() - t0, int(out) / 1024
+        return time.perf_counter() - t0, out
 
-    import_s, import_rss_mb = run("import kfunmix.cli")
-    return import_s - run("pass")[0], import_rss_mb
+    import_s, peak_kb = wall("import kfunmix.cli\n" + PEAK_RSS_KB)
+    return import_s - wall("pass")[0], int(peak_kb) / 1024 if peak_kb else None
 
 
 def host_reference(rng: np.random.Generator) -> float:
@@ -241,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             "protocol_p2": summary(p2),
             "init_pipeline": {name: summary(v) for name, v in init.items()},
         },
-        "import_rss_mb": float(np.median(import_rss)),
+        "import_rss_mb": None if None in import_rss else float(np.median(import_rss)),
         "step_us": {
             name: {layer: summary(v) for layer, v in per.items()} for name, per in layers.items()
         },

@@ -85,12 +85,6 @@ def _assign(angles: FloatArray) -> np.ndarray:
     # Finite entries of at most 180 degrees cannot overflow the sum.
     if not math.isfinite(sum(map(sum, cost))):
         raise ValueError("assignment costs must be finite")
-    # Each row's cheapest column, the lowest index among equals.  When no two
-    # rows share one, no total can undercut the sum of the row minima, and the
-    # loop below would place each row there at its first scan.
-    cheapest = [row.index(min(row)) for row in cost]
-    if len(set(cheapest)) == len(cheapest):
-        return np.array(cheapest, dtype=int)
     n = len(cost)
     row_pot = [0.0] * n
     col_pot = [0.0] * n

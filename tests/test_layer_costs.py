@@ -34,7 +34,10 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     setup = report["setup_us"]
     assert set(setup["init_pipeline"]) == set(report["step_us"])
     assert set(setup) == {"import_kfunmix", "load_dataset", "protocol_p2", "init_pipeline"}
-    assert 0.0 < report["import_rss_mb"] < 1024.0
+    if os.path.exists("/proc/self/status"):
+        assert 0.0 < report["import_rss_mb"] < 1024.0
+    else:
+        assert report["import_rss_mb"] is None
     figures = [report["host_ref_us"], setup["import_kfunmix"], setup["load_dataset"],
                setup["protocol_p2"]]
     figures.extend(setup["init_pipeline"].values())
