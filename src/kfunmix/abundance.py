@@ -68,12 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import EndmemberMatrix, FloatArray
+from .datamodel import COND_WARN, RIDGE, EndmemberMatrix, FloatArray
 from .kalman import NumericalError
 
-# Ridge added to S^T S so near-duplicate endmember columns stay solvable.
-RIDGE = 1e-10
-COND_WARN = 1e8
 # lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
 SCREEN_RATIO = 1e-12
 # 2^12 - 1 = 4095 supports; the enumeration grows as 2^K.
@@ -164,8 +161,9 @@ def estimate_concentrations(
         must be finite.
     endmembers : (L, K) matrix
         Candidate pure spectra as columns, K <= MAX_ENDMEMBERS; must have
-        full column rank (a 1e-10 ridge keeps near-rank-deficient systems
-        solvable, with a warning once the condition number of S passes 1e8).
+        full column rank (the shared RIDGE keeps near-rank-deficient systems
+        solvable, with a warning once the condition number of S passes
+        COND_WARN; both live in :mod:`kfunmix.datamodel`).
 
     Returns
     -------
@@ -176,7 +174,7 @@ def estimate_concentrations(
     Raises
     ------
     ValueError
-        If the endmember matrix holds a NaN or an infinity.
+        If the endmember array is not 2-D, or holds a NaN or an infinity.
     NumericalError
         If a spectrum holds a NaN or an infinity, or if the ridged Gram is
         singular to working precision, lambda_min(S^T S) + ridge <=
@@ -186,6 +184,8 @@ def estimate_concentrations(
         inverse, raises it too.
     """
     s = np.asarray(endmembers)
+    if s.ndim != 2:
+        raise ValueError(f"endmembers must be an (L, K) matrix, got shape {s.shape}")
     rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
     n, n_channels = rows.shape
     if s.shape[0] != n_channels:
@@ -201,8 +201,6 @@ def estimate_concentrations(
     gram = s.T @ s
     if not np.isfinite(gram.diagonal()).all():
         raise ValueError("endmember matrix holds a NaN or an infinity")
-    if k == 1:
-        return np.ones((n, 1))
 
     eig = np.linalg.eigvalsh(gram)
     if eig[0] + RIDGE <= k * np.finfo(np.float64).eps * eig[-1]:

@@ -26,6 +26,12 @@ FloatArray = npt.NDArray[np.float64]
 # with these two values so the whole package agrees on what "feasible" means.
 NONNEG_TOL = 1e-9
 CLOSURE_TOL = 1e-6
+# Conditioning policy of every small solve: a condition number above
+# COND_LIMIT counts as singular, one above COND_WARN earns a warning, and
+# RIDGE on the diagonal keeps near-singular Gram matrices solvable.
+COND_LIMIT = 1e12
+COND_WARN = 1e8
+RIDGE = 1e-10
 
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip any float64 exactly
 

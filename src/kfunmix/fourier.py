@@ -22,6 +22,16 @@ def max_harmonics(n_channels: int) -> int:
     return n_channels // 2 + 1
 
 
+def _harmonic_weights(n_channels: int, n_harmonics: int) -> FloatArray:
+    """Energy weight of each of the first M harmonics: 1 for DC and a retained
+    Nyquist harmonic (self-conjugate), 2 for the others (paired with their conjugate)."""
+    weights = np.full(n_harmonics, 2.0)
+    weights[0] = 1.0
+    if n_channels % 2 == 0 and n_harmonics - 1 == n_channels // 2:
+        weights[-1] = 1.0
+    return weights
+
+
 @dataclass(frozen=True)
 class FourierBasis:
     """Truncated real DFT operator for spectra of a fixed channel count.
@@ -62,12 +72,7 @@ def build_basis(n_channels: int, n_harmonics: int) -> FourierBasis:
     angles = 2.0 * np.pi * k * n / n_channels
     operator = np.vstack([np.cos(angles), -np.sin(angles)]) / np.sqrt(float(n_channels))
     operator[n_harmonics] = 0.0  # exact zero rather than -sin(0) signed zeros
-
-    scale = np.full(n_harmonics, np.sqrt(2.0))
-    scale[0] = 1.0
-    if n_channels % 2 == 0 and n_harmonics - 1 == n_channels // 2:
-        scale[-1] = 1.0  # Nyquist row is self-conjugate
-    operator *= np.tile(scale, 2)[:, None]
+    operator *= np.tile(np.sqrt(_harmonic_weights(n_channels, n_harmonics)), 2)[:, None]
     return FourierBasis(n_channels, n_harmonics, operator)
 
 
@@ -106,11 +111,7 @@ def select_num_harmonics(spectra: SpectraMatrix | FloatArray, eta: float) -> int
     m_full = max_harmonics(n_channels)
 
     coeff = np.fft.rfft(rows, axis=1) / np.sqrt(n_channels)
-    weights = np.full(coeff.shape[1], 2.0)
-    weights[0] = 1.0
-    if n_channels % 2 == 0:
-        weights[-1] = 1.0
-    energy_per_harmonic = weights * np.sum(np.abs(coeff) ** 2, axis=0)
+    energy_per_harmonic = _harmonic_weights(n_channels, m_full) * np.sum(np.abs(coeff) ** 2, axis=0)
     retained = np.cumsum(energy_per_harmonic)
 
     total = float(np.sum(rows**2))

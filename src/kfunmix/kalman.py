@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import FloatArray
-
-# Gram matrices with condition numbers beyond this get a ridge before the
-# gradient-step solve.
-COND_LIMIT = 1e12
+from .datamodel import COND_LIMIT, RIDGE, FloatArray
 
 
 class NumericalError(RuntimeError):
@@ -195,5 +191,5 @@ def dl_update(
     gram = state.matrix + np.outer(c, c)
     solve_from = gram
     if np.linalg.cond(gram) > COND_LIMIT:
-        solve_from = gram + 1e-10 * np.eye(c.size)
+        solve_from = gram + RIDGE * np.eye(c.size)
     return _advance(state, np.linalg.solve(solve_from, c), residual, gram)

@@ -3,7 +3,7 @@
 Alternates a simplex-constrained abundance step (shared with the
 streaming solver) and a channel-wise nonnegative least-squares endmember
 step until the relative residual change stalls.  Both steps are exact,
-but the abundance step carries a 1e-10 ridge and a rank-deficient design
+but the abundance step carries the shared RIDGE and a rank-deficient design
 gets one too, so a trial update can still raise the Frobenius residual by
 rounding; such an update is discarded and the alternation stops at the
 last improving iterate.  The recorded residual sequence is nonincreasing
@@ -19,6 +19,8 @@ import numpy as np
 
 from .abundance import FclsConfig, estimate_concentrations
 from .datamodel import (
+    COND_LIMIT,
+    RIDGE,
     ConcentrationMatrix,
     EndmemberMatrix,
     FloatArray,
@@ -26,7 +28,6 @@ from .datamodel import (
 )
 from .vca import vca
 
-RANK_COND_LIMIT = 1e12
 # Alternation budget, and the relative residual change that ends it early.
 MAX_ITERS = 60
 REL_TOL = 1e-8
@@ -69,13 +70,13 @@ def _endmember_step(rows: FloatArray, concentrations: FloatArray) -> FloatArray:
     from scipy.optimize import nnls
 
     design = concentrations
-    if np.linalg.cond(design) > RANK_COND_LIMIT:
+    if np.linalg.cond(design) > COND_LIMIT:
         warnings.warn(
             "concentration matrix is rank deficient; adding ridge to the design",
             stacklevel=3,
         )
         k = design.shape[1]
-        design = np.vstack([design, np.sqrt(1e-10) * np.eye(k)])
+        design = np.vstack([design, np.sqrt(RIDGE) * np.eye(k)])
         rows = np.vstack([rows, np.zeros((k, rows.shape[1]))])
     n_channels = rows.shape[1]
     k = design.shape[1]

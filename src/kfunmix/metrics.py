@@ -24,16 +24,22 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .datamodel import (
-    FLOAT_FORMAT,
     ConcentrationMatrix,
     EndmemberMatrix,
     FloatArray,
     SpectraMatrix,
+    format_float,
 )
 
 
-def _angles(ref: FloatArray, est: FloatArray) -> FloatArray:
-    """Spectral angles in degrees between columns; entry (i, j) pairs ref i with est j."""
+def _angle_matrix(
+    estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
+) -> FloatArray:
+    """Spectral angles in degrees between columns; entry (i, j) pairs truth i with estimate j."""
+    est = np.asarray(estimated, dtype=np.float64)
+    ref = np.asarray(truth, dtype=np.float64)
+    if est.shape[1] != ref.shape[1]:
+        raise ValueError("component counts differ")
     if ref.shape[0] != est.shape[0]:
         raise ValueError("channel counts differ")
     norm_ref = np.sqrt(np.einsum("lk,lk->k", ref, ref))
@@ -52,20 +58,7 @@ def _angles(ref: FloatArray, est: FloatArray) -> FloatArray:
 
 def sad(a: FloatArray, b: FloatArray) -> float:
     """Spectral angle between two vectors, in degrees."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(_angles(a[:, None], b[:, None])[0, 0])
-
-
-def _angle_matrix(
-    estimated: EndmemberMatrix | FloatArray, truth: EndmemberMatrix | FloatArray
-) -> FloatArray:
-    """K×K spectral angles in degrees; entry (i, j) pairs truth i with estimate j."""
-    est = np.asarray(estimated, dtype=np.float64)
-    ref = np.asarray(truth, dtype=np.float64)
-    if est.shape[1] != ref.shape[1]:
-        raise ValueError("component counts differ")
-    return _angles(ref, est)
+    return float(_angle_matrix(np.asarray(b)[:, None], np.asarray(a)[:, None])[0, 0])
 
 
 def _assign(angles: FloatArray) -> np.ndarray:
@@ -237,16 +230,8 @@ def write_trace_csv(
     if comments:
         lines.extend(f"# {k}={comments[k]}" for k in sorted(comments))
     lines.append(TRACE_HEADER)
-    # One %-format per row. A column holding None is formatted beforehand as
-    # format_float would, inline to save a call per value.
-    columns = list(zip(*map(attrgetter(*TRACE_COLUMNS), records)))
-    specs = ["%s"] + [FLOAT_FORMAT] * (len(TRACE_COLUMNS) - 1)
-    for i, column in enumerate(columns):
-        if None in column:
-            columns[i] = ["nan" if v is None else FLOAT_FORMAT % v for v in column]
-            specs[i] = "%s"
-    row_format = ",".join(specs)
-    lines.extend(row_format % row for row in zip(*columns))
+    metrics = attrgetter(*TRACE_COLUMNS[1:])
+    lines.extend(",".join([str(rec.t), *map(format_float, metrics(rec))]) for rec in records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -254,7 +239,7 @@ def write_trace_csv(
 def read_trace_csv(
     path: str | os.PathLike[str],
 ) -> tuple[tuple[MetricRecord, ...], dict[str, str]]:
-    """Read a trace written by :func:`write_trace_csv`."""
+    """Read a trace written by :func:`write_trace_csv`; its header line is required."""
     comments: dict[str, str] = {}
     records: list[MetricRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -284,4 +269,6 @@ def read_trace_csv(
             records.append(MetricRecord(int(cells[0]), *metrics))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    if not body_seen:
+        raise ValueError(f"{path}: missing header")
     return tuple(records), comments

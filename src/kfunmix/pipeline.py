@@ -115,7 +115,7 @@ def init_pipeline(
     """Initialize a stream from its first P acquisitions.
 
     The spectra must be exactly the config's n_init rows, in acquisition
-    order.  Chooses the subspace order by the eta energy criterion,
+    order, each finite.  Chooses the subspace order by the eta energy criterion,
     estimates the noise floor from smoothing residuals, extracts starting
     endmembers (unless config.init_endmembers is given), and builds the
     cached regression system.
@@ -127,6 +127,9 @@ def init_pipeline(
         raise ValueError(
             f"expected {config.n_init} initialization spectra, got {rows.shape[0]}"
         )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"initialization spectrum {int(np.argmin(finite))} is not finite")
 
     if config.n_harmonics is not None:
         n_harmonics = config.n_harmonics
@@ -227,17 +230,10 @@ class ExperimentResult:
 
 
 def _snapshot(config: PipelineConfig, state: PipelineState, extra: dict[str, str]) -> dict[str, str]:
-    snap = {
-        "n_endmembers": str(config.n_endmembers),
-        "n_init": str(config.n_init),
-        "eta": str(config.eta),
-        "sigma_v2": str(config.sigma_v2),
-        "updater": config.updater,
-        "rls_forgetting": str(config.rls_forgetting),
-        "seed": str(config.seed),
-        "n_harmonics": str(state.basis.n_harmonics),
-        "sigma_e2_hat": str(state.noise.sigma_e2),
-    }
+    """Trace comments: every scalar setting, the chosen M and the noise floor, then ``extra``."""
+    snap = {k: str(v) for k, v in vars(config).items() if isinstance(v, (int, float, str))}
+    snap["n_harmonics"] = str(state.basis.n_harmonics)
+    snap["sigma_e2_hat"] = str(state.noise.sigma_e2)
     snap.update(extra)
     return snap
 

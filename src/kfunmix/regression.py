@@ -66,12 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, cho_factor, cho_solve
 
-from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
+from .datamodel import COND_LIMIT, COND_WARN, EndmemberMatrix, FloatArray, SpectraMatrix
 from .fourier import FourierBasis, reduce_columns
 from .kalman import NumericalError
 
-CACHE_COND_LIMIT = 1e12
-CACHE_COND_WARN = 1e8
 ADMM_ITERS = 50
 RHO = 1.0
 
@@ -120,12 +118,12 @@ def build_regressor_set(
 
     normal = 2.0 * (reduced.T @ reduced) + RHO * (full.T @ full)
     cond = float(np.linalg.cond(normal))
-    if cond > CACHE_COND_LIMIT:
+    if cond > COND_LIMIT:
         raise ValueError(
             f"regression system is singular (cond={cond:.3g}); "
             "increase the number of initialization spectra"
         )
-    if cond > CACHE_COND_WARN:
+    if cond > COND_WARN:
         warnings.warn(
             f"regression system is poorly conditioned (cond={cond:.3g})",
             stacklevel=2,

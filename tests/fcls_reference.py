@@ -13,8 +13,8 @@ so a stream can be run through it by monkeypatching.
 
 import numpy as np
 
-from kfunmix.abundance import FEASIBLE_TOL, RIDGE
-from kfunmix.datamodel import EndmemberMatrix
+from kfunmix.abundance import FEASIBLE_TOL
+from kfunmix.datamodel import RIDGE, EndmemberMatrix
 
 
 def support_masks(k):

@@ -1,18 +1,17 @@
 """Tests for simplex-constrained abundance estimation against grid oracles."""
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from kfunmix.abundance import (
-    COND_WARN,
     MAX_ENDMEMBERS,
-    RIDGE,
     FclsConfig,
     estimate_concentration,
     estimate_concentrations,
 )
-from kfunmix.datamodel import EndmemberMatrix
+from kfunmix.datamodel import COND_WARN, RIDGE, EndmemberMatrix
 from kfunmix.kalman import NumericalError
 from kfunmix.metrics import asad
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step, run_experiment
@@ -89,10 +88,12 @@ class TestEstimateConcentrations:
         got = estimate_concentration(s[:, 1], s)
         np.testing.assert_allclose(got, [0.0, 1.0, 0.0], atol=1e-6)
 
-    def test_single_component_is_trivial(self):
+    # n = 1 takes the batched solve, n = 3 the stacked inverse.
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_single_component_is_trivial(self, n):
         s = np.ones((5, 1))
-        out = estimate_concentrations(np.random.default_rng(4).normal(size=(3, 5)), s)
-        np.testing.assert_array_equal(out, np.ones((3, 1)))
+        out = estimate_concentrations(np.random.default_rng(4).normal(size=(n, 5)), s)
+        np.testing.assert_array_equal(out, np.ones((n, 1)))
 
     def test_rows_land_on_simplex(self):
         rng = np.random.default_rng(5)
@@ -144,6 +145,15 @@ class TestEstimateConcentrations:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="does not match spectra"):
             estimate_concentrations(np.ones((2, 5)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 2)])
+    def test_endmembers_must_be_a_matrix(self, shape):
+        s = np.ones(shape)
+        match = re.escape(f"(L, K) matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=match):
+            estimate_concentrations(np.ones((2, 5)), s)
+        with pytest.raises(ValueError, match=match):
+            estimate_concentration(np.ones(5), s)
 
     def test_vector_required_for_single(self):
         with pytest.raises(ValueError, match="must be a vector"):

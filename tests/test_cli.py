@@ -486,3 +486,11 @@ class TestEval:
         rc = main(["eval", "--traces", str(tmp_path / "nope.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["", "# seed=0\n"], ids=["empty", "comments-only"])
+    def test_headerless_trace_is_an_input_error(self, tmp_path, capsys, text):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text)
+        rc = main(["eval", "--traces", str(trace)])
+        assert rc == 2
+        assert f"{trace}: missing header" in capsys.readouterr().err
+

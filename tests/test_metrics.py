@@ -426,6 +426,13 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="line 1: unexpected header"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "# seed=0\n# eta=87\n"], ids=["empty", "comments-only"])
+    def test_missing_header(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing header")):
+            read_trace_csv(path)
+
     def test_field_count_enforced(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,asad_deg,rmse,re,wall_ms\n31,1.0,2.0\n")

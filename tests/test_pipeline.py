@@ -126,6 +126,15 @@ class TestInitPipeline:
         with pytest.raises(ValueError, match="expected 10 initialization spectra, got 8"):
             init_pipeline(init_rows, config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_init_spectrum(self, bad):
+        _, init_rows, _ = small_stream_setup()
+        init_rows[5, 10] = bad
+        init_rows[6, 0] = bad
+        config = PipelineConfig(n_endmembers=2, n_init=8)
+        with pytest.raises(ValueError, match="initialization spectrum 5 is not finite"):
+            init_pipeline(init_rows, config)
+
     def test_rejects_one_dimensional_input(self):
         config = PipelineConfig(n_endmembers=1, n_init=1, n_harmonics=2)
         with pytest.raises(ValueError, match="2-D array"):
@@ -431,15 +440,24 @@ class TestRunExperiment:
         assert [rec.t for rec in ref.records] == [11, 60]
         assert ref.final_concentrations.values.shape == (60, 2)
 
-    def test_snapshot_carries_the_run_settings(self):
+    @pytest.mark.parametrize("n_harmonics", [6, None])
+    def test_snapshot_carries_the_run_settings(self, n_harmonics):
         data = stream_dataset()
         order = protocol_p1(60)
-        result = run_experiment(data, order, stream_config(), eval_stride=16)
+        # At eta = 99 this set's chosen M is 5; the default 87 keeps only DC.
+        config = stream_config(n_harmonics=n_harmonics, eta=99.0)
+        result = run_experiment(data, order, config, eval_stride=16)
         snap = result.trace.config_snapshot
+        assert set(snap) == {
+            "n_endmembers", "n_init", "eta", "n_harmonics", "sigma_v2", "updater",
+            "rls_forgetting", "seed", "sigma_e2_hat", "eval_stride", "abundance_stride",
+            "n_stream",
+        }
         assert snap["n_endmembers"] == "2"
         assert snap["n_init"] == "10"
         assert snap["updater"] == "kalman"
-        assert snap["n_harmonics"] == "6"
+        chosen = n_harmonics or select_num_harmonics(data.spectra.values[:10], config.eta)
+        assert snap["n_harmonics"] == str(chosen)
         assert snap["n_stream"] == "60"
         assert snap["eval_stride"] == "16"
         assert float(snap["sigma_e2_hat"]) > 0.0
