@@ -30,6 +30,15 @@ median of those over the rounds, the memory that loading kfunmix and its
 dependencies takes before any data is read, or null on a host without
 ``/proc``, where every other figure is still reported.
 
+VCA is timed once a round per case (``vca_us``), ``--calls`` calls each:
+prefixes of 51, 171 and 340 spectra of the P2 order timed in set-up, which the
+``p2-rls-baselines`` benchmark's VCA baseline meets (K3, clean regime), and
+two noisy K5 cases, the L400K5M16 stream's 30 init spectra and 340 x 400
+spectra.  Where the checkout's ``kfunmix.vca`` proves the clean regime from
+a sketch (``_certify_clean``), each case also gives that certificate's own
+time (``certificate``) and whether it decided the regime (``certified``);
+both are null for a checkout without one.
+
 BLAS and OpenMP run on one thread, as in the benchmark: before NumPy is
 imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` are set to 1 unless the caller set them, and the
@@ -94,6 +103,9 @@ N_INIT = 30
 LOAD_SHAPE = (1030, 400, 5, None)
 P2_SHAPE = (1000, 200, 3, 0.8)
 P2_ESSENTIAL, P2_CLUSTERS = 340, 50
+# P2-order prefixes of the clean VCA cases, and the noisy full-size case's shape.
+VCA_P2_PREFIXES = (51, 171, 340)
+VCA_NOISY_SHAPE = (340, 400, 5, None)
 
 
 def summary(samples: list[float]) -> dict[str, float]:
@@ -119,6 +131,32 @@ def stream_round(data, config, steps: int, out: dict[str, list[float]]) -> float
     for layer in LAYERS:
         out[layer].extend(ns / 1e9 for ns in tracer.durations(layer))
     return init_s
+
+
+def vca_round(cases: dict, calls: int, out: dict[str, dict[str, list]]) -> None:
+    """``calls`` traced ``vca`` calls per case of ``cases`` ({name: (rows, K)}).
+
+    Each call's seconds go to ``out[name]["vca"]``; the certificate's seconds
+    and verdicts, where the checkout has one, to ``"certificate"`` and
+    ``"certified"``.
+    """
+    from kfunmix import vca
+
+    verdicts = []
+    targets = [(vca, "vca", "vca", None)]
+    if hasattr(vca, "_certify_clean"):
+        targets.append(
+            (vca, "_certify_clean", "certificate", lambda args, kwargs, result: verdicts.append(result))
+        )
+    for name, (rows, k) in cases.items():
+        tracer = Tracer()
+        verdicts.clear()
+        with tracer.installed(targets):
+            for _ in range(calls):
+                vca.vca(rows, k)
+        for span in ("vca", "certificate"):
+            out[name][span].extend(ns / 1e9 for ns in tracer.durations(span))
+        out[name]["certified"].extend(verdicts)
 
 
 # The importing child prints its own peak RSS in KB, or nothing where the
@@ -169,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--steps", type=int, default=60, help="acquisitions per stream round")
-    parser.add_argument("--calls", type=int, default=5, help="FCLS calls per K and round")
+    parser.add_argument("--calls", type=int, default=5, help="FCLS calls per K, and VCA calls per case, per round")
     parser.add_argument("--max-k", type=int, default=12)
     args = parser.parse_args(argv)
     if min(args.rounds, args.steps, args.calls) < 1 or not 2 <= args.max_k <= 12:
@@ -193,6 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     p2_rows = synth(*P2_SHAPE).spectra.values
     p2_basis = fourier.build_basis(P2_SHAPE[1], 2)
     p2_config = protocols.P2Config(P2_ESSENTIAL, P2_CLUSTERS, seed=1)
+    p2_order = list(protocols.protocol_p2(p2_rows, p2_basis, p2_config).indices)
+    vca_cases = {f"p2_{t}": (p2_rows[p2_order[:t]], P2_SHAPE[2]) for t in VCA_P2_PREFIXES}
+    (name, _, k, _), (_, data, _) = OPERATING_POINTS[0], streams[0]
+    vca_cases[f"init_{name}"] = (data.spectra.values[:N_INIT], k)
+    noisy_n, noisy_l, noisy_k, _ = VCA_NOISY_SHAPE
+    vca_cases[f"L{noisy_l}K{noisy_k}_N{noisy_n}"] = (synth(*VCA_NOISY_SHAPE).spectra.values, noisy_k)
     data_dir = tempfile.TemporaryDirectory()
     datamodel.save_dataset(synth(*LOAD_SHAPE), data_dir.name)
     rng = np.random.default_rng(0)
@@ -207,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     imports, import_rss, load, p2 = [], [], [], []
     fcls_one = {k: [] for k in ks}
     fcls_batch = {k: [] for k in ks}
+    vca_samples = {name: {"vca": [], "certificate": [], "certified": []} for name in vca_cases}
     host = []
     clock = time.perf_counter
     for _ in range(args.rounds):
@@ -230,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             t0 = clock()
             abundance.estimate_concentrations(rows, s)
             fcls_batch[k].append(clock() - t0)
+        vca_round(vca_cases, args.calls, vca_samples)
     data_dir.cleanup()
 
     report = {
@@ -252,6 +298,14 @@ def main(argv: list[str] | None = None) -> int:
         },
         "fcls_one_us": {str(k): summary(v) for k, v in fcls_one.items()},
         f"fcls_batch{BATCH_ROWS}_us": {str(k): summary(v) for k, v in fcls_batch.items()},
+        "vca_us": {
+            name: {
+                **summary(v["vca"]),
+                "certificate": summary(v["certificate"]) if v["certificate"] else None,
+                "certified": all(v["certified"]) if v["certified"] else None,
+            }
+            for name, v in vca_samples.items()
+        },
     }
     json.dump(report, sys.stdout, indent=1)
     print()

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -47,8 +48,27 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     for key in ("fcls_one_us", f"fcls_batch{layer_costs.BATCH_ROWS}_us"):
         assert set(report[key]) == {"2", "3"}
         figures.extend(report[key].values())
+    p2_cases = {f"p2_{t}" for t in layer_costs.VCA_P2_PREFIXES}
+    assert set(report["vca_us"]) == p2_cases | {"init_L400K5M16", "L400K5_N340"}
+    for name, case in report["vca_us"].items():
+        # The P2 prefixes are clean and certified; the K5 cases are noisy.
+        assert case["certified"] is (name in p2_cases)
+        figures.extend([case, case["certificate"]])
     for figure in figures:
         assert 0.0 < figure["median"] <= figure["p95"]
+
+
+def test_vca_round_reports_no_certificate_for_a_checkout_without_one(monkeypatch):
+    import kfunmix
+    from kfunmix.vca import vca
+
+    # A kfunmix.vca module that offers vca alone, as before the certificate.
+    monkeypatch.setattr(kfunmix, "vca", types.SimpleNamespace(__name__="kfunmix.vca", vca=vca))
+    rows = generate_dataset(SynthConfig(n_spectra=40, n_channels=30, n_endmembers=3, seed=2))
+    out = {"case": {"vca": [], "certificate": [], "certified": []}}
+    layer_costs.vca_round({"case": (rows.spectra.values, 3)}, 2, out)
+    assert len(out["case"]["vca"]) == 2
+    assert out["case"]["certificate"] == [] and out["case"]["certified"] == []
 
 
 def test_pins_blas_threads_unless_the_caller_set_them():
