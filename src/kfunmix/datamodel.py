@@ -44,7 +44,8 @@ def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise ValueError(f"{name} row {bad} is not finite")
     return arr
 
 
@@ -67,7 +68,8 @@ class _Matrix:
 
 @dataclass(frozen=True)
 class SpectraMatrix(_Matrix):
-    """Measured spectra, one row per observation."""
+    """Measured spectra, one row per observation; the input rule of every
+    set-up and baseline function that takes a block of row spectra."""
 
     values: FloatArray
 

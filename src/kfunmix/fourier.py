@@ -104,9 +104,7 @@ def select_num_harmonics(spectra: SpectraMatrix | FloatArray, eta: float) -> int
     """
     if not 0.0 < eta <= 100.0:
         raise ValueError(f"eta must be in (0, 100], got {eta}")
-    rows = np.asarray(spectra)
-    if rows.ndim != 2:
-        raise ValueError("spectra must be a 2-D array of row spectra")
+    rows = SpectraMatrix(spectra).values
     n_channels = rows.shape[1]
     m_full = max_harmonics(n_channels)
 

@@ -53,7 +53,7 @@ def pca_nonneg_init(
     spectra: SpectraMatrix | FloatArray, n_endmembers: int, seed: int = 0
 ) -> EndmemberMatrix:
     """Clamped PCA loadings as an initial guess, VCA if clamping nulls a column."""
-    rows = np.asarray(spectra)
+    rows = SpectraMatrix(spectra).values
     _, _, vt = np.linalg.svd(rows, full_matrices=False)
     loadings = vt[:n_endmembers].T.copy()  # (L, K)
     # Sign convention: make each loading mostly positive before clamping.
@@ -103,9 +103,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
         Final abundances and endmembers plus the residual after each
         iteration (Frobenius norm of Y - C S^T, nonincreasing).
     """
-    rows = np.asarray(spectra)
-    if rows.ndim != 2:
-        raise ValueError("spectra must be a 2-D array of row spectra")
+    rows = SpectraMatrix(spectra).values
     if config.init.n_channels != rows.shape[1]:
         raise ValueError("init endmember channels do not match the data")
 

@@ -120,16 +120,11 @@ def init_pipeline(
     endmembers (unless config.init_endmembers is given), and builds the
     cached regression system.
     """
-    rows = np.asarray(init_spectra, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("init spectra must be a 2-D array of row spectra")
+    rows = SpectraMatrix(init_spectra).values
     if rows.shape[0] != config.n_init:
         raise ValueError(
             f"expected {config.n_init} initialization spectra, got {rows.shape[0]}"
         )
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"initialization spectrum {int(np.argmin(finite))} is not finite")
 
     if config.n_harmonics is not None:
         n_harmonics = config.n_harmonics

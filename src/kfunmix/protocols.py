@@ -210,15 +210,14 @@ def protocol_p2(
     centroid, the round is shuffled, and rounds repeat until n_essential
     indices are ordered; an n_essential of None stands for n, the spectrum
     count.  A degenerate embedding (all points coincide) falls back to P1
-    with a warning; a spectrum whose phasor point is not finite raises
-    ValueError naming its row.
+    with a warning; a spectrum that is not finite raises ValueError naming
+    its row.
     """
-    rows = np.asarray(spectra)
+    rows = SpectraMatrix(spectra).values
     n = rows.shape[0]
     if config.n_essential is None:
         config = replace(config, n_essential=n)
-    with np.errstate(invalid="ignore"):  # a non-finite row is named below
-        points = phasor_embedding(rows, basis)
+    points = phasor_embedding(rows, basis)
     sites = _sorted_sites(points)
 
     if np.all(points == points[0]):

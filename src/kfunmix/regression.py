@@ -110,10 +110,8 @@ def build_regressor_set(
     spectra: SpectraMatrix | FloatArray, basis: FourierBasis
 ) -> RegressorSet:
     """Assemble the regression system from row spectra and solve its two linear maps."""
-    rows = np.asarray(spectra)
-    if rows.ndim != 2:
-        raise ValueError("spectra must be a 2-D array of row spectra")
-    full = np.array(rows.T, dtype=np.float64, order="F")  # (L, P)
+    rows = SpectraMatrix(spectra).values
+    full = np.array(rows.T, order="F")  # (L, P)
     reduced = reduce_columns(full, basis)  # (2M, P)
 
     normal = 2.0 * (reduced.T @ reduced) + RHO * (full.T @ full)

@@ -38,12 +38,16 @@ and moves the SNR bound by about 1e-6 dB near the threshold.  Otherwise the
 exact test runs as it always has: the centred SVD, the exact SNR, the
 warning and the regime, the way :mod:`kfunmix.abundance` screens its
 conditioning warning before it takes an SVD.  Picks and warnings are thus
-those of the exact test on every input (where entries near 1e154 and up
-overflow its sums, NumPy's overflow warnings come in another order).  A certified call skips one full
+those of the exact test on every input.  A certified call skips one full
 SVD; an uncertified one pays for the sketch on top: four products of X_c
 with a thin matrix, two thin QR factorisations and the singular values of
 an N x w matrix, under a tenth of a noisy-regime call once N >= 100
 (``vca_us`` in ``scripts/layer_costs.py``).
+
+Every call works on the data times 2^-e, e the binary exponent of its
+largest magnitude: an exact rescale, so no sum, QR or SVD overflows or
+underflows, and the picks do not change under any power-of-two change of
+intensity unit.  The returned endmembers are the caller's rows.
 """
 
 from __future__ import annotations
@@ -98,17 +102,9 @@ def _sketch_bounds(centered: FloatArray, k: int) -> tuple[float, float, float]:
 def _certify_clean(
     data: FloatArray, mean: FloatArray, centered: FloatArray, k: int, threshold: float
 ) -> bool:
-    """True when the sketch proves the exact test clean and free of a warning.
-
-    Entries of about 1e152 and up overflow the sketch; it then certifies
-    nothing and stays silent, so the exact test decides and warns as before.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            top, sigma_last, frobenius = _sketch_bounds(centered, k)
-        except np.linalg.LinAlgError:
-            return False
-        return sigma_last > SIGNIFICANCE * frobenius and _estimate_snr_db(data, mean, top, k) >= threshold
+    """True when the sketch proves the exact test clean and free of a warning."""
+    top, sigma_last, frobenius = _sketch_bounds(centered, k)
+    return sigma_last > SIGNIFICANCE * frobenius and _estimate_snr_db(data, mean, top, k) >= threshold
 
 
 def vca(
@@ -123,22 +119,17 @@ def vca(
     With K >= 2, a sketch of the centred data may prove the clean regime,
     which skips the centred SVD; the picks and the significance warning
     are those of the exact test either way (see the module docstring).
-    Raises ValueError naming the first spectrum that is not finite.
     """
-    rows = np.asarray(spectra)
-    if rows.ndim != 2:
-        raise ValueError("spectra must be a 2-D array of row spectra")
+    rows = SpectraMatrix(spectra).values
     n, n_channels = rows.shape
     k = n_endmembers
     if k < 1:
         raise ValueError("n_endmembers must be >= 1")
     if k > min(n, n_channels):
         raise ValueError(f"cannot extract {k} endmembers from {n}x{n_channels} data")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"spectrum {int(np.argmin(finite))} is not finite")
 
-    data = rows.T  # (L, N), observations as columns
+    # (L, N) at the unit scale; ldexp, as 2.0**-e overflows for a subnormal maximum.
+    data = np.ldexp(rows.T, -np.frexp(np.abs(rows).max())[1])
     rng = np.random.default_rng(seed)
 
     if k == 1:
@@ -166,7 +157,7 @@ def vca(
         # Noisy regime: drop to K-1 principal coordinates and lift with a
         # constant so the simplex becomes full-dimensional.
         x = proj_k[: k - 1, :]
-        lift = float(np.max(np.sqrt(np.sum(x**2, axis=0)))) if x.size else 1.0
+        lift = float(np.max(np.sqrt(np.sum(x**2, axis=0))))
         if lift == 0.0:
             lift = 1.0
         points = np.vstack([x, np.full((1, n), lift)])

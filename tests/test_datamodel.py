@@ -51,11 +51,11 @@ class TestSpectraMatrix:
             SpectraMatrix(np.ones(4))
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="spectra row 0 is not finite"):
             SpectraMatrix(np.array([[1.0, np.nan]]))
 
     def test_rejects_inf(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="spectra row 0 is not finite"):
             SpectraMatrix(np.array([[np.inf, 1.0]]))
 
 
@@ -289,6 +289,34 @@ ENTRY_POINTS = {
 def test_entry_point_takes_wrapper_or_values(name):
     call = ENTRY_POINTS[name]
     assert_same(call(lambda w: w), call(lambda w: w.values))
+
+
+# The entry points above that take a block of row spectra at set-up or in
+# a baseline; a `u` that ignores its argument hands each one a bad block.
+SPECTRA_ENTRY_POINTS = {
+    name: ENTRY_POINTS[name]
+    for name in (
+        "select_num_harmonics", "build_regressor_set", "vca", "pca_nonneg_init",
+        "mcr_als", "protocol_p2", "estimate_noise_variance", "init_pipeline",
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA_ENTRY_POINTS))
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "1-D"])
+def test_spectra_entry_point_names_the_first_bad_row(name, case):
+    """One rule, one message: SpectraMatrix's, whichever function is called."""
+    rows = _Y_INIT.values.copy()
+    rows[4, 7] = rows[8, 0] = np.nan if case == "1-D" else float(case)
+    message = "spectra row 4 is not finite"
+    if case == "1-D":
+        rows = rows[4]
+        message = "spectra must be 2-dimensional, got ndim=1"
+        if name == "estimate_noise_variance":  # which reads one spectrum as one row
+            message = "spectra row 0 is not finite"
+    with pytest.raises(ValueError) as err:
+        SPECTRA_ENTRY_POINTS[name](lambda _: rows)
+    assert str(err.value) == message
 
 
 class TestChecksMatchThePreviousPredicates:

@@ -180,5 +180,5 @@ class TestSelectNumHarmonics:
             select_num_harmonics(rows, 100.5)
 
     def test_rejects_vector_input(self):
-        with pytest.raises(ValueError, match="2-D"):
+        with pytest.raises(ValueError, match="spectra must be 2-dimensional, got ndim=1"):
             select_num_harmonics(np.ones(8), 90.0)

@@ -130,7 +130,7 @@ class TestMcrAls:
 class TestValidation:
     def test_rejects_one_dimensional_spectra(self):
         init = EndmemberMatrix(np.ones((4, 1)))
-        with pytest.raises(ValueError, match="2-D array of row spectra"):
+        with pytest.raises(ValueError, match="spectra must be 2-dimensional, got ndim=1"):
             mcr_als(np.ones(4), McrConfig(init=init))
 
     def test_rejects_channel_mismatch(self):

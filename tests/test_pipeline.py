@@ -132,12 +132,12 @@ class TestInitPipeline:
         init_rows[5, 10] = bad
         init_rows[6, 0] = bad
         config = PipelineConfig(n_endmembers=2, n_init=8)
-        with pytest.raises(ValueError, match="initialization spectrum 5 is not finite"):
+        with pytest.raises(ValueError, match="spectra row 5 is not finite"):
             init_pipeline(init_rows, config)
 
     def test_rejects_one_dimensional_input(self):
         config = PipelineConfig(n_endmembers=1, n_init=1, n_harmonics=2)
-        with pytest.raises(ValueError, match="2-D array"):
+        with pytest.raises(ValueError, match="spectra must be 2-dimensional, got ndim=1"):
             init_pipeline(np.ones(16), config)
 
     def test_rejects_init_endmember_channel_mismatch(self):

@@ -141,7 +141,7 @@ class TestBuildRegressorSet:
         assert 1e8 < cond < 1e12
 
     def test_rejects_vector(self):
-        with pytest.raises(ValueError, match="2-D"):
+        with pytest.raises(ValueError, match="spectra must be 2-dimensional, got ndim=1"):
             build_regressor_set(np.ones(8), build_basis(8, 2))
 
     def test_regressor_set_validation(self):

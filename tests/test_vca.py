@@ -1,6 +1,5 @@
 """Tests for pure-pixel endmember extraction."""
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +103,19 @@ def rank_deficient_rows():
 def planted_noisy_rows():
     rows, _ = planted_dataset(seed=7)
     return rows + 1e-3 * np.random.default_rng(8).normal(size=rows.shape)
+
+
+def stream_init_rows():
+    """The first 30 spectra of an L400 K5 stream at 20 dB."""
+    return generate_dataset(SynthConfig(90, 400, 5, seed=1)).spectra.values[:30]
+
+
+SCALE_CASES = {
+    "p2-prefix": (lambda: p2_stream(1)[:171], 3),
+    "stream-init": (stream_init_rows, 5),
+    "L60K3": (lambda: generate_dataset(SynthConfig(200, 60, 3, seed=1)).spectra.values, 3),
+    "L400K5": (lambda: generate_dataset(SynthConfig(340, 400, 5, seed=1)).spectra.values, 5),
+}
 
 
 SPECIAL_CASES = {
@@ -218,7 +230,7 @@ class TestVca:
         rows[7, 3] = value
         rows[12, 0] = value
         calls = spy_svd(monkeypatch)
-        with pytest.raises(ValueError, match=r"^spectrum 7 is not finite$"):
+        with pytest.raises(ValueError, match=r"^spectra row 7 is not finite$"):
             vca(rows, k)
         assert calls == []
 
@@ -254,17 +266,41 @@ class TestMatchesReference:
         build, k = SPECIAL_CASES[case]
         assert_matches_reference(build(), k)
 
-    @pytest.mark.parametrize("log_scale", [-170.0, -150.0, 152.5, 153.5, 154.5])
-    def test_extreme_scales_match(self, log_scale):
-        """From about 1e152 the sketch overflows and must leave the call to
-        the exact test, silently."""
-        rows = generate_dataset(SynthConfig(n_spectra=200, n_channels=60, n_endmembers=3, seed=1))
-        rows = rows.spectra.values * 10.0**log_scale
-        got, want = capture(vca, rows, 3), capture(reference.vca, rows, 3)
-        np.testing.assert_array_equal(got[0], want[0])
-        # Overflowing sums warn in another order: the exact path now sums
-        # the top-K energy before the total energy.
-        assert Counter(got[1]) == Counter(want[1])
+
+class TestUnitScale:
+    """VCA works on the data times 2^-e, e the exponent of its largest magnitude."""
+
+    @pytest.mark.parametrize("case", ["p2-prefix", "stream-init"])
+    @pytest.mark.parametrize("power", [-600, -560, -300, 7, 300, 500])
+    def test_power_of_two_scales_give_the_same_picks(self, case, power):
+        build, k = SCALE_CASES[case]
+        rows = build()
+        got = capture(vca, np.ldexp(rows, power), k)
+        want = capture(vca, rows, k)
+        np.testing.assert_array_equal(got[0], np.ldexp(want[0], power))
+        assert got[1] == want[1] == []
+
+    def test_subnormal_counts_give_the_picks_of_the_counts(self):
+        """Integer counts times 2^-1074 are exact subnormals, whose unit
+        scale 2^-e is past the largest float64."""
+        counts = np.round(100.0 * stream_init_rows())
+        got = capture(vca, np.ldexp(counts, -1074), 5)
+        want = capture(vca, counts, 5)
+        np.testing.assert_array_equal(got[0], np.ldexp(want[0], -1074))
+        assert got[1] == want[1] == []
+
+    @pytest.mark.parametrize("case", sorted(SCALE_CASES))
+    @pytest.mark.parametrize("factor", [1e-170, 1e153, 1e156])
+    def test_extreme_factors_pick_as_the_reference_on_the_rescaled_input(self, case, factor):
+        """Where the reference's sums underflow or overflow, VCA is silent
+        and picks what the reference picks at the unit scale."""
+        build, k = SCALE_CASES[case]
+        rows = build() * factor
+        exponent = np.frexp(np.abs(rows).max())[1]
+        got = capture(vca, rows, k)
+        assert got[1] == []
+        want = capture(reference.vca, np.ldexp(rows, -exponent), k)
+        np.testing.assert_array_equal(np.ldexp(got[0], -exponent), want[0])
 
 
 class TestCertificate:
