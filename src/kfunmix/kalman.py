@@ -30,20 +30,6 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Process and observation noise variances of the random-walk model."""
-
-    sigma_v2: float
-    sigma_e2: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_v2 < 0.0:
-            raise ValueError("sigma_v2 must be >= 0")
-        if self.sigma_e2 <= 0.0:
-            raise ValueError("sigma_e2 must be > 0")
-
-
-@dataclass(frozen=True)
 class FilterState:
     """Estimator state: mean (K, 2M) and one symmetric K x K matrix.
 
@@ -130,7 +116,8 @@ def kf_update(
     state: FilterState,
     concentration: FloatArray,
     observation: FloatArray,
-    noise: NoiseConfig,
+    sigma_v2: float,
+    sigma_e2: float,
 ) -> FilterState:
     """One Kalman step for a random-walk state observed through c^T (x) I.
 
@@ -142,8 +129,10 @@ def kf_update(
         Mixing weights of the current observation.
     observation : (2M,) array
         Reduced spectrum acquired at step t.
-    noise : NoiseConfig
-        Random-walk variance sigma_v2 and observation variance sigma_e2.
+    sigma_v2 : float
+        Random-walk variance, >= 0.
+    sigma_e2 : float
+        Observation variance, > 0.
 
     Returns
     -------
@@ -152,14 +141,18 @@ def kf_update(
 
     Raises
     ------
+    ValueError
+        If sigma_v2 < 0, or sigma_e2 is not > 0 (NaN included).
     NumericalError
         If an input or the gain is not finite, or the innovation variance
         c^T Sigma c + sigma_e2 is not finite and positive.
     """
+    if sigma_v2 < 0.0:
+        raise ValueError("sigma_v2 must be >= 0")
+    if not sigma_e2 > 0.0:
+        raise ValueError("sigma_e2 must be > 0")
     c, residual = _residual(state, concentration, observation)
-    return _kalman_step(
-        state, c, residual, state.matrix + noise.sigma_v2 * np.eye(c.size), noise.sigma_e2
-    )
+    return _kalman_step(state, c, residual, state.matrix + sigma_v2 * np.eye(c.size), sigma_e2)
 
 
 def rls_update(

@@ -26,14 +26,7 @@ from .fourier import (
     reduce_spectrum,
     select_num_harmonics,
 )
-from .kalman import (
-    FilterState,
-    NoiseConfig,
-    NumericalError,
-    dl_update,
-    kf_update,
-    rls_update,
-)
+from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
 from .mcrals import McrConfig, mcr_als, pca_nonneg_init
 from .metrics import (
     MetricRecord,
@@ -98,15 +91,16 @@ class EndmemberEstimate:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Everything the stream carries between acquisitions."""
+    """Everything the stream carries between acquisitions: the settings, the
+    fixed Fourier basis, regressor set and floored noise estimate sigma_e2
+    from set-up, the estimator, and the current full-space endmembers."""
 
     config: PipelineConfig
     basis: FourierBasis
     regressors: RegressorSet
-    noise: NoiseConfig
+    sigma_e2: float
     estimator: FilterState
     endmembers: EndmemberEstimate
-    t: int
 
 
 def init_pipeline(
@@ -133,7 +127,6 @@ def init_pipeline(
     basis = build_basis(rows.shape[1], n_harmonics)
     # Floor keeps the observation variance positive on noiseless input.
     sigma_e2 = max(estimate_noise_variance(rows), 1e-12)
-    noise = NoiseConfig(sigma_v2=config.sigma_v2, sigma_e2=sigma_e2)
 
     if config.init_endmembers is not None:
         start = config.init_endmembers
@@ -157,10 +150,9 @@ def init_pipeline(
         config=config,
         basis=basis,
         regressors=regressors,
-        noise=noise,
+        sigma_e2=sigma_e2,
         estimator=estimator,
         endmembers=EndmemberEstimate(start),
-        t=config.n_init,
     )
 
 
@@ -182,7 +174,9 @@ def pipeline_step(
     observed = reduce_spectrum(np.asarray(spectrum, dtype=np.float64), state.basis)
 
     if config.updater == "kalman":
-        estimator = kf_update(state.estimator, concentration, observed, state.noise)
+        estimator = kf_update(
+            state.estimator, concentration, observed, config.sigma_v2, state.sigma_e2
+        )
     elif config.updater == "rls":
         estimator = rls_update(
             state.estimator, concentration, observed, config.rls_forgetting
@@ -194,12 +188,7 @@ def pipeline_step(
     estimator = replace(estimator, mean=reduce_columns(fit.endmembers.values, state.basis).T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
-    new_state = replace(
-        state,
-        estimator=estimator,
-        endmembers=EndmemberEstimate(fit.endmembers),
-        t=state.t + 1,
-    )
+    new_state = replace(state, estimator=estimator, endmembers=EndmemberEstimate(fit.endmembers))
     return new_state, wall_ms
 
 
@@ -212,11 +201,6 @@ class RunTrace:
     final_concentrations: ConcentrationMatrix
     config_snapshot: dict[str, str]
 
-    def __post_init__(self) -> None:
-        ts = [rec.t for rec in self.records]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("record time indices must be strictly increasing")
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -228,7 +212,7 @@ def _snapshot(config: PipelineConfig, state: PipelineState, extra: dict[str, str
     """Trace comments: every scalar setting, the chosen M and the noise floor, then ``extra``."""
     snap = {k: str(v) for k, v in vars(config).items() if isinstance(v, (int, float, str))}
     snap["n_harmonics"] = str(state.basis.n_harmonics)
-    snap["sigma_e2_hat"] = str(state.noise.sigma_e2)
+    snap["sigma_e2_hat"] = str(state.sigma_e2)
     snap.update(extra)
     return snap
 
@@ -266,13 +250,16 @@ def _baseline_endmembers(
 
 
 def check_experiment_options(baselines: tuple[str, ...], **strides: int) -> None:
-    """Raise ValueError for an unknown baseline or a given stride below its least value."""
+    """Raise ValueError for an unknown or repeated baseline, or a given stride
+    below its least value."""
     for name, least in STRIDES.items():
         if name in strides and strides[name] < least:
             raise ValueError(f"{name} must be >= {least}")
     for name in baselines:
         if name not in BASELINES:
             raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
+    if len(set(baselines)) < len(baselines):
+        raise ValueError(f"baselines {baselines} name a baseline more than once")
 
 
 def run_experiment(

@@ -209,14 +209,15 @@ def protocol_p2(
     rounds, each cluster contributes the unclaimed candidate nearest its
     centroid, the round is shuffled, and rounds repeat until n_essential
     indices are ordered; an n_essential of None stands for n, the spectrum
-    count.  A degenerate embedding (all points coincide) falls back to P1
-    with a warning; a spectrum that is not finite raises ValueError naming
-    its row.
+    count.  A degenerate embedding (all points coincide) falls back to the
+    first n_essential native indices with a warning; a spectrum that is not
+    finite raises ValueError naming its row.
     """
     rows = SpectraMatrix(spectra).values
     n = rows.shape[0]
     if config.n_essential is None:
-        config = replace(config, n_essential=n)
+        config = replace(config, n_essential=n)  # checks n_clusters against n
+    n_essential = min(config.n_essential, n)
     points = phasor_embedding(rows, basis)
     sites = _sorted_sites(points)
 
@@ -225,9 +226,8 @@ def protocol_p2(
             "phasor embedding is degenerate; falling back to protocol P1",
             stacklevel=2,
         )
-        return protocol_p1(n)
+        return protocol_p1(n_essential)
 
-    n_essential = min(config.n_essential, n)
     rng = np.random.default_rng(config.seed)
 
     candidates: list[int] = []

@@ -101,10 +101,6 @@ class RegressorSet:
         if self.full_space.shape[1] != self.reduced_space.shape[1]:
             raise ValueError("full and reduced regressor counts disagree")
 
-    @property
-    def n_regressors(self) -> int:
-        return self.full_space.shape[1]
-
 
 def build_regressor_set(
     spectra: SpectraMatrix | FloatArray, basis: FourierBasis

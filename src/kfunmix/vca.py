@@ -175,17 +175,11 @@ def vca(
     basis[-1, 0] = 1.0
     picks = np.zeros(k, dtype=int)
     for i in range(k):
-        f = np.zeros(k)
-        for _ in range(100):
-            w = rng.standard_normal(k)
-            f = w - basis @ (np.linalg.pinv(basis) @ w)
-            norm = float(np.linalg.norm(f))
-            if norm > 1e-12:
-                f /= norm
-                break
-        else:
-            raise RuntimeError("could not find a direction orthogonal to the current simplex")
-        scores = f @ points
+        # The basis has at most max(i, 1) < K non-zero columns, so a Gaussian
+        # draw has a non-zero part orthogonal to it with probability one.
+        w = rng.standard_normal(k)
+        f = w - basis @ (np.linalg.pinv(basis) @ w)
+        scores = (f / np.linalg.norm(f)) @ points
         picks[i] = int(np.argmax(np.abs(scores)))
         basis[:, i] = points[:, picks[i]]
 

@@ -14,7 +14,7 @@ import pytest
 
 from kfunmix.abundance import estimate_concentration
 from kfunmix.fourier import build_basis, reduce_columns, select_num_harmonics
-from kfunmix.kalman import FilterState, NoiseConfig, kf_update
+from kfunmix.kalman import FilterState, kf_update
 from kfunmix.mcrals import McrConfig, mcr_als
 from kfunmix.metrics import asad, pca_lower_bound
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step, run_experiment
@@ -97,17 +97,17 @@ def test_01_filter_equals_batch_posterior(capsys):
         n_comp, dim_obs, n_steps = 3, 6, 50
         dim = n_comp * dim_obs
         mean0 = rng.uniform(-1.0, 1.0, dim)
-        noise = NoiseConfig(sigma_v2=0.0, sigma_e2=0.5)
+        sigma_e2 = 0.5
         state = FilterState(mean0.reshape(n_comp, dim_obs), np.eye(n_comp))
         info = np.eye(dim).copy()
         lead = mean0.copy()
         for _ in range(n_steps):
             conc = rng.uniform(0.05, 1.0, n_comp)
             obs = rng.uniform(-1.0, 1.0, dim_obs)
-            state = kf_update(state, conc, obs, noise)
+            state = kf_update(state, conc, obs, 0.0, sigma_e2)
             h = np.kron(conc[None, :], np.eye(dim_obs))
-            info += h.T @ h / noise.sigma_e2
-            lead += (h.T @ obs / noise.sigma_e2).ravel()
+            info += h.T @ h / sigma_e2
+            lead += (h.T @ obs / sigma_e2).ravel()
         batch = np.linalg.solve(info, lead)
         flat = state.mean.reshape(-1)
         worst = max(worst, np.linalg.norm(flat - batch) / np.linalg.norm(batch))

@@ -406,15 +406,27 @@ class TestRun:
         assert rc == 2
         assert "unknown baseline" in capsys.readouterr().err
 
+    def test_repeated_baseline_is_an_error_before_the_run(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("kfunmix.cli.run_experiment", lambda *a, **k: calls.append(a))
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
+            "--n-endmembers", "2", "--n-init", "10", "--baselines", "vca,vca",
+        ])
+        assert rc == 2
+        assert "more than once" in capsys.readouterr().err
+        assert calls == []
+
     def test_numerical_failure_exits_3_and_flushes(self, workspace, tmp_path,
                                                    monkeypatch, capsys):
         calls = {"n": 0}
 
-        def failing_update(state, concentration, observed, noise):
+        def failing_update(state, concentration, observed, sigma_v2, sigma_e2):
             calls["n"] += 1
             if calls["n"] >= 4:
                 raise NumericalError("innovation covariance is not invertible")
-            return kf_update(state, concentration, observed, noise)
+            return kf_update(state, concentration, observed, sigma_v2, sigma_e2)
 
         monkeypatch.setattr("kfunmix.pipeline.kf_update", failing_update)
         out = tmp_path / "partial.csv"

@@ -73,7 +73,7 @@ def test_regression_fields_the_hooks_read():
     counts.hooks()["regression"]((regressors,), {}, result)
     full, coeff, u = counts.regression_exits[0]
     assert full is regressors.full_space
-    assert coeff.shape == (regressors.n_regressors, 3)
+    assert coeff.shape == (regressors.full_space.shape[1], 3)
     assert u.shape == (60, 3)
     assert np.isfinite(counts.exit_primal_residual_p50())
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kfunmix.kalman import (
     FilterState,
-    NoiseConfig,
     NumericalError,
     dl_update,
     kf_update,
@@ -62,7 +61,7 @@ class TestKalmanUpdate:
     def test_scalar_hand_case(self):
         """Unit prior, unit noise, observation 1: posterior is N(0.5, 0.5)."""
         state = FilterState(np.zeros((1, 1)), np.eye(1))
-        out = kf_update(state, np.array([1.0]), np.array([1.0]), NoiseConfig(0.0, 1.0))
+        out = kf_update(state, np.array([1.0]), np.array([1.0]), 0.0, 1.0)
         np.testing.assert_allclose(out.mean, [[0.5]])
         np.testing.assert_allclose(out.matrix, [[0.5]])
 
@@ -74,13 +73,12 @@ class TestKalmanUpdate:
         mean0 = rng.normal(size=(n_blocks, dim_obs))
         c = rng.dirichlet(np.ones(n_blocks))
         y = rng.normal(size=dim_obs)
-        noise = NoiseConfig(0.3, 0.05)
+        sigma_v2, sigma_e2 = 0.3, 0.05
 
-        out = kf_update(FilterState(mean0, sigma0), c, y, noise)
+        out = kf_update(FilterState(mean0, sigma0), c, y, sigma_v2, sigma_e2)
 
         mean, cov = dense_kf_step(
-            mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), c, y,
-            noise.sigma_v2, noise.sigma_e2,
+            mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), c, y, sigma_v2, sigma_e2
         )
         np.testing.assert_allclose(out.mean.reshape(-1), mean, atol=1e-10)
         np.testing.assert_allclose(np.kron(out.matrix, np.eye(dim_obs)), cov, atol=1e-10)
@@ -92,7 +90,7 @@ class TestKalmanUpdate:
         rng = np.random.default_rng(n_blocks * 100 + dim_obs)
         sigma0 = random_spd(rng, n_blocks)
         mean0 = rng.normal(size=(n_blocks, dim_obs))
-        noise = NoiseConfig(0.05, 0.2)
+        sigma_v2, sigma_e2 = 0.05, 0.2
         forgetting = 0.98
         state = FilterState(mean0, sigma0)
         mean, cov = mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs))
@@ -100,8 +98,8 @@ class TestKalmanUpdate:
             c = rng.dirichlet(np.ones(n_blocks))
             y = rng.normal(size=dim_obs)
             if rule == "kalman":
-                state = kf_update(state, c, y, noise)
-                mean, cov = dense_kf_step(mean, cov, c, y, noise.sigma_v2, noise.sigma_e2)
+                state = kf_update(state, c, y, sigma_v2, sigma_e2)
+                mean, cov = dense_kf_step(mean, cov, c, y, sigma_v2, sigma_e2)
             else:
                 state = rls_update(state, c, y, forgetting)
                 mean, cov = dense_rls_step(mean, cov, c, y, forgetting)
@@ -117,13 +115,12 @@ class TestKalmanUpdate:
             mean0 = rng.normal(size=(n_blocks, dim_obs))
             sigma0 = random_spd(rng, n_blocks) + np.eye(n_blocks)
             sigma_e2 = 0.1
-            noise = NoiseConfig(0.0, sigma_e2)
             cs = [rng.dirichlet(np.ones(n_blocks)) for _ in range(50)]
             ys = [rng.normal(size=dim_obs) for _ in range(50)]
 
             state = FilterState(mean0, sigma0)
             for c, y in zip(cs, ys):
-                state = kf_update(state, c, y, noise)
+                state = kf_update(state, c, y, 0.0, sigma_e2)
 
             expected = batch_map_oracle(
                 mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), cs, ys, sigma_e2
@@ -133,14 +130,13 @@ class TestKalmanUpdate:
     def test_order_invariance_without_process_noise(self):
         rng = np.random.default_rng(2)
         mean0, sigma0 = np.zeros((2, 2)), np.eye(2)
-        noise = NoiseConfig(0.0, 0.5)
         cs = [rng.dirichlet(np.ones(2)) for _ in range(12)]
         ys = [rng.normal(size=2) for _ in range(12)]
 
         def run(order):
             state = FilterState(mean0, sigma0)
             for i in order:
-                state = kf_update(state, cs[i], ys[i], noise)
+                state = kf_update(state, cs[i], ys[i], 0.0, 0.5)
             return state.mean
 
         np.testing.assert_allclose(run(range(12)), run(range(11, -1, -1)), atol=1e-10)
@@ -158,7 +154,8 @@ class TestKalmanUpdate:
             FilterState(mean0, sigma0),
             np.array([0.6, 0.4, 0.0]),
             rng.normal(size=dim_obs),
-            NoiseConfig(0.0, 0.1),
+            0.0,
+            0.1,
         )
         assert np.abs(out.mean[:2] - mean0[:2]).max() > 0.0
         np.testing.assert_array_equal(out.mean[2], mean0[2])
@@ -168,11 +165,10 @@ class TestKalmanUpdate:
     def test_trace_nonincreasing_without_process_noise(self):
         rng = np.random.default_rng(4)
         state = FilterState(np.zeros((2, 2)), 3.0 * np.eye(2))
-        noise = NoiseConfig(0.0, 0.2)
         traces = [np.trace(state.matrix)]
         for _ in range(20):
             state = kf_update(
-                state, rng.dirichlet(np.ones(2)), rng.normal(size=2), noise
+                state, rng.dirichlet(np.ones(2)), rng.normal(size=2), 0.0, 0.2
             )
             traces.append(np.trace(state.matrix))
         assert all(b <= a + 1e-10 for a, b in zip(traces, traces[1:]))
@@ -183,10 +179,10 @@ class TestKalmanUpdate:
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match="innovation variance"
         ):
-            kf_update(overflow, np.array([1e10]), np.zeros(2), NoiseConfig(0.0, 1.0))
+            kf_update(overflow, np.array([1e10]), np.zeros(2), 0.0, 1.0)
         indefinite = FilterState(np.zeros((1, 2)), np.array([[-1.0]]))
         with pytest.raises(NumericalError, match="innovation variance"):
-            kf_update(indefinite, np.array([1.0]), np.zeros(2), NoiseConfig(0.0, 0.5))
+            kf_update(indefinite, np.array([1.0]), np.zeros(2), 0.0, 0.5)
         with pytest.raises(NumericalError, match="innovation variance"):
             rls_update(indefinite, np.array([1.0]), np.zeros(2), 0.5)
 
@@ -194,7 +190,7 @@ class TestKalmanUpdate:
     @pytest.mark.parametrize("rule", ["kalman", "rls", "dl"])
     def test_non_finite_input_raises(self, rule, bad):
         updates = {
-            "kalman": lambda s, c, y: kf_update(s, c, y, NoiseConfig(0.1, 1.0)),
+            "kalman": lambda s, c, y: kf_update(s, c, y, 0.1, 1.0),
             "rls": lambda s, c, y: rls_update(s, c, y, 1.0),
             "dl": dl_update,
         }
@@ -208,7 +204,7 @@ class TestKalmanUpdate:
     def test_dimension_mismatch(self):
         state = FilterState(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
-            kf_update(state, np.ones(3), np.zeros(2), NoiseConfig(0.0, 1.0))
+            kf_update(state, np.ones(3), np.zeros(2), 0.0, 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 15))
@@ -216,10 +212,11 @@ class TestKalmanUpdate:
         rng = np.random.default_rng(seed)
         n_blocks, dim_obs = 2, 3
         state = FilterState(np.zeros((n_blocks, dim_obs)), np.eye(n_blocks))
-        noise = NoiseConfig(float(rng.uniform(0, 2)), float(rng.uniform(0.01, 1)))
+        sigma_v2, sigma_e2 = float(rng.uniform(0, 2)), float(rng.uniform(0.01, 1))
         for _ in range(n_steps):
             state = kf_update(
-                state, rng.dirichlet(np.ones(n_blocks)), rng.normal(size=dim_obs), noise
+                state, rng.dirichlet(np.ones(n_blocks)), rng.normal(size=dim_obs),
+                sigma_v2, sigma_e2,
             )
         state.validate(eig_tol=1e-8)
         np.testing.assert_array_equal(state.matrix, state.matrix.T)
@@ -233,11 +230,10 @@ class TestRlsUpdate:
         mean0 = rng.normal(size=(2, 3))
         kf_state = FilterState(mean0, sigma0)
         rls_state = FilterState(mean0, sigma0)
-        noise = NoiseConfig(0.0, 1.0)
         for _ in range(10):
             c = rng.dirichlet(np.ones(2))
             y = rng.normal(size=3)
-            kf_state = kf_update(kf_state, c, y, noise)
+            kf_state = kf_update(kf_state, c, y, 0.0, 1.0)
             rls_state = rls_update(rls_state, c, y, forgetting=1.0)
             np.testing.assert_allclose(rls_state.mean, kf_state.mean, atol=1e-10)
             np.testing.assert_allclose(rls_state.matrix, kf_state.matrix, atol=1e-10)
@@ -304,11 +300,18 @@ class TestDlUpdate:
 
 
 class TestStateValidation:
-    def test_noise_config_ranges(self):
-        with pytest.raises(ValueError, match="sigma_v2"):
-            NoiseConfig(-0.1, 1.0)
-        with pytest.raises(ValueError, match="sigma_e2"):
-            NoiseConfig(0.0, 0.0)
+    @pytest.mark.parametrize(
+        "sigma_v2, sigma_e2, message",
+        [
+            (-0.1, 1.0, "sigma_v2 must be >= 0"),
+            (0.0, 0.0, "sigma_e2 must be > 0"),
+            (0.0, np.nan, "sigma_e2 must be > 0"),
+        ],
+    )
+    def test_kf_update_rejects_noise_variances_out_of_range(self, sigma_v2, sigma_e2, message):
+        state = FilterState(np.zeros((1, 2)), np.eye(1))
+        with pytest.raises(ValueError, match=message):
+            kf_update(state, np.array([1.0]), np.zeros(2), sigma_v2, sigma_e2)
 
     def test_filter_state_shape_checks(self):
         with pytest.raises(ValueError, match=r"must be a \(K, 2M\) matrix"):

@@ -92,7 +92,7 @@ class TestInitPipeline:
             n_endmembers=2, n_init=4, n_harmonics=2, init_endmembers=init
         )
         state = init_pipeline(rows, config)
-        assert state.noise.sigma_e2 == 1e-12
+        assert state.sigma_e2 == 1e-12
 
     def test_noisy_rows_estimate_a_positive_floor(self):
         data = generate_dataset(
@@ -101,14 +101,13 @@ class TestInitPipeline:
         state = init_pipeline(
             data.spectra.values[:30], PipelineConfig(n_endmembers=3, n_init=30)
         )
-        assert state.noise.sigma_e2 > 1e-12
+        assert state.sigma_e2 > 1e-12
 
     def test_starting_state_is_anchored_on_the_init_endmembers(self):
         truth, _, state = small_stream_setup()
         np.testing.assert_array_equal(state.endmembers.full.values, truth)
         expected = reduce_columns(state.endmembers.full.values, state.basis).T
         np.testing.assert_array_equal(state.estimator.mean, expected)
-        assert state.t == 8
 
     def test_kalman_covariance_is_scaled_identity(self):
         _, _, state = small_stream_setup(sigma_v2=0.25)
@@ -202,12 +201,13 @@ class TestPipelineConfigValidation:
 
 
 class TestPipelineStep:
-    def test_advances_time_and_returns_walltime(self):
+    def test_carries_the_setup_and_returns_walltime(self):
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(1)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, wall_ms = pipeline_step(state, mix)
-        assert new_state.t == state.t + 1
+        for name in ("config", "basis", "regressors", "sigma_e2"):
+            assert getattr(new_state, name) is getattr(state, name)
         assert wall_ms > 0.0
 
     def test_mean_is_reanchored_on_the_constrained_estimate(self):
@@ -226,7 +226,7 @@ class TestPipelineStep:
         new_state, _ = pipeline_step(state, mix)
         conc = estimate_concentration(mix, state.endmembers.full)
         observed = reduce_spectrum(mix, state.basis)
-        bare = kf_update(state.estimator, conc, observed, state.noise)
+        bare = kf_update(state.estimator, conc, observed, state.config.sigma_v2, state.sigma_e2)
         np.testing.assert_array_equal(new_state.estimator.matrix, bare.matrix)
 
     def test_full_estimate_stays_nonnegative(self):
@@ -282,12 +282,13 @@ class TestPipelineStep:
 
     @pytest.mark.parametrize("updater", ["rls", "dl"])
     def test_alternative_updaters_run(self, updater):
-        truth, _, state = small_stream_setup(updater=updater)
+        truth, _, start = small_stream_setup(updater=updater)
         rng = np.random.default_rng(7)
+        state = start
         for _ in range(3):
             mix = rng.dirichlet(np.ones(2)) @ truth.T
             state, _ = pipeline_step(state, mix)
-        assert state.t == 11
+        assert not np.array_equal(state.estimator.matrix, start.estimator.matrix)
         assert np.all(np.isfinite(state.estimator.mean))
         assert state.endmembers.full.values.min() >= 0.0
 
@@ -567,17 +568,26 @@ class TestRunExperiment:
                 check_experiment_options((), **{name: least - 1})
         with pytest.raises(ValueError, match="unknown baseline 'pls'"):
             check_experiment_options(("vca", "pls"), eval_stride=1)
+        with pytest.raises(ValueError, match="more than once"):
+            check_experiment_options(("vca", "mcr-als", "vca"))
+
+    def test_repeated_baseline_raises_before_the_stream_starts(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("kfunmix.pipeline.init_pipeline", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"baselines \('vca', 'vca'\) name a baseline more than once"):
+            run_experiment(stream_dataset(), protocol_p1(60), stream_config(), baselines=("vca", "vca"))
+        assert calls == []
 
     def test_flushes_partial_trace_on_numerical_failure(self, tmp_path, monkeypatch):
         data = stream_dataset()
         order = protocol_p1(60)
         calls = {"n": 0}
 
-        def failing_update(state, concentration, observed, noise):
+        def failing_update(state, concentration, observed, sigma_v2, sigma_e2):
             calls["n"] += 1
             if calls["n"] >= 4:
                 raise NumericalError("innovation covariance is not invertible")
-            return kf_update(state, concentration, observed, noise)
+            return kf_update(state, concentration, observed, sigma_v2, sigma_e2)
 
         monkeypatch.setattr("kfunmix.pipeline.kf_update", failing_update)
         out = tmp_path / "partial.csv"

@@ -402,6 +402,9 @@ class TestProtocolP2:
         basis = build_basis(24, 2)
         with pytest.warns(UserWarning, match="falling back"):
             order = protocol_p2(rows, basis, P2Config(n_essential=4, n_clusters=2, seed=0))
+        assert order.indices == tuple(range(4))
+        with pytest.warns(UserWarning, match="falling back"):
+            order = protocol_p2(rows, basis, P2Config(n_essential=None, n_clusters=2, seed=0))
         assert order.indices == tuple(range(8))
 
     def test_n_essential_capped_at_data_size(self):

@@ -117,7 +117,6 @@ class TestBuildRegressorSet:
         regs = build_regressor_set(rows, basis)
         assert regs.full_space.shape == (20, 6)
         assert regs.reduced_space.shape == (6, 6)
-        assert regs.n_regressors == 6
         np.testing.assert_array_equal(regs.full_space, rows.T)
         full, reduced = regs.full_space, regs.reduced_space
         normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
