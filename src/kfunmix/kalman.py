@@ -8,12 +8,11 @@ is the observation matrix ``H = c^T (x) I_2M`` acting on a state of length
 under every update with this H, so each update carries only the K x K
 matrix Sigma and costs O(K^2 + K 2M).
 
-Three gain rules share this structure: a Kalman filter on a random-walk
-state, exponentially weighted recursive least squares, and a normalized
-gradient step driven by the concentration Gram matrix.  Each computes a
-K-vector gain g and moves every row of the mean by ``g_k (y - c @ mean)``.
-The first two are one covariance-form step: RLS is the Kalman step on the
-inflated prior P / forgetting with unit observation variance.
+Three gain rules share one covariance-form step, which moves row k of the
+mean by ``g_k (y - c @ mean)`` and shrinks the K x K row covariance: a
+Kalman filter on a random-walk state, exponentially weighted recursive
+least squares (the Kalman step on the inflated prior P / forgetting with
+unit observation variance), and the Gram-normalized rule, RLS at forgetting 1.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import COND_LIMIT, RIDGE, FloatArray
+from .datamodel import FloatArray
 
 
 class NumericalError(RuntimeError):
@@ -31,10 +30,10 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Estimator state: mean (K, 2M) and one symmetric K x K matrix.
+    """Estimator state: mean (K, 2M) and the K x K row covariance.
 
-    The matrix is the row covariance Sigma for :func:`kf_update`, the
-    inverse-Gram P for :func:`rls_update` and the concentration Gram A for
+    The matrix is a row covariance for every updater: Sigma for
+    :func:`kf_update`, and the inverse Gram P for :func:`rls_update` and
     :func:`dl_update`.  Positive semidefiniteness (eigenvalues >= -1e-10 at
     rest, >= -1e-8 across long update sequences) is a maintained invariant
     checked by :meth:`validate` rather than on every construction.
@@ -63,7 +62,7 @@ class FilterState:
         object.__setattr__(self, "matrix", matrix)
 
     def validate(self, eig_tol: float = 1e-10) -> None:
-        """Assert positive semidefiniteness of the matrix within eig_tol."""
+        """Assert positive semidefiniteness of the row covariance within eig_tol."""
         smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
         if smallest < -eig_tol:
             raise ValueError(f"matrix has eigenvalue {smallest} < -{eig_tol}")
@@ -87,29 +86,20 @@ def _residual(
     return c, y - c @ state.mean
 
 
-def _advance(
-    state: FilterState, gain: FloatArray, residual: FloatArray, matrix: FloatArray
-) -> FilterState:
-    if not np.isfinite(gain).all():
-        raise NumericalError("gain has non-finite entries")
-    return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
-
-
 def _kalman_step(
     state: FilterState, c: FloatArray, residual: FloatArray, prior: FloatArray, obs_var: float
 ) -> FilterState:
-    """Covariance-form step on a K x K prior with innovation variance s.
-
-    s = c^T prior c + obs_var; the gain is prior c / s and the posterior
-    matrix prior - (prior c)(prior c)^T / s.
-    """
+    """Covariance-form step: with s = c^T prior c + obs_var, the gain is prior c / s
+    and the posterior matrix prior - (prior c)(prior c)^T / s, re-symmetrized."""
     prior_c = prior @ c
     scale = float(c @ prior_c) + obs_var
     if not (np.isfinite(scale) and scale > 0.0):
         raise NumericalError(f"innovation variance {scale} is not finite and positive")
-    return _advance(
-        state, prior_c / scale, residual, prior - np.outer(prior_c, prior_c) / scale
-    )
+    gain = prior_c / scale
+    if not np.isfinite(gain).all():
+        raise NumericalError("gain has non-finite entries")
+    matrix = prior - np.outer(prior_c, prior_c) / scale
+    return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
 
 
 def kf_update(
@@ -179,10 +169,9 @@ def rls_update(
 def dl_update(
     state: FilterState, concentration: FloatArray, observation: FloatArray
 ) -> FilterState:
-    """Gram-normalized gradient step: row k moves by (A^-1 c)_k * residual."""
-    c, residual = _residual(state, concentration, observation)
-    gram = state.matrix + np.outer(c, c)
-    solve_from = gram
-    if np.linalg.cond(gram) > COND_LIMIT:
-        solve_from = gram + RIDGE * np.eye(c.size)
-    return _advance(state, np.linalg.solve(solve_from, c), residual, gram)
+    """Gram-normalized step, :func:`rls_update` at lambda = 1 on P = A^-1.
+
+    The rule A <- A + c c^T with gain A^-1 c is, by Sherman-Morrison, the
+    gain P c / (c^T P c + 1) and the update P - P c c^T P / (c^T P c + 1).
+    """
+    return rls_update(state, concentration, observation, 1.0)

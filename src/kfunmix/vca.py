@@ -67,15 +67,15 @@ POWER_STEPS = 1
 ROUNDING_MARGIN = 1e-8
 
 
-def _estimate_snr_db(data: FloatArray, mean: FloatArray, top_energy: float, k: int) -> float:
+def _estimate_snr_db(data: FloatArray, energy: float, mean: FloatArray, top: float, k: int) -> float:
     """SNR estimate from the energy split between the top-K centred subspace and the rest.
 
-    ``top_energy`` is sum_{i<K} s_i^2 of the centred data, or a lower bound
-    on it; the estimate does not decrease as it grows.
+    ``energy`` is ||data||_F^2, and ``top`` is sum_{i<K} s_i^2 of the centred data
+    or a lower bound on it; the estimate does not decrease as ``top`` grows.
     """
     n = data.shape[1]
-    p_total = float(np.sum(data**2)) / n
-    p_sub = top_energy / n + float(np.sum(mean**2))
+    p_total = energy / n
+    p_sub = top / n + float(np.sum(mean**2))
     denom = p_total - p_sub
     if denom <= 0.0:
         return float("inf")
@@ -100,11 +100,13 @@ def _sketch_bounds(centered: FloatArray, k: int) -> tuple[float, float, float]:
 
 
 def _certify_clean(
-    data: FloatArray, mean: FloatArray, centered: FloatArray, k: int, threshold: float
+    data: FloatArray, energy: float, mean: FloatArray, centered: FloatArray, k: int, threshold: float
 ) -> bool:
     """True when the sketch proves the exact test clean and free of a warning."""
     top, sigma_last, frobenius = _sketch_bounds(centered, k)
-    return sigma_last > SIGNIFICANCE * frobenius and _estimate_snr_db(data, mean, top, k) >= threshold
+    return sigma_last > SIGNIFICANCE * frobenius and (
+        _estimate_snr_db(data, energy, mean, top, k) >= threshold
+    )
 
 
 def vca(
@@ -138,11 +140,12 @@ def vca(
         pick = int(np.argmax(np.abs(scores)))
         return EndmemberMatrix(np.maximum(rows[pick][:, None], 0.0))
 
+    energy = float(np.sum(data**2))
     mean = data.mean(axis=1, keepdims=True)
     centered = data - mean
     snr_threshold = 15.0 + 10.0 * np.log10(k)
     noisy = False
-    if not _certify_clean(data, mean, centered, k, snr_threshold):
+    if not _certify_clean(data, energy, mean, centered, k, snr_threshold):
         u_c, s_c, _ = np.linalg.svd(centered, full_matrices=False)
         significant = int(np.sum(s_c > s_c[0] * SIGNIFICANCE)) if s_c[0] > 0 else 0
         if significant < k:
@@ -151,7 +154,7 @@ def vca(
                 stacklevel=2,
             )
         proj_k = u_c[:, :k].T @ centered  # (K, N)
-        noisy = _estimate_snr_db(data, mean, float(np.sum(proj_k**2)), k) < snr_threshold
+        noisy = _estimate_snr_db(data, energy, mean, float(np.sum(proj_k**2)), k) < snr_threshold
 
     if noisy:
         # Noisy regime: drop to K-1 principal coordinates and lift with a

@@ -1,0 +1,31 @@
+"""Information-form Gram-normalized update, kept as a reference.
+
+This is the form `kfunmix.kalman.dl_update` took before it became the RLS
+step at lambda = 1.  Its state matrix is the concentration Gram A, started
+from C_0^T C_0 of the initialization abundances; each step adds c c^T to A
+and moves every row of the mean by (A^-1 c)_k times the residual, with
+RIDGE added to the solve (not to A) while cond(A) exceeds COND_LIMIT.  By
+Sherman-Morrison the production rule on P = A^-1 is the same recursion,
+so the tests hold the two within rounding of each other.
+"""
+
+import numpy as np
+
+from kfunmix.datamodel import COND_LIMIT, RIDGE
+from kfunmix.kalman import FilterState, NumericalError, _residual
+
+
+def _advance(state, gain, residual, matrix):
+    if not np.isfinite(gain).all():
+        raise NumericalError("gain has non-finite entries")
+    return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
+
+
+def dl_update(state, concentration, observation):
+    """Gram-normalized gradient step: row k moves by (A^-1 c)_k * residual."""
+    c, residual = _residual(state, concentration, observation)
+    gram = state.matrix + np.outer(c, c)
+    solve_from = gram
+    if np.linalg.cond(gram) > COND_LIMIT:
+        solve_from = gram + RIDGE * np.eye(c.size)
+    return _advance(state, np.linalg.solve(solve_from, c), residual, gram)

@@ -14,7 +14,7 @@ from kfunmix.datamodel import load_dataset
 from kfunmix.kalman import NumericalError, kf_update
 from kfunmix.metrics import read_trace_csv
 from kfunmix.pipeline import PipelineConfig, run_experiment
-from kfunmix.protocols import load_order_csv
+from kfunmix.protocols import load_order_csv, protocol_p1
 from kfunmix.synthdata import SynthConfig
 
 
@@ -272,6 +272,26 @@ class TestRun:
         assert records[-1].t == 80
         assert comments["abundance_stride"] == "0"
         assert all(rec.rmse is None for rec in records)
+
+    def test_dl_updater_runs_end_to_end(self, workspace, tmp_path):
+        """The dl trace's final record is run_experiment's for the same config."""
+        out = tmp_path / "dl.csv"
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--out", str(out), "--updater", "dl",
+            "--n-endmembers", "2", "--n-init", "10", "--n-harmonics", "6", "--eval-stride", "16",
+        ])
+        assert rc == 0
+        records, comments = read_trace_csv(out)
+        assert comments["updater"] == "dl"
+        bundle = load_dataset(workspace / "ds")
+        config = PipelineConfig(n_endmembers=2, n_init=10, n_harmonics=6, updater="dl")
+        order = protocol_p1(bundle.spectra.n_spectra)
+        expected = run_experiment(bundle, order, config, eval_stride=16).trace.records[-1]
+        last = records[-1]
+        assert last.t == 80
+        assert (last.t, last.asad_deg, last.rmse, last.re) == (
+            expected.t, expected.asad_deg, expected.rmse, expected.re
+        )
 
     @pytest.mark.parametrize(
         "text, message",

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dl_reference
+from kfunmix.datamodel import RIDGE
 from kfunmix.kalman import (
     FilterState,
     NumericalError,
@@ -266,35 +268,50 @@ class TestRlsUpdate:
 
 class TestDlUpdate:
     def test_single_component_running_average(self):
-        """With c = [1] each step, the estimate is the mean of observations."""
+        """With c = [1] each step, the estimate is the mean of observations.
+
+        It starts from the state after the first spectrum: mean y_1 and P = 1."""
         rng = np.random.default_rng(6)
         ys = rng.normal(size=(8, 3))
-        state = FilterState(np.zeros((1, 3)), np.zeros((1, 1)))
-        for i, y in enumerate(ys, start=1):
+        state = FilterState(ys[:1], np.ones((1, 1)))
+        for i, y in enumerate(ys[1:], start=2):
             state = dl_update(state, np.array([1.0]), y)
             np.testing.assert_allclose(state.mean[0], ys[:i].mean(axis=0), atol=1e-12)
-        assert state.matrix[0, 0] == len(ys)
+        np.testing.assert_allclose(state.matrix, [[1.0 / len(ys)]], rtol=1e-12)
 
-    def test_first_step_singular_gram_takes_ridge_path(self):
-        """An unseen component leaves the Gram singular; the ridge keeps the
-        seen row moving onto its observation and the unseen one still."""
-        y = np.array([1.5, -0.5])
-        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
-        out = dl_update(state, np.array([1.0, 0.0]), y)
-        np.testing.assert_allclose(out.mean[0], y, atol=1e-6)
+    def test_component_unseen_at_init_stays_still(self):
+        """An unseen component leaves the init Gram singular; its ridged inverse
+        keeps the seen row averaging its observations and the unseen one still."""
+        y1, y2 = np.array([1.5, -0.5]), np.array([0.5, 2.5])
+        prior = np.linalg.inv(np.diag([1.0, 0.0]) + RIDGE * np.eye(2))
+        state = FilterState(np.vstack([y1, np.zeros(2)]), prior)
+        out = dl_update(state, np.array([1.0, 0.0]), y2)
+        np.testing.assert_allclose(out.mean[0], (y1 + y2) / 2, atol=1e-6)
         np.testing.assert_allclose(out.mean[1], 0.0, atol=1e-12)
 
-    def test_gram_accumulates_outer_products(self):
+    def test_matrix_is_the_inverse_of_the_accumulated_gram(self):
         rng = np.random.default_rng(7)
+        gram0 = random_spd(rng, 2)
         cs = [rng.dirichlet(np.ones(2)) for _ in range(5)]
-        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
+        state = FilterState(np.zeros((2, 2)), np.linalg.inv(gram0))
         for c in cs:
             state = dl_update(state, c, rng.normal(size=2))
-        expected = sum(np.outer(c, c) for c in cs)
-        np.testing.assert_allclose(state.matrix, expected, atol=1e-12)
+        expected = gram0 + sum(np.outer(c, c) for c in cs)
+        np.testing.assert_allclose(state.matrix, np.linalg.inv(expected), atol=1e-12)
 
-    def test_gram_shape_mismatch(self):
-        state = FilterState(np.zeros((2, 2)), np.zeros((2, 2)))
+    def test_matches_the_information_form_reference(self):
+        """The mean follows the Gram-form rule started from A_0 = P_0^-1."""
+        rng = np.random.default_rng(9)
+        gram0 = random_spd(rng, 3)
+        state = FilterState(rng.normal(size=(3, 4)), np.linalg.inv(gram0))
+        ref = FilterState(state.mean, gram0)
+        for _ in range(50):
+            c, y = rng.dirichlet(np.ones(3)), rng.normal(size=4)
+            state, ref = dl_update(state, c, y), dl_reference.dl_update(ref, c, y)
+        np.testing.assert_allclose(state.mean, ref.mean, rtol=1e-10, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        state = FilterState(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
             dl_update(state, np.ones(4), np.zeros(2))
 
@@ -318,6 +335,8 @@ class TestStateValidation:
             FilterState(np.zeros(4), np.eye(4))
         with pytest.raises(ValueError, match="matrix shape"):
             FilterState(np.zeros((3, 2)), np.eye(2))
+        with pytest.raises(ValueError, match="matrix shape"):
+            FilterState(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="not symmetric"):
             FilterState(np.zeros((2, 1)), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
@@ -329,12 +348,3 @@ class TestStateValidation:
         state = FilterState(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="eigenvalue"):
             state.validate()
-
-    def test_dl_state_checks(self):
-        """A Gram matrix is held to the same checks as a covariance."""
-        with pytest.raises(ValueError, match="matrix shape"):
-            FilterState(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="matrix shape"):
-            FilterState(np.zeros((5, 1)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="not symmetric"):
-            FilterState(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))

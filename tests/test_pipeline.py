@@ -7,13 +7,16 @@ import subprocess
 import sys
 import warnings
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import dl_reference
 from kfunmix.abundance import estimate_concentration, estimate_concentrations
-from kfunmix.datamodel import DatasetBundle, EndmemberMatrix, SpectraMatrix
+from kfunmix.datamodel import RIDGE, DatasetBundle, EndmemberMatrix, SpectraMatrix
 from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonics
-from kfunmix.kalman import NumericalError, kf_update
+from kfunmix.kalman import FilterState, NumericalError, kf_update
 from kfunmix.metrics import read_trace_csv, sad
 from kfunmix.pipeline import (
     BASELINES,
@@ -163,13 +166,20 @@ class TestInitPipeline:
                 n_endmembers=2, n_init=8, n_harmonics=4, updater="rls", sigma_v2=0.0
             )
 
-    def test_dl_gram_starts_from_init_abundances(self):
+    def test_dl_starts_from_the_inverse_init_gram(self):
+        truth, init_rows, state = small_stream_setup(updater="dl")
+        conc = estimate_concentrations(init_rows, EndmemberMatrix(truth))
+        np.testing.assert_allclose(state.estimator.matrix @ (conc.T @ conc), np.eye(2), atol=1e-10)
+        np.testing.assert_array_equal(state.estimator.matrix, state.estimator.matrix.T)
+
+    def test_dl_ridges_a_singular_init_gram(self, monkeypatch):
+        """A component no init spectrum holds leaves C_0^T C_0 singular, so
+        RIDGE I is added before the inverse."""
+        conc = np.column_stack([np.ones(8), np.zeros(8)])
+        monkeypatch.setattr("kfunmix.pipeline.estimate_concentrations", lambda rows, s: conc)
         _, _, state = small_stream_setup(updater="dl")
-        gram = state.estimator.matrix
-        assert gram.shape == (2, 2)
-        # Gram of 8 simplex rows: diagonal entries sum squared weights
-        assert 0.0 < gram[0, 0] <= 8.0
-        np.testing.assert_allclose(gram, gram.T, atol=1e-15)
+        expected = np.linalg.inv(np.diag([8.0, 0.0]) + RIDGE * np.eye(2))
+        np.testing.assert_allclose(state.estimator.matrix, expected, rtol=1e-12)
 
 
 class TestPipelineConfigValidation:
@@ -303,13 +313,41 @@ class TestPipelineStep:
             with pytest.raises(NumericalError, match="not finite"):
                 pipeline_step(state, spectrum)
 
-    def test_dl_gram_accumulates(self):
+    def test_dl_covariance_shrinks(self):
         truth, _, state = small_stream_setup(updater="dl")
         trace0 = np.trace(state.estimator.matrix)
         rng = np.random.default_rng(8)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         state, _ = pipeline_step(state, mix)
-        assert np.trace(state.estimator.matrix) > trace0
+        assert np.trace(state.estimator.matrix) < trace0
+
+
+class TestDlMatchesReference:
+    """A DL stream against the Gram-form rule it replaced, started from A_0 = C_0^T C_0."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_channels, k, m", [(400, 5, 16), (200, 3, 8), (200, 5, 8)])
+    def test_thousand_steps_agree_within_rounding(self, monkeypatch, n_channels, k, m, seed):
+        data = generate_dataset(
+            SynthConfig(n_spectra=1030, n_channels=n_channels, n_endmembers=k, snr_db=20.0, seed=seed)
+        )
+        rows = data.spectra.values
+        config = PipelineConfig(n_endmembers=k, n_harmonics=m, updater="dl", seed=seed)
+        state = init_pipeline(rows[:30], config)
+        conc = estimate_concentrations(rows[:30], state.endmembers.full)
+        ref = replace(state, estimator=FilterState(state.estimator.mean, conc.T @ conc))
+        for y in rows[30:]:
+            state, _ = pipeline_step(state, y)
+        monkeypatch.setattr("kfunmix.pipeline.dl_update", dl_reference.dl_update)
+        for y in rows[30:]:
+            ref, _ = pipeline_step(ref, y)
+
+        def assert_close(actual, desired):
+            assert np.abs(actual - desired).max() <= 1e-10 * np.abs(desired).max()
+
+        assert_close(state.endmembers.full.values, ref.endmembers.full.values)
+        assert_close(state.estimator.mean, ref.estimator.mean)
+        assert_close(state.estimator.matrix, np.linalg.inv(ref.estimator.matrix))
 
 
 def stream_dataset(seed: int = 7) -> DatasetBundle:
@@ -428,7 +466,9 @@ class TestRunExperiment:
     def test_mcr_baseline_runs(self):
         data = stream_dataset()
         order = protocol_p1(60)
-        with pytest.warns(UserWarning, match="rank deficient"):
+        # Started from VCA, no refresh meets a rank-deficient design.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             result = run_experiment(
                 data,
                 order,
@@ -437,6 +477,7 @@ class TestRunExperiment:
                 baselines=("mcr-als",),
                 baseline_stride=100,
             )
+        assert not [w for w in caught if "rank deficient" in str(w.message)]
         ref = result.baselines["mcr-als"]
         assert [rec.t for rec in ref.records] == [11, 60]
         assert ref.final_concentrations.values.shape == (60, 2)
