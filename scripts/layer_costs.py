@@ -1,4 +1,4 @@
-"""Time each layer of one acquisition and single-spectrum FCLS per K; print JSON.
+"""Time each layer of one acquisition, of one record's evaluation and FCLS per K; print JSON.
 
 Two operating points are streamed: L400 K5 M16 and L200 K3 (M from the
 default eta), 30 init spectra each, synthetic data at 20 dB.  Each
@@ -44,6 +44,15 @@ imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` are set to 1 unless the caller set them, and the
 import-timing subprocess inherits them.  ``blas_threads`` in the report
 gives the values in effect.
+
+The evaluation of one record (``eval_us``) is timed at L200 K3 for t =
+100, 215 and 400 acquired spectra, ``--calls`` times each after every
+stream round, so the step and the evaluation meet the same host speed.
+Each call is timed apart, in the order ``kfunmix.pipeline._evaluate``
+makes them: the batch FCLS of the t spectra, the reconstruction error,
+ASAD, the alignment and the RMSE.  The t spectra are the first of a 400 x
+200 synthetic set at 20 dB, scored against VCA endmembers of its first 30
+spectra, as a stream's early estimate would be.
 
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
@@ -106,6 +115,11 @@ P2_ESSENTIAL, P2_CLUSTERS = 340, 50
 # P2-order prefixes of the clean VCA cases, and the noisy full-size case's shape.
 VCA_P2_PREFIXES = (51, 171, 340)
 VCA_NOISY_SHAPE = (340, 400, 5, None)
+# The evaluation set, the acquired-spectra counts of its timed records, and
+# the calls each record makes.
+EVAL_SHAPE = (400, 200, 3, None)
+EVAL_ROWS = (100, 215, 400)
+EVAL_LAYERS = ("fcls_batch", "reconstruction_error", "asad", "align", "rmse")
 
 
 def summary(samples: list[float]) -> dict[str, float]:
@@ -159,6 +173,32 @@ def vca_round(cases: dict, calls: int, out: dict[str, dict[str, list]]) -> None:
         out[name]["certified"].extend(verdicts)
 
 
+def eval_round(data, endmembers, calls: int, out: dict[int, dict[str, list[float]]]) -> None:
+    """``calls`` evaluations of one record for each t of EVAL_ROWS, each call
+    timed apart; seconds go to ``out[t][layer]``."""
+    from kfunmix import abundance, metrics
+
+    rows = data.spectra.values
+    truth_s, truth_c = data.endmembers, data.concentrations.values
+    clock = time.perf_counter
+    for t in EVAL_ROWS:
+        acquired, truth = rows[:t], truth_c[:t]
+        for _ in range(calls):
+            t0 = clock()
+            conc = abundance.estimate_concentrations(acquired, endmembers)
+            t1 = clock()
+            metrics.reconstruction_error(acquired, conc, endmembers)
+            t2 = clock()
+            metrics.asad(endmembers, truth_s)
+            t3 = clock()
+            perm = metrics.align_components(endmembers, truth_s)
+            t4 = clock()
+            metrics.rmse_concentrations(conc, truth, perm)
+            t5 = clock()
+            for layer, seconds in zip(EVAL_LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+                out[t][layer].append(seconds)
+
+
 # The importing child prints its own peak RSS in KB, or nothing where the
 # host has no /proc.  ru_maxrss would not do: Linux carries it across exec
 # from the spawning process, so it would read this script's peak; VmHWM
@@ -207,14 +247,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--steps", type=int, default=60, help="acquisitions per stream round")
-    parser.add_argument("--calls", type=int, default=5, help="FCLS calls per K, and VCA calls per case, per round")
+    parser.add_argument(
+        "--calls", type=int, default=5,
+        help="FCLS calls per K, VCA calls per case and evaluations per t, per round",
+    )
     parser.add_argument("--max-k", type=int, default=12)
     args = parser.parse_args(argv)
     if min(args.rounds, args.steps, args.calls) < 1 or not 2 <= args.max_k <= 12:
         parser.error("rounds, steps and calls must be >= 1, max-k in [2, 12]")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata
+    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata, vca
 
     def synth(n_spectra: int, n_channels: int, k: int, purity_cap: float | None = None):
         return synthdata.generate_dataset(
@@ -237,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     vca_cases[f"init_{name}"] = (data.spectra.values[:N_INIT], k)
     noisy_n, noisy_l, noisy_k, _ = VCA_NOISY_SHAPE
     vca_cases[f"L{noisy_l}K{noisy_k}_N{noisy_n}"] = (synth(*VCA_NOISY_SHAPE).spectra.values, noisy_k)
+    eval_data = synth(*EVAL_SHAPE)
+    eval_endmembers = vca.vca(eval_data.spectra.values[:N_INIT], EVAL_SHAPE[2])
     data_dir = tempfile.TemporaryDirectory()
     datamodel.save_dataset(synth(*LOAD_SHAPE), data_dir.name)
     rng = np.random.default_rng(0)
@@ -252,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     fcls_one = {k: [] for k in ks}
     fcls_batch = {k: [] for k in ks}
     vca_samples = {name: {"vca": [], "certificate": [], "certified": []} for name in vca_cases}
+    evals = {t: {layer: [] for layer in EVAL_LAYERS} for t in EVAL_ROWS}
     host = []
     clock = time.perf_counter
     for _ in range(args.rounds):
@@ -267,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         p2.append(clock() - t0)
         for name, data, config in streams:
             init[name].append(stream_round(data, config, args.steps, layers[name]))
+            eval_round(eval_data, eval_endmembers, args.calls, evals)
         for k, (s, rows) in fcls_cases.items():
             for i in range(args.calls):
                 t0 = clock()
@@ -295,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         "import_rss_mb": None if None in import_rss else float(np.median(import_rss)),
         "step_us": {
             name: {layer: summary(v) for layer, v in per.items()} for name, per in layers.items()
+        },
+        "eval_us": {
+            str(t): {layer: summary(v) for layer, v in per.items()} for t, per in evals.items()
         },
         "fcls_one_us": {str(k): summary(v) for k, v in fcls_one.items()},
         f"fcls_batch{BATCH_ROWS}_us": {str(k): summary(v) for k, v in fcls_batch.items()},

@@ -76,6 +76,8 @@ SCREEN_RATIO = 1e-12
 # 2^12 - 1 = 4095 supports; the enumeration grows as 2^K.
 MAX_ENDMEMBERS = 12
 # Rows per chunk keep the (supports (K+1), rows) solution array near this size.
+# The chunk width also decides how BLAS rounds the product (a narrower chunk
+# changed bits at K >= 7 in a probe), so the chosen rows depend on it.
 CHUNK_BYTES = 8 * 2**20
 # A candidate entry above -FEASIBLE_TOL counts as nonnegative.
 FEASIBLE_TOL = 1e-12
@@ -198,7 +200,10 @@ def estimate_concentrations(
     if not np.isfinite(rows).all():
         bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"spectrum {bad} is not finite")
-    gram = s.T @ s
+    # G and b are written straight into the bordered matrix and the right-hand side.
+    padded = np.zeros((k + 1, k + 1))
+    gram = padded[:k, :k]
+    np.matmul(s.T, s, out=gram)
     if not np.isfinite(gram.diagonal()).all():
         raise ValueError("endmember matrix holds a NaN or an infinity")
 
@@ -218,10 +223,8 @@ def estimate_concentrations(
             )
 
     block, offset = _bordered_layout(k)
-    padded = np.zeros((k + 1, k + 1))
-    padded[:k, :k] = gram
     rhs = np.empty((k + 1, n))
-    rhs[:k] = s.T @ rows.T
+    np.matmul(s.T, rows.T, out=rhs[:k])
     rhs[k] = 1.0
     if n <= (k + 1) // 2:
         # [b; 1] masked to each support: the identity rows off A, which no
@@ -232,11 +235,13 @@ def estimate_concentrations(
         inv = _lapack(np.linalg.inv, padded * block + offset) * block
         stacked = inv.reshape(-1, k + 1)  # (supports (K+1), K+1)
         out = np.empty((n, k))
-        chunk = max(1, CHUNK_BYTES // (8 * stacked.shape[0]))
+        chunk = min(n, max(1, CHUNK_BYTES // (8 * stacked.shape[0])))
+        buffer = np.empty(stacked.shape[0] * chunk)  # every chunk's [c_A; nu]
         for lo in range(0, n, chunk):
             b = rhs[:, lo : lo + chunk]
-            sol = (stacked @ b).reshape(inv.shape[0], k + 1, b.shape[1])  # [c_A; nu]
-            out[lo : lo + chunk] = _best_candidates(sol, b)
+            sol = buffer[: stacked.shape[0] * b.shape[1]].reshape(stacked.shape[0], -1)
+            np.matmul(stacked, b, out=sol)
+            out[lo : lo + chunk] = _best_candidates(sol.reshape(inv.shape[0], k + 1, -1), b)
     np.maximum(out, 0.0, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out

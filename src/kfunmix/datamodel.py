@@ -69,11 +69,16 @@ class _Matrix:
 @dataclass(frozen=True)
 class SpectraMatrix(_Matrix):
     """Measured spectra, one row per observation; the input rule of every
-    set-up and baseline function that takes a block of row spectra."""
+    set-up and baseline function that takes a block of row spectra.  Built
+    from another SpectraMatrix, it takes that one's checked values as they
+    are, so a wrapper handed on through several functions is scanned once."""
 
     values: FloatArray
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, SpectraMatrix):
+            object.__setattr__(self, "values", self.values.values)
+            return
         arr = _as_float_matrix(self.values, "spectra")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError(f"spectra must be at least 1x2, got {arr.shape}")

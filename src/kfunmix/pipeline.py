@@ -116,7 +116,8 @@ def init_pipeline(
     cached regression system.  The row covariance starts at sigma_v2 I, or
     for dl at the inverse of the init abundances' Gram (ridged when ill-conditioned).
     """
-    rows = SpectraMatrix(init_spectra).values
+    spectra = SpectraMatrix(init_spectra)  # checked once; the callees take it as it is
+    rows = spectra.values
     if rows.shape[0] != config.n_init:
         raise ValueError(
             f"expected {config.n_init} initialization spectra, got {rows.shape[0]}"
@@ -125,10 +126,10 @@ def init_pipeline(
     if config.n_harmonics is not None:
         n_harmonics = config.n_harmonics
     else:
-        n_harmonics = select_num_harmonics(rows, config.eta)
+        n_harmonics = select_num_harmonics(spectra, config.eta)
     basis = build_basis(rows.shape[1], n_harmonics)
     # Floor keeps the observation variance positive on noiseless input.
-    sigma_e2 = max(estimate_noise_variance(rows), 1e-12)
+    sigma_e2 = max(estimate_noise_variance(spectra), 1e-12)
 
     if config.init_endmembers is not None:
         start = config.init_endmembers
@@ -137,7 +138,7 @@ def init_pipeline(
         if start.n_endmembers != config.n_endmembers:
             raise ValueError("provided init endmembers do not match n_endmembers")
     else:
-        start = vca(rows, config.n_endmembers, config.seed)
+        start = vca(spectra, config.n_endmembers, config.seed)
 
     # Row k of the state mean is reduced endmember k.
     mean = reduce_columns(start.values, basis).T
@@ -151,7 +152,7 @@ def init_pipeline(
     else:
         estimator = FilterState(mean, config.sigma_v2 * np.eye(config.n_endmembers))
 
-    regressors = build_regressor_set(rows, basis)
+    regressors = build_regressor_set(spectra, basis)
     return PipelineState(
         config=config,
         basis=basis,
@@ -191,7 +192,7 @@ def pipeline_step(
         estimator = dl_update(state.estimator, concentration, observed)
 
     fit = solve_regression(state.regressors, estimator.mean.T)
-    estimator = replace(estimator, mean=reduce_columns(fit.endmembers.values, state.basis).T)
+    estimator = estimator.with_mean(reduce_columns(fit.endmembers.values, state.basis).T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     new_state = replace(state, estimator=estimator, endmembers=EndmemberEstimate(fit.endmembers))

@@ -183,12 +183,25 @@ def phasor_embedding(
 
     Normalizing by total intensity makes the embedding of a mixture a convex
     combination of its endmembers' embeddings, so convex-hull vertices are
-    the least-mixed spectra in the set.
+    the least-mixed spectra in the set.  A row whose total is not positive
+    is embedded as it is.  A row whose total is positive but within rounding
+    of zero, ``sum(y) <= L * eps * sum(|y|)`` (a baseline-subtracted spectrum,
+    say), has no intensity to normalize by: dividing by it would throw the
+    point ~1/eps outside the cloud, where it would become a hull vertex, so
+    it raises ValueError naming the row.
     """
     rows = np.asarray(spectra)
     if basis is None or basis.n_harmonics < 2:
         basis = build_basis(rows.shape[1], 2)
     totals = np.sum(rows, axis=1, keepdims=True)
+    eps = np.finfo(np.float64).eps
+    rounding = rows.shape[1] * eps * np.sum(np.abs(rows), axis=1, keepdims=True)
+    near_zero = np.flatnonzero((totals > 0.0) & (totals <= rounding))
+    if near_zero.size:
+        raise ValueError(
+            f"spectrum row {near_zero[0]} has a total of {totals[near_zero[0], 0]:.3g}, "
+            "within rounding of zero; it cannot be intensity-normalized"
+        )
     safe = np.where(totals > 0.0, totals, 1.0)
     normalized = rows / safe
     m = basis.n_harmonics

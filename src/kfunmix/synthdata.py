@@ -197,7 +197,9 @@ def estimate_noise_variance(spectra: SpectraMatrix | FloatArray) -> float:
     over spectra of the median per-segment sample variance, which
     suppresses segments sitting on sharp signal features.
     """
-    rows = SpectraMatrix(np.atleast_2d(spectra)).values
+    if not isinstance(spectra, SpectraMatrix):
+        spectra = np.atleast_2d(spectra)
+    rows = SpectraMatrix(spectra).values
     n_channels = rows.shape[1]
     n_segments = n_channels // SEGMENT_LEN
     if n_segments < 1:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kfunmix import datamodel
 from kfunmix.datamodel import (
     NONNEG_TOL,
     ConcentrationMatrix,
@@ -57,6 +58,11 @@ class TestSpectraMatrix:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="spectra row 0 is not finite"):
             SpectraMatrix(np.array([[np.inf, 1.0]]))
+
+    def test_built_from_a_wrapper_keeps_its_checked_values(self, monkeypatch):
+        checked = SpectraMatrix(np.array([[1.0, 2.0]]))
+        monkeypatch.setattr(datamodel, "_as_float_matrix", None)  # any new check would fail
+        assert SpectraMatrix(checked).values is checked.values
 
 
 class TestConcentrationMatrix:
@@ -317,6 +323,20 @@ def test_spectra_entry_point_names_the_first_bad_row(name, case):
     with pytest.raises(ValueError) as err:
         SPECTRA_ENTRY_POINTS[name](lambda _: rows)
     assert str(err.value) == message
+
+
+def test_init_pipeline_checks_its_rows_once(monkeypatch):
+    """The callees take init_pipeline's checked wrapper; each still checks a
+    raw array itself (test_spectra_entry_point_names_the_first_bad_row)."""
+    checks = []
+    check = datamodel._as_float_matrix
+    def counted(values, name):
+        checks.append(name)
+        return check(values, name)
+
+    monkeypatch.setattr(datamodel, "_as_float_matrix", counted)
+    ENTRY_POINTS["init_pipeline"](lambda w: w.values)
+    assert checks == ["spectra"]
 
 
 class TestChecksMatchThePreviousPredicates:

@@ -344,6 +344,19 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="non-finite"):
             FilterState(np.zeros((1, 2)), np.array([[np.inf]]))
 
+    def test_with_mean_checks_only_the_new_mean(self):
+        matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+        state = FilterState(np.zeros((2, 3)), matrix)
+        moved = state.with_mean(np.ones((2, 3)))
+        assert moved.matrix is state.matrix
+        np.testing.assert_array_equal(moved.mean, np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"must be a \(K, 2M\) matrix"):
+            state.with_mean(np.ones(6))
+        with pytest.raises(ValueError, match="state mean contains non-finite"):
+            state.with_mean(np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"mean shape \(3, 2\) does not match \(2, 3\)"):
+            state.with_mean(np.ones((3, 2)))
+
     def test_validate_flags_indefinite_covariance(self):
         state = FilterState(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="eigenvalue"):

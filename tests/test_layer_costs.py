@@ -45,6 +45,10 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
     for per_layer in report["step_us"].values():
         assert tuple(per_layer) == layer_costs.LAYERS
         figures.extend(per_layer.values())
+    assert set(report["eval_us"]) == {str(t) for t in layer_costs.EVAL_ROWS}
+    for per_layer in report["eval_us"].values():
+        assert tuple(per_layer) == layer_costs.EVAL_LAYERS
+        figures.extend(per_layer.values())
     for key in ("fcls_one_us", f"fcls_batch{layer_costs.BATCH_ROWS}_us"):
         assert set(report[key]) == {"2", "3"}
         figures.extend(report[key].values())
@@ -56,6 +60,20 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
         figures.extend([case, case["certificate"]])
     for figure in figures:
         assert 0.0 < figure["median"] <= figure["p95"]
+
+
+def test_eval_round_times_each_call_of_a_record():
+    from kfunmix.vca import vca
+
+    data = generate_dataset(
+        SynthConfig(n_spectra=max(layer_costs.EVAL_ROWS), n_channels=64, n_endmembers=3, seed=1)
+    )
+    endmembers = vca(data.spectra.values[: layer_costs.N_INIT], 3)
+    out = {t: {layer: [] for layer in layer_costs.EVAL_LAYERS} for t in layer_costs.EVAL_ROWS}
+    for _ in range(2):
+        layer_costs.eval_round(data, endmembers, 3, out)
+    for per_layer in out.values():
+        assert all(len(v) == 6 and min(v) > 0.0 for v in per_layer.values())
 
 
 def test_vca_round_reports_no_certificate_for_a_checkout_without_one(monkeypatch):

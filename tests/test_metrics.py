@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from kfunmix.datamodel import ConcentrationMatrix, EndmemberMatrix, SpectraMatrix
 from kfunmix.metrics import (
+    RE_IDENTITY_SHARE,
     TRACE_COLUMNS,
     _assign,
     MetricRecord,
@@ -281,18 +282,66 @@ class TestReconstructionError:
         s = np.full((4, 2), 1e-30)
         assert abs(reconstruction_error(y, c, s) - 1.0) < 1e-12
 
+    @staticmethod
+    def direct(y, c, s):
+        return np.linalg.norm(y - c @ s.T) / np.linalg.norm(y)
+
+    @staticmethod
+    def exact(y, c, s):
+        """RE from a residual formed in extended precision."""
+        y, c, s = (np.asarray(a, dtype=np.longdouble) for a in (y, c, s))
+        return float(np.sqrt(np.sum((y - c @ s.T) ** 2) / np.sum(y**2)))
+
     def test_matches_formula(self):
-        """Bit for bit, and without writing to its inputs."""
+        """Random fits (RE 0.5-1) take the normal-equation identity: within
+        1e-12 relative of the direct formula, and without writing to its inputs."""
         rng = np.random.default_rng(5)
         for n_rows, n_channels, k in [(6, 9, 2), (1, 5, 1), (40, 200, 3), (300, 17, 6)]:
             y = rng.uniform(size=(n_rows, n_channels))
             c = rng.dirichlet(np.ones(k), size=n_rows)
             s = rng.uniform(size=(n_channels, k))
             copies = (y.copy(), c.copy(), s.copy())
-            expected = np.linalg.norm(y - c @ s.T) / np.linalg.norm(y)
-            assert reconstruction_error(y, c, s) == expected
+            expected = self.direct(y, c, s)
+            assert expected**2 >= RE_IDENTITY_SHARE
+            assert abs(reconstruction_error(y, c, s) - expected) <= 1e-12 * expected
             for before, after in zip(copies, (y, c, s)):
                 np.testing.assert_array_equal(before, after)
+
+    def test_direct_branch_matches_formula_bit_for_bit(self):
+        """Close fits, and any negative entry of C or S, take the residual form."""
+        rng = np.random.default_rng(6)
+        for n_rows, n_channels, k in [(6, 9, 2), (40, 200, 3), (300, 17, 6)]:
+            c = rng.dirichlet(np.ones(k), size=n_rows)
+            s = rng.uniform(size=(n_channels, k))
+            close = c @ s.T + 1e-3 * rng.normal(size=(n_rows, n_channels))
+            assert self.direct(close, c, s) ** 2 < RE_IDENTITY_SHARE
+            assert reconstruction_error(close, c, s) == self.direct(close, c, s)
+            y = rng.uniform(size=(n_rows, n_channels))
+            signed = s - 0.5
+            assert reconstruction_error(y, c, signed) == self.direct(y, c, signed)
+
+    def test_share_sweep_crosses_the_switch(self):
+        """Residual shares RE² from 1e-14 to 1 on an L200 K3 fit: equal to the
+        direct formula below the switch, within 1e-12 of the exact value above."""
+        rng = np.random.default_rng(7)
+        c = rng.dirichlet(np.ones(3), size=215)
+        s = rng.uniform(0.0, 1.0, size=(200, 3))
+        model = c @ s.T
+        noise = rng.normal(size=model.shape)
+        branches = set()
+        for share in np.minimum(np.logspace(-14.0, 0.0, 43), 0.999):
+            # E = a·noise with ‖E‖² / ‖M + E‖² = share, taking E ⟂ M (so in expectation)
+            a = np.sqrt(share / (1.0 - share) * np.sum(model**2) / np.sum(noise**2))
+            y = model + a * noise
+            got = reconstruction_error(y, c, s)
+            if self.direct(y, c, s) ** 2 < RE_IDENTITY_SHARE:
+                branches.add("direct")
+                assert got == self.direct(y, c, s)
+            else:
+                branches.add("identity")
+                exact = self.exact(y, c, s)
+                assert abs(got - exact) <= 1e-12 * exact
+        assert branches == {"direct", "identity"}
 
     def test_accepts_wrappers(self):
         y = SpectraMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import dl_reference
+import evaluation_reference
 from kfunmix.abundance import estimate_concentration, estimate_concentrations
 from kfunmix.datamodel import RIDGE, DatasetBundle, EndmemberMatrix, SpectraMatrix
 from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonics
 from kfunmix.kalman import FilterState, NumericalError, kf_update
-from kfunmix.metrics import read_trace_csv, sad
+from kfunmix.metrics import RE_IDENTITY_SHARE, read_trace_csv, sad
 from kfunmix.pipeline import (
     BASELINES,
     STRIDES,
@@ -27,7 +28,8 @@ from kfunmix.pipeline import (
     pipeline_step,
     run_experiment,
 )
-from kfunmix.protocols import AcquisitionOrder, protocol_p1
+from kfunmix.fourier import build_basis
+from kfunmix.protocols import AcquisitionOrder, P2Config, protocol_p1, protocol_p2
 from kfunmix.synthdata import SynthConfig, generate_dataset
 
 
@@ -668,6 +670,51 @@ class TestRunExperiment:
             )
         records, _ = read_trace_csv(out)
         assert [rec.t for rec in records] == [11, 12, 13]
+
+
+class TestEvaluationMatchesTheOracle:
+    """Runs against the evaluation formulas of ``tests/evaluation_reference.py``:
+    every record's ASAD and RMSE and the final abundances bit for bit, RE
+    within 1e-12 relative, for the stream and its VCA baseline."""
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    @pytest.mark.parametrize("abundance_stride", [1, 3])
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_records_and_final_abundances(self, k, abundance_stride, protocol, monkeypatch):
+        data = generate_dataset(
+            SynthConfig(n_spectra=100, n_channels=120, n_endmembers=k, snr_db=30.0,
+                        purity_cap=0.8 if protocol == "p2" else None, seed=k)
+        )
+        if protocol == "p1":
+            order = protocol_p1(100)
+        else:
+            order = protocol_p2(data.spectra, build_basis(120, 2), P2Config(80, 10, seed=k))
+        config = PipelineConfig(n_endmembers=k, n_init=30, seed=k)
+
+        def run():
+            return run_experiment(
+                data, order, config, abundance_stride=abundance_stride,
+                baselines=("vca",), baseline_stride=7,
+            )
+
+        got = run()
+        # the stream's fit is loose enough that every RE comes from the identity
+        assert min(r.re for r in got.trace.records if r.re is not None) ** 2 >= RE_IDENTITY_SHARE
+        for name in ("estimate_concentrations", "reconstruction_error", "rmse_concentrations"):
+            monkeypatch.setattr(f"kfunmix.pipeline.{name}", getattr(evaluation_reference, name))
+        want = run()
+        for trace, ref in [(got.trace, want.trace), (got.baselines["vca"], want.baselines["vca"])]:
+            assert [r.t for r in trace.records] == [r.t for r in ref.records]
+            assert sum(r.re is not None for r in trace.records) > 1
+            for rec, ref_rec in zip(trace.records, ref.records):
+                assert rec.asad_deg == ref_rec.asad_deg
+                assert rec.rmse == ref_rec.rmse
+                if ref_rec.re is None:
+                    assert rec.re is None
+                else:
+                    assert abs(rec.re - ref_rec.re) <= 1e-12 * ref_rec.re
+            for field in ("final_concentrations", "final_endmembers"):
+                assert np.array_equal(getattr(trace, field).values, getattr(ref, field).values)
 
 
 def run_in_fresh_interpreter(code: str) -> str:

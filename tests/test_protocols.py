@@ -291,6 +291,20 @@ class TestPhasorEmbedding:
         np.testing.assert_allclose(pt[0], expected_re, atol=1e-12)
 
 
+    def test_total_within_rounding_of_zero_names_the_row(self):
+        """A baseline-subtracted spectrum (total ~1e-14) would land ~1e12 out."""
+        data = generate_dataset(SynthConfig(n_spectra=200, n_channels=60, n_endmembers=3, seed=5))
+        rows = data.spectra.values.copy()
+        rows[17] -= rows[17].mean()
+        assert 0.0 < rows[17].sum() < 60 * np.finfo(np.float64).eps * np.abs(rows[17]).sum()
+        with pytest.raises(ValueError, match="spectrum row 17 has a total of 1.29e-14"):
+            phasor_embedding(rows)
+        with pytest.raises(ValueError, match="spectrum row 17 "):
+            protocol_p2(rows, build_basis(60, 2), P2Config(20, 5, seed=0))
+        rows[17, 0] -= 1e-3  # a total clearly below zero is embedded as it is
+        assert np.all(np.isfinite(phasor_embedding(rows)))
+
+
 class TestProtocolP1:
     def test_native_order(self):
         order = protocol_p1(5)
