@@ -6,10 +6,11 @@ checkout and once in the change checkout with the same workload, seed and
 metric's better direction come from the change's BENCHMARK.json.  The
 parent goes first on odd seeds and the change on even ones, so drift of a
 shared machine's speed does not favour one side.
-Each run's final stdout line (the benchmark's JSON result) and its
-``run_info`` line are kept.  A run that exits non-zero or prints no result
-line also keeps the last STDERR_TAIL lines of its stderr, which are echoed
-as it ends.  The output file holds every pair and, per metric and side, the
+Each run's final stdout line (the benchmark's JSON result), its
+``run_info`` line and its ``samples`` line (sample counts and the
+host-speed factors each pass was scaled by) are kept.  A run that exits
+non-zero or prints no result line also keeps the last STDERR_TAIL lines of
+its stderr, which are echoed as it ends.  The output file holds every pair and, per metric and side, the
 median and quartiles, plus the number of pairs the change won (ties count
 for neither) and whether the gain rule holds: at least nine tenths of the
 pairs won and a median gap wider than the parent's interquartile distance.
@@ -117,16 +118,17 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
-    result = run_info = None
+    result = None
     if lines:
         try:
             result = json.loads(lines[-1])
         except ValueError:
             pass
+    run = {"returncode": proc.returncode, "result": result, "run_info": None, "samples": None}
     for line in lines:
-        if line.startswith("run_info "):
-            run_info = json.loads(line[len("run_info "):])
-    run = {"returncode": proc.returncode, "result": result, "run_info": run_info}
+        key, _, rest = line.strip().partition(" ")
+        if key in ("run_info", "samples"):
+            run[key] = json.loads(rest)
     if proc.returncode != 0 or result is None:
         run["stderr_tail"] = proc.stderr.splitlines()[-STDERR_TAIL:]
         for line in run["stderr_tail"]:

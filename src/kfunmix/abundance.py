@@ -1,46 +1,63 @@
-"""Fully constrained abundance estimation.
+"""Constrained least squares by support enumeration: FCLS and NNLS.
 
-Solves ``argmin_c ||y - S c||^2  subject to  c >= 0, sum(c) = 1`` exactly by
-enumerating supports.  The minimiser lies on some nonempty support A, where
-it is the equality-constrained least-squares solution of the columns in A.
-Every one of the 2^K - 1 supports is solved in closed form for all spectra
-at once, and each spectrum keeps its lowest-objective nonnegative candidate
-(Heinz & Chang 2001 solve the same problem by an active-set search).
+One engine serves two problems.  FCLS (fully constrained) solves
+``argmin_c ||y - S c||^2  subject to  c >= 0, sum(c) = 1``; NNLS solves
+``argmin_x ||y - C x||^2  subject to  x >= 0``.  The minimiser lies on some
+support A, where it is the (equality-constrained) least-squares solution
+of the columns in A.  Every support is solved in closed form for all
+right-hand sides at once, and each keeps its lowest-objective nonnegative
+candidate (Heinz & Chang 2001 and Lawson & Hanson 1974 solve the same
+problems by an active-set search).
 
-With G = S^T S and b = S^T y, the candidate on A and its sum-to-one
-multiplier nu solve the bordered KKT system
+With G = S^T S and b = S^T y, the FCLS candidate on a nonempty A and its
+sum-to-one multiplier nu solve the bordered KKT system
 
-    [[G_A + RIDGE I, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1].
+    [[G_A + RIDGE I, 1_A], [1_A^T, 0]] [c_A; nu] = [b_A; 1],
 
-Each of the 2^K - 1 bordered matrices holds the identity off its support,
-and no other row or column couples to those rows.  How they are applied
-depends on the row count n alone:
+and the NNLS candidate (G = C^T C, b = C^T y) solves the unbordered
+G_A x_A = b_A.  Each layout matrix holds the identity off its support, and
+no other row or column couples to those rows.  The NNLS layout is the
+FCLS one without its border row and column, the empty support included:
+its matrix is the identity and its candidate x = 0.  RIDGE is not part of
+the layout.  FCLS adds it to the diagonal of G after its eigenvalue screen;
+NNLS adds it only to the Gram of a design with cond(C) > COND_LIMIT, with a
+"rank deficient" warning.  How the m x m systems (m = K + 1 or K) are
+applied depends on the column count n of the right-hand side alone:
 
-- n <= (K + 1) // 2, a single spectrum among them: one batched LU solve of
-  all the systems against [b; 1] masked to each support.  Partial pivoting
-  never takes an off-support row as the pivot of another column, and its
-  multipliers and right-hand-side entries stay exactly 0, so the candidate
-  is exactly 0 off A, not merely small.
-- larger n: the bordered matrices are inverted in one batched call and
-  masked back to their supports, so each inverse maps [b; 1] straight to
-  [c_A; nu] with exact zeros off A.  Stacked as one (supports (K+1), K+1)
-  matrix, they give every candidate and multiplier of every spectrum from
-  one product with the (K+1, n) right-hand side [S^T Y^T; 1^T].
+- n <= m // 2, a single spectrum among them for FCLS: one batched LU solve
+  of all the systems against the right-hand side masked to each support.
+  Partial pivoting never takes an off-support row as the pivot of another
+  column, and its multipliers and right-hand-side entries stay exactly 0,
+  so the candidate is exactly 0 off A, not merely small.
+- larger n: the systems are inverted in one batched call and masked back
+  to their supports, so each inverse maps the right-hand side straight to
+  the candidate with exact zeros off A.  Stacked as one (supports m, m)
+  matrix, they give every candidate of every column from one product per
+  chunk of columns with the (m, n) right-hand side, [S^T Y^T; 1^T] for FCLS
+  and C^T Y for NNLS.
 
 In flops the solve is always cheaper: an inversion costs about three LU
 factorisations, and the triangular solves cost what the product does.  But
 the product is one large BLAS call, while the triangular solves run per
 small matrix, so the solve loses once n grows.  Timed at L = 400 with one
 BLAS thread, the crossover fell between n = K / 2 and n = K + 1 at K = 3,
-5, 8 and 12, so the rule keeps to its low end.  A candidate's objective
-``0.5 c^T (G + RIDGE I) c - b^T c`` equals ``-0.5 (b^T c + nu)``, so each
-spectrum keeps the nonnegative candidate with the largest b^T c + nu, the
-first in support order on a tie.  The singletons are always nonnegative, so
-one exists.  The chosen row sums to 1 up to rounding and lies within
-FEASIBLE_TOL of the simplex, so the exit clamps it at 0 and divides it by
-its sum, which moves it by O(K 1e-12) at most.
+5, 8 and 12, so the rule keeps to its low end.
 
-The ill-conditioning warning is screened on the eigenvalues of the K x K
+Each candidate is scored by its solution times the right-hand side.  An
+FCLS candidate's objective ``0.5 c^T (G + RIDGE I) c - b^T c`` equals
+``-0.5 (b^T c + nu)``, and an NNLS candidate's ``0.5 x^T G x - b^T x``
+equals ``-0.5 b^T x``, so each column keeps the nonnegative candidate
+(entries above -FEASIBLE_TOL) with the largest score, the first in support
+order on a tie.  One always exists: the FCLS singletons are nonnegative,
+and the NNLS empty support, first in order, gives x = 0 with score 0, so a
+column that no other candidate betters (b <= 0 among them) gets exact
+zeros.  The chosen rows are clamped at 0; an FCLS row sums to 1 up to
+rounding and lies within FEASIBLE_TOL of the simplex, so it is also divided
+by its sum, which moves it by O(K 1e-12) at most.  The score is first order
+in a candidate's rounding error, so two supports whose objectives differ by
+less than about eps cond(G) |b| |x| can be ranked the wrong way round.
+
+FCLS's ill-conditioning warning is screened on the eigenvalues of the K x K
 Gram G = S^T S that the solve forms anyway.  cond(S)^2 = cond(G), so
 lambda_min(G) > SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two
 orders of magnitude under COND_WARN.  Flipping that takes errors in G near
@@ -53,7 +70,7 @@ precision (two identical columns whose squared norms dwarf the ridge), and
 the solve raises NumericalError rather than return whatever the rounding of
 an LU factorisation makes of it.
 
-G also guards the endmembers: a NaN or an infinity in column j of S
+FCLS's G also guards the endmembers: a NaN or an infinity in column j of S
 reaches G_jj, so S is rejected on the K diagonal entries of G, with no scan
 of the L x K matrix.  A diagonal that overflows from finite entries of
 magnitude near 1e154 is rejected too, since no solve could use it.  Once
@@ -68,14 +85,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import COND_WARN, RIDGE, EndmemberMatrix, FloatArray
+from .datamodel import COND_LIMIT, COND_WARN, RIDGE, EndmemberMatrix, FloatArray
 from .kalman import NumericalError
 
 # lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
 SCREEN_RATIO = 1e-12
-# 2^12 - 1 = 4095 supports; the enumeration grows as 2^K.
+# 2^12 = 4096 supports; the enumeration grows as 2^K.
 MAX_ENDMEMBERS = 12
-# Rows per chunk keep the (supports (K+1), rows) solution array near this size.
+# Columns per chunk keep the (supports m, columns) solution array near this size.
 # The chunk width also decides how BLAS rounds the product (a narrower chunk
 # changed bits at K >= 7 in a probe), so the chosen rows depend on it.
 CHUNK_BYTES = 8 * 2**20
@@ -89,50 +106,90 @@ class FclsConfig:
     passes it (``McrConfig(fcls=config.fcls)``).  ROADMAP item 4 deletes it."""
 
 
-@functools.lru_cache(maxsize=MAX_ENDMEMBERS)
-def _bordered_layout(k: int) -> tuple[FloatArray, FloatArray]:
-    """Masks of the 2^K - 1 bordered KKT matrices and the constant part of each.
+_Layout = tuple[FloatArray, FloatArray, FloatArray]
 
+
+@functools.lru_cache(maxsize=MAX_ENDMEMBERS)
+def _bordered_layout(k: int) -> tuple[_Layout, _Layout]:
+    """The FCLS and the NNLS layout of K columns, each ``(block, offset, mask)``.
+
+    Support a is the binary digits of a, so support 0 is the empty one.
     ``block[a]`` is 1 on support a's rows and columns and on the border row
-    and column, 0 elsewhere.  ``offset[a]`` holds RIDGE on the support's
-    diagonal, the identity off it and the border's ones.  With G_pad the
-    Gram with a zero row and column appended, ``G_pad * block + offset`` is
-    support a's bordered matrix, invertible whatever G is off the support.
+    and column, 0 elsewhere.  ``offset[a]`` holds the identity off the
+    support and the border's ones.  With G_pad the Gram, RIDGE on its
+    diagonal and a zero row and column appended, ``G_pad * block + offset``
+    is support a's bordered matrix, invertible whatever G is off the
+    support, and ``mask[a]`` (the border column) marks its rows.  FCLS
+    skips the empty support, whose border row is 0.  NNLS drops the border:
+    ``G * block[:, :k, :k] + offset[:, :k, :k]`` is G_A on A and the
+    identity off it, the identity itself on the empty support, whose
+    candidate is 0.  Both are views made once per K.
     """
-    supports = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1  # (supports, K)
+    supports = (np.arange(2**k)[:, None] >> np.arange(k)) & 1  # (supports, K)
     bordered = np.hstack([supports, np.ones((supports.shape[0], 1), dtype=supports.dtype)])
     block = (bordered[:, :, None] * bordered[:, None, :]).astype(np.float64)
     offset = np.zeros_like(block)
     diag = np.arange(k)
-    offset[:, diag, diag] = np.where(supports == 1, RIDGE, 1.0)
+    offset[:, diag, diag] = 1 - supports
     offset[:, k, :k] = supports
     offset[:, :k, k] = supports
     block.flags.writeable = False
     offset.flags.writeable = False
-    return block, offset
+    mask = block[:, :, k:]
+    fcls = (block[1:], offset[1:], mask[1:])
+    nnls = (block[:, :k, :k], offset[:, :k, :k], mask[:, :k])
+    return fcls, nnls
 
 
 def _lapack(solver, *args) -> FloatArray:
-    """``solver(*args)`` on the bordered matrices, a singular one raising NumericalError."""
+    """``solver(*args)`` on the support systems, a singular one raising NumericalError."""
     try:
         return solver(*args)
     except np.linalg.LinAlgError as err:
         raise NumericalError(
-            "endmember Gram is singular on some support; the endmember "
-            "columns are linearly dependent"
+            "Gram is singular on some support; the fitted columns are linearly dependent"
         ) from err
 
 
-def _best_candidates(sol: FloatArray, rhs: FloatArray) -> FloatArray:
-    """Each column's nonnegative candidate with the largest b^T c + nu.
+def _best_candidates(sol: FloatArray, rhs: FloatArray, k: int) -> FloatArray:
+    """Each column's nonnegative candidate with the largest score.
 
-    ``sol`` is (supports, K+1, n) with [c_A; nu] per support and spectrum,
-    ``rhs`` the (K+1, n) right-hand side [b; 1]; returns the (n, K) rows.
+    ``sol`` is (supports, m, n) with each support's solution per column,
+    its first k entries the candidate; ``rhs`` is the (m, n) right-hand
+    side, so the score ``sol^T rhs`` is b^T c + nu for FCLS and b^T c for
+    NNLS.  Returns the (n, k) rows.
     """
-    k = sol.shape[1] - 1
-    score = np.einsum("skn,kn->sn", sol, rhs)  # b^T c + nu
+    score = np.einsum("skn,kn->sn", sol, rhs)
     score[sol[:, :k].min(axis=1) < -FEASIBLE_TOL] = -np.inf
     return sol[score.argmax(axis=0), :k, np.arange(rhs.shape[1])]
+
+
+def _solve_supports(gram: FloatArray, rhs: FloatArray, layout: _Layout, k: int) -> FloatArray:
+    """Every column's best candidate over the supports of a layout, (n, k).
+
+    ``gram * block + offset`` stacks each support's (m, m) system; ``rhs``
+    holds one (m,) right-hand side per column.  At most m // 2 columns are
+    solved against ``rhs`` masked to each support in one batched LU solve;
+    more are mapped by the stacked masked inverses, one product per chunk.
+    """
+    block, offset, mask = layout
+    n = rhs.shape[1]
+    systems = gram * block + offset
+    if n <= rhs.shape[0] // 2:
+        # rhs masked to each support: the identity rows off A, which no
+        # other row couples to, give exact zeros there.
+        return _best_candidates(_lapack(np.linalg.solve, systems, rhs * mask), rhs, k)
+    inv = _lapack(np.linalg.inv, systems) * block
+    stacked = inv.reshape(-1, rhs.shape[0])  # (supports m, m)
+    out = np.empty((n, k))
+    chunk = min(n, max(1, CHUNK_BYTES // (8 * stacked.shape[0])))
+    buffer = np.empty(stacked.shape[0] * chunk)  # every chunk's solutions
+    for lo in range(0, n, chunk):
+        b = rhs[:, lo : lo + chunk]
+        sol = buffer[: stacked.shape[0] * b.shape[1]].reshape(stacked.shape[0], -1)
+        np.matmul(stacked, b, out=sol)
+        out[lo : lo + chunk] = _best_candidates(sol.reshape(inv.shape[0], rhs.shape[0], -1), b, k)
+    return out
 
 
 def estimate_concentrations(
@@ -222,26 +279,13 @@ def estimate_concentrations(
                 stacklevel=2,
             )
 
-    block, offset = _bordered_layout(k)
+    diagonal = padded.reshape(-1)[: k * (k + 2) : k + 2]  # a view of G's diagonal
+    diagonal += RIDGE
+
     rhs = np.empty((k + 1, n))
     np.matmul(s.T, rows.T, out=rhs[:k])
     rhs[k] = 1.0
-    if n <= (k + 1) // 2:
-        # [b; 1] masked to each support: the identity rows off A, which no
-        # other row couples to, give exact zeros there.
-        sol = _lapack(np.linalg.solve, padded * block + offset, rhs * block[:, :, k:])
-        out = _best_candidates(sol, rhs)
-    else:
-        inv = _lapack(np.linalg.inv, padded * block + offset) * block
-        stacked = inv.reshape(-1, k + 1)  # (supports (K+1), K+1)
-        out = np.empty((n, k))
-        chunk = min(n, max(1, CHUNK_BYTES // (8 * stacked.shape[0])))
-        buffer = np.empty(stacked.shape[0] * chunk)  # every chunk's [c_A; nu]
-        for lo in range(0, n, chunk):
-            b = rhs[:, lo : lo + chunk]
-            sol = buffer[: stacked.shape[0] * b.shape[1]].reshape(stacked.shape[0], -1)
-            np.matmul(stacked, b, out=sol)
-            out[lo : lo + chunk] = _best_candidates(sol.reshape(inv.shape[0], k + 1, -1), b)
+    out = _solve_supports(padded, rhs, _bordered_layout(k)[0], k)
     np.maximum(out, 0.0, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out
@@ -255,3 +299,39 @@ def estimate_concentration(
     if spectrum.ndim != 1:
         raise ValueError("spectrum must be a vector")
     return estimate_concentrations(spectrum[None, :], endmembers)[0]
+
+
+def nonneg_least_squares(design: FloatArray, targets: FloatArray) -> FloatArray:
+    """Solve ``argmin_x ||C x - y||^2  subject to  x >= 0`` for every target column.
+
+    The FCLS enumeration without the sum-to-one row (module docstring):
+    each column keeps the nonnegative candidate of largest b^T x, and gets
+    exact zeros when no candidate betters the empty support's x = 0.  RIDGE I
+    is added to G = C^T C, with a warning, only when cond(C) > COND_LIMIT.
+
+    Parameters
+    ----------
+    design : (n, K) array
+        The shared design matrix C, K <= MAX_ENDMEMBERS.
+    targets : (n, L) array
+        One right-hand side y per column.
+
+    Returns
+    -------
+    (L, K) float64 array
+        Row l is the nonnegative solution for column l of ``targets``.
+    """
+    c = np.asarray(design, dtype=np.float64)
+    k = c.shape[1]
+    if k > MAX_ENDMEMBERS:
+        raise ValueError(f"at most {MAX_ENDMEMBERS} design columns are supported, got {k}")
+    gram = c.T @ c
+    if np.linalg.cond(c) > COND_LIMIT:
+        warnings.warn(
+            "design matrix is rank deficient; adding ridge to its Gram", stacklevel=2
+        )
+        gram.flat[:: k + 1] += RIDGE
+    rhs = c.T @ np.asarray(targets, dtype=np.float64)
+    out = _solve_supports(gram, rhs, _bordered_layout(k)[1], k)
+    np.maximum(out, 0.0, out=out)
+    return out

@@ -1,31 +1,30 @@
 """Batch alternating least squares baseline with hard constraints.
 
-Alternates a simplex-constrained abundance step (shared with the
-streaming solver) and a channel-wise nonnegative least-squares endmember
-step until the relative residual change stalls.  Both steps are exact,
-but the abundance step carries the shared RIDGE and a rank-deficient design
-gets one too, so a trial update can still raise the Frobenius residual by
-rounding; such an update is discarded and the alternation stops at the
-last improving iterate.  The recorded residual sequence is nonincreasing
-by construction.
+Alternates a simplex-constrained abundance step and a nonnegative
+least-squares endmember step until the relative residual change stalls.
+Both steps are :mod:`kfunmix.abundance`'s support enumeration: the
+endmember step fits all L channels at once, with G = C^T C shared and
+C^T Y as the right-hand sides.  Both steps are exact, but the abundance
+step carries the shared RIDGE and a rank-deficient design gets one too, so
+a trial update can still raise the Frobenius residual by rounding; such an
+update is discarded and the alternation stops at the last improving
+iterate.  The recorded residual sequence is nonincreasing by construction.
+
+From VCA, the stall rule does not fire within MAX_ITERS: on 300x120 K4,
+400x200 K3 and 340x200 K3 at purity cap 0.8 (20 dB, seeds 0-2) the
+relative change at iteration 60 read 4.4e-7 to 6.6e-6, and reaching
+REL_TOL took 175 to 742 iterations.  Both constants are kept, so on such
+data the baseline runs all MAX_ITERS alternations.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abundance import FclsConfig, estimate_concentrations
-from .datamodel import (
-    COND_LIMIT,
-    RIDGE,
-    ConcentrationMatrix,
-    EndmemberMatrix,
-    FloatArray,
-    SpectraMatrix,
-)
+from .abundance import FclsConfig, estimate_concentrations, nonneg_least_squares
+from .datamodel import ConcentrationMatrix, EndmemberMatrix, FloatArray, SpectraMatrix
 from .vca import vca
 
 # Alternation budget, and the relative residual change that ends it early.
@@ -64,28 +63,6 @@ def pca_nonneg_init(
     return EndmemberMatrix(clamped)
 
 
-def _endmember_step(rows: FloatArray, concentrations: FloatArray) -> FloatArray:
-    """Per-channel NNLS: each channel's endmember values fit that channel's data."""
-    # Imported here: scipy.optimize is ~20 MB that only this baseline uses.
-    from scipy.optimize import nnls
-
-    design = concentrations
-    if np.linalg.cond(design) > COND_LIMIT:
-        warnings.warn(
-            "concentration matrix is rank deficient; adding ridge to the design",
-            stacklevel=3,
-        )
-        k = design.shape[1]
-        design = np.vstack([design, np.sqrt(RIDGE) * np.eye(k)])
-        rows = np.vstack([rows, np.zeros((k, rows.shape[1]))])
-    n_channels = rows.shape[1]
-    k = design.shape[1]
-    out = np.empty((n_channels, k))
-    for channel in range(n_channels):
-        out[channel], _ = nnls(design, rows[:, channel])
-    return out
-
-
 def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult:
     """Alternate constrained C and S steps on the full data block.
 
@@ -112,7 +89,7 @@ def mcr_als(spectra: SpectraMatrix | FloatArray, config: McrConfig) -> McrResult
     conc = None
     for _iteration in range(MAX_ITERS):
         trial_conc = estimate_concentrations(rows, s)
-        trial_s = _endmember_step(rows, trial_conc)
+        trial_s = nonneg_least_squares(trial_conc, rows)
         # A component absent from every row has no data to fit; keep it.
         absent = ~np.any(trial_s, axis=0)
         trial_s[:, absent] = s[:, absent]

@@ -7,7 +7,7 @@ at every angle, 0 included; the arccos of a rounded cosine is not near 0.
 All K² angles come from one K×K matrix, one minimum-cost assignment on it
 picks the alignment, and the average reads the matched entries of the same
 matrix.  The assignment is an in-repo O(K³) Hungarian method, so evaluation
-needs no ``scipy.optimize``.  Abundance error is a root mean square over all
+needs no scipy solver.  Abundance error is a root mean square over all
 entries after applying the same alignment.  Reconstruction error is relative
 in Frobenius norm, with a rank-K PCA projection giving the attainable lower
 bound.

@@ -135,10 +135,12 @@ class TestRunRecords:
 
     def test_a_good_run_keeps_no_stderr(self, monkeypatch, capsys):
         line = json.dumps(result_line(0.5, 2.0))
-        self.stub(monkeypatch, FakeProc(0, f'run_info {{"cpus": 2}}\n{line}\n', "noise\n"))
+        stdout = f'  samples {{"speed_factor_setup": 1.1}}\nrun_info {{"cpus": 2}}\n{line}\n'
+        self.stub(monkeypatch, FakeProc(0, stdout, "noise\n"))
         run = bench_pairs.run_once("ckout", "w", 1, 20, 0)
         assert run["result"]["metrics"]["run_s"]["value"] == 0.5
         assert run["run_info"] == {"cpus": 2}
+        assert run["samples"] == {"speed_factor_setup": 1.1}
         assert "stderr_tail" not in run
         assert capsys.readouterr().err == ""
 

@@ -100,6 +100,18 @@ class TestMcrAls:
             result = mcr_als(rows, McrConfig(init=init))
         assert np.all(np.isfinite(result.endmembers.values))
 
+    def test_component_absent_from_every_row_keeps_its_column(self):
+        # a spike far from every mixture of the first two gets no abundance,
+        # so the NNLS step must return its column as exact zeros
+        row = np.linspace(1.0, 2.0, 16)
+        rows = np.random.default_rng(12).dirichlet(np.ones(2), 30) @ np.vstack([row, row[::-1]])
+        spike = np.zeros(16)
+        spike[0] = 50.0
+        init = EndmemberMatrix(np.column_stack([row, row[::-1], spike]))
+        with pytest.warns(UserWarning, match="rank deficient"):
+            result = mcr_als(rows, McrConfig(init=init))
+        np.testing.assert_array_equal(result.endmembers.values[:, 2], spike)
+
     def test_rel_tol_stops_after_two_iterations(self, monkeypatch):
         monkeypatch.setattr(mcrals, "REL_TOL", 1.0)
         data = noisy_dataset()
