@@ -6,8 +6,10 @@ acquisition runs once, as one ``pipeline_step`` call under
 ``perfbench/tracer.py``.  Once ``init_pipeline`` has returned, the tracer
 wraps the names the step looks up in ``kfunmix.pipeline`` (``TRACED``): the
 step itself, ``estimate_concentration`` (FCLS of the new spectrum),
-``reduce_spectrum``, the configured updater, ``solve_regression`` and the
-re-anchoring ``reduce_columns``.  A missing name raises ``TraceError``
+``reduce_spectrum``, the configured updater, ``solve_regression`` and
+``reduce_columns``, which ``PipelineState.estimator`` calls at the start of
+the step to reduce the current endmembers to the filter's prior mean (its
+span keeps the name ``reanchor``).  A missing name raises ``TraceError``
 rather than reading zero.  A span costs its caller about 0.5-2 us more than
 a plain call, so each ``step`` figure carries up to about 10 us for the
 five spans inside it.  ``step`` minus the sum of the layers is the step's

@@ -28,15 +28,6 @@ class NumericalError(RuntimeError):
     """Raised when an update meets non-finite input or a singular system."""
 
 
-def _checked_mean(mean: FloatArray) -> FloatArray:
-    arr = np.asarray(mean, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("state mean must be a (K, 2M) matrix")
-    if not np.isfinite(arr).all():
-        raise ValueError("state mean contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class FilterState:
     """Estimator state: mean (K, 2M) and the K x K row covariance.
@@ -52,7 +43,13 @@ class FilterState:
     matrix: FloatArray
 
     def __post_init__(self) -> None:
-        mean = _checked_mean(self.mean)
+        mean = np.asarray(self.mean, dtype=np.float64)
+        if mean.ndim != 2:
+            raise ValueError("state mean must be a (K, 2M) matrix")
+        if mean.size == 0:
+            raise ValueError(f"state mean of shape {mean.shape} is empty; K and 2M must be >= 1")
+        if not np.isfinite(mean).all():
+            raise ValueError("state mean contains non-finite entries")
         matrix = np.asarray(self.matrix, dtype=np.float64)
         n_rows = mean.shape[0]
         if matrix.shape != (n_rows, n_rows):
@@ -65,17 +62,6 @@ class FilterState:
             raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "matrix", matrix)
-
-    def with_mean(self, mean: FloatArray) -> FilterState:
-        """This state with another mean of the same shape.  Only the new mean
-        is checked; the matrix was checked when this state was built."""
-        mean = _checked_mean(mean)
-        if mean.shape != self.mean.shape:
-            raise ValueError(f"mean shape {mean.shape} does not match {self.mean.shape}")
-        state = object.__new__(FilterState)
-        object.__setattr__(state, "mean", mean)
-        object.__setattr__(state, "matrix", self.matrix)
-        return state
 
     def validate(self, eig_tol: float = 1e-10) -> None:
         """Assert positive semidefiniteness of the row covariance within eig_tol."""
@@ -148,12 +134,12 @@ def kf_update(
     Raises
     ------
     ValueError
-        If sigma_v2 < 0, or sigma_e2 is not > 0 (NaN included).
+        If sigma_v2 is not >= 0 or sigma_e2 is not > 0 (NaN included for both).
     NumericalError
         If an input or the gain is not finite, or the innovation variance
         c^T Sigma c + sigma_e2 is not finite and positive.
     """
-    if sigma_v2 < 0.0:
+    if not sigma_v2 >= 0.0:
         raise ValueError("sigma_v2 must be >= 0")
     if not sigma_e2 > 0.0:
         raise ValueError("sigma_e2 must be > 0")

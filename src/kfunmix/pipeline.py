@@ -4,9 +4,11 @@ Initialization consumes the first P acquired spectra: they fix the
 truncation order of the Fourier subspace, the noise-floor estimate, the
 starting endmembers (extracted geometrically unless provided), and the
 regression system used to restore nonnegativity.  Each later acquisition
-runs one cycle of abundance estimation, reduced-domain state update,
-constrained regression back to the full space, and state re-anchoring on
-the constrained estimate.
+runs one cycle of abundance estimation, reduced-domain state update, and
+constrained regression back to the full space.  The stream keeps the
+constrained full-space endmembers and the filter's K x K row covariance;
+the filter's mean is not stored, since it is always the reduction of those
+endmembers.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class PipelineConfig:
             raise ValueError("eta must be in (0, 100]")
         if self.n_harmonics is not None and self.n_harmonics < 1:
             raise ValueError("n_harmonics must be >= 1 when given")
-        if self.sigma_v2 < 0.0:
-            raise ValueError("sigma_v2 must be >= 0")
+        if not 0.0 <= self.sigma_v2 < np.inf:
+            raise ValueError(f"sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
         if self.updater not in UPDATERS:
             raise ValueError(f"updater must be one of {UPDATERS}, got {self.updater!r}")
         if not 0.0 < self.rls_forgetting <= 1.0:
@@ -85,7 +87,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class EndmemberEstimate:
-    """Current full-space endmember estimate; its reduced form is the state mean."""
+    """Current full-space endmember estimate; its reduction is the filter's mean."""
 
     full: EndmemberMatrix
 
@@ -94,14 +96,23 @@ class EndmemberEstimate:
 class PipelineState:
     """Everything the stream carries between acquisitions: the settings, the
     fixed Fourier basis, regressor set and floored noise estimate sigma_e2
-    from set-up, the estimator, and the current full-space endmembers."""
+    from set-up, the filter's K x K row covariance, and the current
+    full-space endmembers.  Each quantity is stored once; the filter's
+    state is derived from the last two by :attr:`estimator`."""
 
     config: PipelineConfig
     basis: FourierBasis
     regressors: RegressorSet
     sigma_e2: float
-    estimator: FilterState
+    covariance: FloatArray
     endmembers: EndmemberEstimate
+
+    @property
+    def estimator(self) -> FilterState:
+        """The filter's prior for the next acquisition: row k of its mean is
+        reduced endmember k, and its matrix is the row covariance."""
+        mean = reduce_columns(self.endmembers.full.values, self.basis).T
+        return FilterState(mean, self.covariance)
 
 
 def init_pipeline(
@@ -140,17 +151,15 @@ def init_pipeline(
     else:
         start = vca(spectra, config.n_endmembers, config.seed)
 
-    # Row k of the state mean is reduced endmember k.
-    mean = reduce_columns(start.values, basis).T
     if config.updater == "dl":
         init_conc = estimate_concentrations(rows, start)
         gram = init_conc.T @ init_conc
         if np.linalg.cond(gram) > COND_LIMIT:
             gram = gram + RIDGE * np.eye(config.n_endmembers)
         inverse = np.linalg.inv(gram)
-        estimator = FilterState(mean, 0.5 * (inverse + inverse.T))
+        covariance = 0.5 * (inverse + inverse.T)
     else:
-        estimator = FilterState(mean, config.sigma_v2 * np.eye(config.n_endmembers))
+        covariance = config.sigma_v2 * np.eye(config.n_endmembers)
 
     regressors = build_regressor_set(spectra, basis)
     return PipelineState(
@@ -158,7 +167,7 @@ def init_pipeline(
         basis=basis,
         regressors=regressors,
         sigma_e2=sigma_e2,
-        estimator=estimator,
+        covariance=covariance,
         endmembers=EndmemberEstimate(start),
     )
 
@@ -168,34 +177,33 @@ def pipeline_step(
 ) -> tuple[PipelineState, float]:
     """Process one acquisition; returns the new state and the wall time in ms.
 
-    Cycle: estimate the abundance of the incoming spectrum against the
-    current endmembers, reduce it, run the configured state update,
-    regress the filtered estimate back onto the acquired-spectra cone,
-    and re-anchor the state mean on the constrained estimate (the
-    estimator's K x K matrix is left untouched).
+    Cycle: build the filter's prior from the current endmembers and row
+    covariance, estimate the abundance of the incoming spectrum against
+    those endmembers, reduce the spectrum, run the configured state update,
+    and regress the posterior mean back onto the acquired-spectra cone.
+    The new state keeps the constrained estimate and the posterior row
+    covariance; the next prior mean is that estimate's reduction.
     """
     config = state.config
     tic = time.perf_counter()
 
+    prior = state.estimator
     concentration = estimate_concentration(spectrum, state.endmembers.full)
     observed = reduce_spectrum(np.asarray(spectrum, dtype=np.float64), state.basis)
 
     if config.updater == "kalman":
-        estimator = kf_update(
-            state.estimator, concentration, observed, config.sigma_v2, state.sigma_e2
-        )
+        posterior = kf_update(prior, concentration, observed, config.sigma_v2, state.sigma_e2)
     elif config.updater == "rls":
-        estimator = rls_update(
-            state.estimator, concentration, observed, config.rls_forgetting
-        )
+        posterior = rls_update(prior, concentration, observed, config.rls_forgetting)
     else:
-        estimator = dl_update(state.estimator, concentration, observed)
+        posterior = dl_update(prior, concentration, observed)
 
-    fit = solve_regression(state.regressors, estimator.mean.T)
-    estimator = estimator.with_mean(reduce_columns(fit.endmembers.values, state.basis).T)
+    fit = solve_regression(state.regressors, posterior.mean.T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
-    new_state = replace(state, estimator=estimator, endmembers=EndmemberEstimate(fit.endmembers))
+    new_state = replace(
+        state, covariance=posterior.matrix, endmembers=EndmemberEstimate(fit.endmembers)
+    )
     return new_state, wall_ms
 
 
@@ -245,15 +253,6 @@ def _evaluate(
             perm = align_components(endmembers, truth_endmembers)
             rmse_val = rmse_concentrations(conc, truth_concentrations, perm)
     return asad_val, rmse_val, re_val, conc
-
-
-def _baseline_endmembers(
-    name: str, acquired: FloatArray, config: PipelineConfig
-) -> EndmemberMatrix:
-    start = vca(acquired, config.n_endmembers, config.seed)
-    if name == "vca":
-        return start
-    return mcr_als(acquired, McrConfig(start)).endmembers
 
 
 def check_experiment_options(baselines: tuple[str, ...], **strides: int) -> None:
@@ -375,11 +374,17 @@ def run_experiment(
                 )
                 record(None, t, state.endmembers.full, with_ab, wall_ms)
 
-            for name in baselines:
-                if offset % baseline_stride == 0 or is_final:
+            if baselines and (offset % baseline_stride == 0 or is_final):
+                # One VCA serves both baselines; mcr-als's wall time includes it.
+                tic = time.perf_counter()
+                start = vca(stream[:t], config.n_endmembers, config.seed)
+                vca_ms = (time.perf_counter() - tic) * 1e3
+                for name in baselines:
                     tic = time.perf_counter()
-                    ref = _baseline_endmembers(name, stream[:t], config)
-                    record(name, t, ref, True, (time.perf_counter() - tic) * 1e3)
+                    ref = start
+                    if name == "mcr-als":
+                        ref = mcr_als(stream[:t], McrConfig(start)).endmembers
+                    record(name, t, ref, True, vca_ms + (time.perf_counter() - tic) * 1e3)
     except NumericalError:
         if flush_path is not None:
             write_trace_csv(records[None], flush_path, comments=snapshot)

@@ -63,9 +63,11 @@ class SynthConfig:
             raise ValueError("n_channels must be >= 2")
         if self.n_endmembers < 1:
             raise ValueError("n_endmembers must be >= 1")
+        if not self.snr_db > -np.inf:
+            raise ValueError(f"snr_db must be a number or inf (noiseless), got {self.snr_db}")
         alphas = self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
-        if any(a <= 0.0 for a in alphas):
-            raise ValueError("Dirichlet alpha must be positive")
+        if not all(0.0 < a < np.inf for a in alphas):
+            raise ValueError(f"Dirichlet alpha must be positive and finite, got {self.alpha}")
         if isinstance(self.alpha, tuple) and len(self.alpha) != self.n_endmembers:
             raise ValueError("alpha tuple length must equal n_endmembers")
         if self.purity_cap is not None:

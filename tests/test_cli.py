@@ -329,6 +329,18 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert calls == []
 
+    def test_non_finite_sigma_v2_fails_before_reading(self, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("kfunmix.cli.load_dataset", lambda *a: calls.append(a))
+        rc = main([
+            "run", "--data", str(workspace / "ds"), "--out", str(tmp_path / "t.csv"),
+            "--n-endmembers", "2", "--sigma-v2", "nan",
+        ])
+        assert rc == 2
+        assert "sigma_v2" in capsys.readouterr().err
+        assert calls == []
+
     def test_unwritable_baseline_output_fails_before_reading(self, workspace, tmp_path,
                                                              monkeypatch, capsys):
         (tmp_path / "t.vca.csv").mkdir()

@@ -321,6 +321,7 @@ class TestStateValidation:
         "sigma_v2, sigma_e2, message",
         [
             (-0.1, 1.0, "sigma_v2 must be >= 0"),
+            (np.nan, 1.0, "sigma_v2 must be >= 0"),
             (0.0, 0.0, "sigma_e2 must be > 0"),
             (0.0, np.nan, "sigma_e2 must be > 0"),
         ],
@@ -343,19 +344,10 @@ class TestStateValidation:
             FilterState(np.array([[np.nan], [0.0]]), np.eye(2))
         with pytest.raises(ValueError, match="non-finite"):
             FilterState(np.zeros((1, 2)), np.array([[np.inf]]))
-
-    def test_with_mean_checks_only_the_new_mean(self):
-        matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
-        state = FilterState(np.zeros((2, 3)), matrix)
-        moved = state.with_mean(np.ones((2, 3)))
-        assert moved.matrix is state.matrix
-        np.testing.assert_array_equal(moved.mean, np.ones((2, 3)))
-        with pytest.raises(ValueError, match=r"must be a \(K, 2M\) matrix"):
-            state.with_mean(np.ones(6))
-        with pytest.raises(ValueError, match="state mean contains non-finite"):
-            state.with_mean(np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match=r"mean shape \(3, 2\) does not match \(2, 3\)"):
-            state.with_mean(np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"state mean of shape \(0, 4\) is empty"):
+            FilterState(np.zeros((0, 4)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=r"state mean of shape \(3, 0\) is empty"):
+            FilterState(np.zeros((3, 0)), np.eye(3))
 
     def test_validate_flags_indefinite_covariance(self):
         state = FilterState(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]))

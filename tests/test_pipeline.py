@@ -5,9 +5,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kfunmix.pipeline import (
 from kfunmix.fourier import build_basis
 from kfunmix.protocols import AcquisitionOrder, P2Config, protocol_p1, protocol_p2
 from kfunmix.synthdata import SynthConfig, generate_dataset
+from kfunmix.vca import vca
 
 
 def two_gaussian_endmembers(n_channels: int = 64) -> np.ndarray:
@@ -202,6 +204,11 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match="sigma_v2"):
             PipelineConfig(n_endmembers=2, sigma_v2=-0.1)
 
+    @pytest.mark.parametrize("sigma_v2", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_process_noise(self, sigma_v2):
+        with pytest.raises(ValueError, match="sigma_v2 must be finite and >= 0"):
+            PipelineConfig(n_endmembers=2, sigma_v2=sigma_v2)
+
     def test_rejects_unknown_updater(self):
         with pytest.raises(ValueError, match="updater"):
             PipelineConfig(n_endmembers=2, updater="sgd")
@@ -221,6 +228,34 @@ class TestPipelineStep:
         for name in ("config", "basis", "regressors", "sigma_e2"):
             assert getattr(new_state, name) is getattr(state, name)
         assert wall_ms > 0.0
+
+    def test_state_stores_each_quantity_once(self):
+        truth, _, state = small_stream_setup()
+        new_state, _ = pipeline_step(state, truth @ np.array([0.3, 0.7]))
+        for s in (state, new_state):
+            names = [field.name for field in fields(s)]
+            assert names == [
+                "config", "basis", "regressors", "sigma_e2", "covariance", "endmembers"
+            ]
+            assert isinstance(s.estimator, FilterState)
+            np.testing.assert_array_equal(s.estimator.matrix, s.covariance)
+        with pytest.raises(TypeError, match="estimator"):
+            replace(state, estimator=state.estimator)
+
+    def test_step_derives_its_prior_once(self, monkeypatch):
+        """The prior mean is one reduce_columns call made through this module,
+        where the benchmark's tracer sees it inside the step."""
+        truth, _, state = small_stream_setup()
+        calls = []
+
+        def counting(values, basis):
+            calls.append(values.shape)
+            return reduce_columns(values, basis)
+
+        monkeypatch.setattr("kfunmix.pipeline.reduce_columns", counting)
+        for weights in ([0.3, 0.7], [0.6, 0.4]):
+            state, _ = pipeline_step(state, truth @ np.array(weights))
+        assert calls == [(64, 2), (64, 2)]
 
     def test_mean_is_reanchored_on_the_constrained_estimate(self):
         truth, _, state = small_stream_setup()
@@ -337,7 +372,7 @@ class TestDlMatchesReference:
         config = PipelineConfig(n_endmembers=k, n_harmonics=m, updater="dl", seed=seed)
         state = init_pipeline(rows[:30], config)
         conc = estimate_concentrations(rows[:30], state.endmembers.full)
-        ref = replace(state, estimator=FilterState(state.estimator.mean, conc.T @ conc))
+        ref = replace(state, covariance=conc.T @ conc)
         for y in rows[30:]:
             state, _ = pipeline_step(state, y)
         monkeypatch.setattr("kfunmix.pipeline.dl_update", dl_reference.dl_update)
@@ -483,6 +518,36 @@ class TestRunExperiment:
         ref = result.baselines["mcr-als"]
         assert [rec.t for rec in ref.records] == [11, 60]
         assert ref.final_concentrations.values.shape == (60, 2)
+
+    def test_both_baselines_share_one_vca_per_record(self, monkeypatch):
+        data = stream_dataset()
+        order = protocol_p1(60)
+        options = dict(eval_stride=16, baseline_stride=25)
+        alone = {
+            name: run_experiment(data, order, stream_config(), baselines=(name,), **options)
+            for name in BASELINES
+        }
+        calls = []
+
+        def slow_vca(spectra, n_endmembers, seed):
+            calls.append(len(getattr(spectra, "values", spectra)))
+            time.sleep(0.01)
+            return vca(spectra, n_endmembers, seed)
+
+        monkeypatch.setattr("kfunmix.pipeline.vca", slow_vca)
+        both = run_experiment(data, order, stream_config(), baselines=BASELINES, **options)
+        # the init endmembers, then one VCA per baseline record
+        assert calls == [10, 11, 36, 60]
+        for name in BASELINES:
+            ref, one = both.baselines[name], alone[name].baselines[name]
+            assert [replace(r, wall_ms=0.0) for r in ref.records] == [
+                replace(r, wall_ms=0.0) for r in one.records
+            ]
+            assert all(r.wall_ms >= 10.0 for r in ref.records)
+            np.testing.assert_array_equal(ref.final_endmembers.values, one.final_endmembers.values)
+            np.testing.assert_array_equal(
+                ref.final_concentrations.values, one.final_concentrations.values
+            )
 
     @pytest.mark.parametrize("n_harmonics", [6, None])
     def test_snapshot_carries_the_run_settings(self, n_harmonics):

@@ -197,6 +197,20 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="purity_cap"):
             SynthConfig(n_spectra=5, n_channels=10, n_endmembers=2, purity_cap=0.4)
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("alpha", np.nan),
+            ("alpha", np.inf),
+            ("alpha", (1.0, np.nan)),
+            ("snr_db", np.nan),
+            ("snr_db", -np.inf),
+        ],
+    )
+    def test_non_finite_setting_is_rejected_by_name(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be"):
+            SynthConfig(n_spectra=5, n_channels=10, n_endmembers=2, **{setting: value})
+
 
 class TestEstimateNoiseVariance:
     def test_is_segment_statistic_of_the_smoothing_residual(self):
