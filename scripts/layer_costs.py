@@ -5,15 +5,15 @@ default eta), 30 init spectra each, synthetic data at 20 dB.  Each
 acquisition runs once, as one ``pipeline_step`` call under
 ``perfbench/tracer.py``.  Once ``init_pipeline`` has returned, the tracer
 wraps the names the step looks up in ``kfunmix.pipeline`` (``TRACED``): the
-step itself, ``estimate_concentration`` (FCLS of the new spectrum),
-``reduce_spectrum``, the configured updater, ``solve_regression`` and
-``reduce_columns``, which ``PipelineState.estimator`` calls at the start of
-the step to reduce the current endmembers to the filter's prior mean (its
-span keeps the name ``reanchor``).  A missing name raises ``TraceError``
-rather than reading zero.  A span costs its caller about 0.5-2 us more than
-a plain call, so each ``step`` figure carries up to about 10 us for the
-five spans inside it.  ``step`` minus the sum of the layers is the step's
-own code, including its two ``FilterState`` constructions.  Single-spectrum
+step itself, ``estimate_concentration`` (FCLS of the new spectrum), the
+configured updater (run on the endmembers and the raw spectrum),
+``reduce_columns`` (the one Fourier product of a step, the posterior mean
+reduced to the regression's target; span ``reduce``) and
+``solve_regression``.  A missing name raises ``TraceError`` rather than
+reading zero.  A span costs its caller about 0.5-2 us more than a plain
+call, so each ``step`` figure carries up to about 8 us for the four spans
+inside it.  ``step`` minus the sum of the layers is the step's own code,
+including its two ``FilterState`` constructions.  Single-spectrum
 FCLS runs against a random L = 400 endmember matrix for every K = 2..12,
 and a 215-row batch call at the same K.  Rounds interleave the operating
 points and the K values, so a drift of the host's speed reaches all of them
@@ -50,11 +50,12 @@ gives the values in effect.
 The evaluation of one record (``eval_us``) is timed at L200 K3 for t =
 100, 215 and 400 acquired spectra, ``--calls`` times each after every
 stream round, so the step and the evaluation meet the same host speed.
-Each call is timed apart, in the order ``kfunmix.pipeline._evaluate``
-makes them: the batch FCLS of the t spectra, the reconstruction error,
-ASAD, the alignment and the RMSE.  The t spectra are the first of a 400 x
-200 synthetic set at 20 dB, scored against VCA endmembers of its first 30
-spectra, as a stream's early estimate would be.
+Each is one ``kfunmix.pipeline._evaluate`` call with abundances, run under
+the tracer, which wraps the five names it looks up in ``kfunmix.pipeline``
+(``EVAL_TRACED``): the batch FCLS of the t spectra, the reconstruction
+error, ASAD, the alignment and the RMSE.  The t spectra are the first of a
+400 x 200 synthetic set at 20 dB, scored against VCA endmembers of its
+first 30 spectra, as a stream's early estimate would be.
 
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
@@ -95,17 +96,16 @@ from tracer import Tracer  # noqa: E402  (perfbench/ is not a package)
 
 # (name, L, K, M or None for the eta criterion)
 OPERATING_POINTS = (("L400K5M16", 400, 5, 16), ("L200K3", 200, 3, None))
-LAYERS = ("fcls_one", "reduce", "update", "regression", "reanchor", "step")
+LAYERS = ("fcls_one", "update", "reduce", "regression", "step")
 # The span of each name pipeline_step looks up in kfunmix.pipeline.
 TRACED = {
     "pipeline_step": "step",
     "estimate_concentration": "fcls_one",
-    "reduce_spectrum": "reduce",
     "kf_update": "update",
     "rls_update": "update",
     "dl_update": "update",
+    "reduce_columns": "reduce",
     "solve_regression": "regression",
-    "reduce_columns": "reanchor",
 }
 FCLS_CHANNELS = 400
 BATCH_ROWS = 215
@@ -121,7 +121,15 @@ VCA_NOISY_SHAPE = (340, 400, 5, None)
 # the calls each record makes.
 EVAL_SHAPE = (400, 200, 3, None)
 EVAL_ROWS = (100, 215, 400)
-EVAL_LAYERS = ("fcls_batch", "reconstruction_error", "asad", "align", "rmse")
+# The span of each name _evaluate looks up in kfunmix.pipeline, in call order.
+EVAL_TRACED = {
+    "estimate_concentrations": "fcls_batch",
+    "reconstruction_error": "reconstruction_error",
+    "asad": "asad",
+    "align_components": "align",
+    "rmse_concentrations": "rmse",
+}
+EVAL_LAYERS = tuple(EVAL_TRACED.values())
 
 
 def summary(samples: list[float]) -> dict[str, float]:
@@ -176,29 +184,20 @@ def vca_round(cases: dict, calls: int, out: dict[str, dict[str, list]]) -> None:
 
 
 def eval_round(data, endmembers, calls: int, out: dict[int, dict[str, list[float]]]) -> None:
-    """``calls`` evaluations of one record for each t of EVAL_ROWS, each call
-    timed apart; seconds go to ``out[t][layer]``."""
-    from kfunmix import abundance, metrics
+    """``calls`` traced ``_evaluate`` calls of one record for each t of
+    EVAL_ROWS; each layer's seconds go to ``out[t][layer]``."""
+    from kfunmix import pipeline
 
     rows = data.spectra.values
     truth_s, truth_c = data.endmembers, data.concentrations.values
-    clock = time.perf_counter
+    targets = [(pipeline, name, span, None) for name, span in EVAL_TRACED.items()]
     for t in EVAL_ROWS:
-        acquired, truth = rows[:t], truth_c[:t]
-        for _ in range(calls):
-            t0 = clock()
-            conc = abundance.estimate_concentrations(acquired, endmembers)
-            t1 = clock()
-            metrics.reconstruction_error(acquired, conc, endmembers)
-            t2 = clock()
-            metrics.asad(endmembers, truth_s)
-            t3 = clock()
-            perm = metrics.align_components(endmembers, truth_s)
-            t4 = clock()
-            metrics.rmse_concentrations(conc, truth, perm)
-            t5 = clock()
-            for layer, seconds in zip(EVAL_LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-                out[t][layer].append(seconds)
+        tracer = Tracer()
+        with tracer.installed(targets):
+            for _ in range(calls):
+                pipeline._evaluate(rows[:t], endmembers, truth_s, truth_c[:t], True)
+        for layer in EVAL_LAYERS:
+            out[t][layer].extend(ns / 1e9 for ns in tracer.durations(layer))
 
 
 # The importing child prints its own peak RSS in KB, or nothing where the

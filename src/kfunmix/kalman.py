@@ -1,12 +1,12 @@
-"""Streaming state estimators for the reduced mixing model.
+"""Streaming state estimators for the linear mixing model.
 
-The state mean is the (K, 2M) matrix whose row k is reduced endmember k.
-An incoming reduced observation y (length 2M) relates to it through the
-concentration vector c as ``y = c @ mean + noise``; stacked row-wise, that
-is the observation matrix ``H = c^T (x) I_2M`` acting on a state of length
-2MK.  A 2MK x 2MK covariance of the form ``Sigma (x) I_2M`` keeps that form
-under every update with this H, so each update carries only the K x K
-matrix Sigma and costs O(K^2 + K 2M).
+The state mean is the (K, D) matrix whose row k is endmember k, in channels
+or in any fixed linear map of them.  An observation y (length D) relates to
+it through the concentration vector c as ``y = c @ mean + noise``, that is
+``H = c^T (x) I_D`` on a state of length DK.  A covariance ``Sigma (x) I_D``
+keeps that form under every update with this H, so each update carries only
+the K x K Sigma, costs O(K^2 + K D), and has the same K-vector gain for every
+D: a fixed linear map F commutes with it (F of the update = update of F).
 
 Three gain rules share one covariance-form step, which moves row k of the
 mean by ``g_k (y - c @ mean)`` and shrinks the K x K row covariance: a
@@ -30,7 +30,7 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Estimator state: mean (K, 2M) and the K x K row covariance.
+    """Estimator state: mean (K, D) and the K x K row covariance.
 
     The matrix is a row covariance for every updater: Sigma for
     :func:`kf_update`, and the inverse Gram P for :func:`rls_update` and
@@ -45,9 +45,9 @@ class FilterState:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         if mean.ndim != 2:
-            raise ValueError("state mean must be a (K, 2M) matrix")
+            raise ValueError("state mean must be a (K, D) matrix")
         if mean.size == 0:
-            raise ValueError(f"state mean of shape {mean.shape} is empty; K and 2M must be >= 1")
+            raise ValueError(f"state mean of shape {mean.shape} is empty; K and D must be >= 1")
         if not np.isfinite(mean).all():
             raise ValueError("state mean contains non-finite entries")
         matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -80,7 +80,7 @@ def _residual(
         raise ValueError("concentration must be a non-empty vector")
     if state.mean.shape != (c.size, y.size):
         raise ValueError(
-            f"state mean shape {state.mean.shape} does not equal (K, 2M) = "
+            f"state mean shape {state.mean.shape} does not equal (K, D) = "
             f"({c.size}, {y.size})"
         )
     if not (np.isfinite(c).all() and np.isfinite(y).all()):
@@ -119,8 +119,8 @@ def kf_update(
         Prior belief at step t-1; its matrix is the row covariance Sigma.
     concentration : (K,) array
         Mixing weights of the current observation.
-    observation : (2M,) array
-        Reduced spectrum acquired at step t.
+    observation : (D,) array
+        Spectrum acquired at step t, in the mean's observation space.
     sigma_v2 : float
         Random-walk variance, >= 0.
     sigma_e2 : float

@@ -4,11 +4,10 @@ Initialization consumes the first P acquired spectra: they fix the
 truncation order of the Fourier subspace, the noise-floor estimate, the
 starting endmembers (extracted geometrically unless provided), and the
 regression system used to restore nonnegativity.  Each later acquisition
-runs one cycle of abundance estimation, reduced-domain state update, and
-constrained regression back to the full space.  The stream keeps the
-constrained full-space endmembers and the filter's K x K row covariance;
-the filter's mean is not stored, since it is always the reduction of those
-endmembers.
+runs one cycle of abundance estimation, state update of the endmembers on
+the raw spectrum, and constrained regression of the updated endmembers'
+reduction back to the full space.  The stream keeps the constrained
+endmembers, which are the filter's mean, and its K x K row covariance.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .fourier import (
     FourierBasis,
     build_basis,
     reduce_columns,
-    reduce_spectrum,
+    reduce_spectrum,  # noqa: F401 (the benchmark wraps it here)
     select_num_harmonics,
 )
 from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
@@ -48,6 +47,11 @@ UPDATERS = ("kalman", "rls", "dl")
 BASELINES = ("vca", "mcr-als")
 # The stride keywords of run_experiment, each with its least allowed value.
 STRIDES = {"eval_stride": 1, "abundance_stride": 0, "baseline_stride": 1}
+
+
+def _least_harmonics(n_endmembers: int) -> int:
+    """Least M with 2M - 1 >= K: the DC sine row is zero, so 2M rows have rank <= 2M - 1."""
+    return (n_endmembers + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,9 @@ class PipelineConfig:
             raise ValueError("n_init must be >= n_endmembers")
         if not 0.0 < self.eta <= 100.0:
             raise ValueError("eta must be in (0, 100]")
-        if self.n_harmonics is not None and self.n_harmonics < 1:
-            raise ValueError("n_harmonics must be >= 1 when given")
+        least = _least_harmonics(self.n_endmembers)
+        if self.n_harmonics is not None and self.n_harmonics < least:
+            raise ValueError(f"n_harmonics must be >= {least} for n_endmembers = {self.n_endmembers}")
         if not 0.0 <= self.sigma_v2 < np.inf:
             raise ValueError(f"sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
         if self.updater not in UPDATERS:
@@ -87,7 +92,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class EndmemberEstimate:
-    """Current full-space endmember estimate; its reduction is the filter's mean."""
+    """Current full-space endmember estimate; its transpose is the filter's mean."""
 
     full: EndmemberMatrix
 
@@ -98,7 +103,7 @@ class PipelineState:
     fixed Fourier basis, regressor set and floored noise estimate sigma_e2
     from set-up, the filter's K x K row covariance, and the current
     full-space endmembers.  Each quantity is stored once; the filter's
-    state is derived from the last two by :attr:`estimator`."""
+    state is the last two, as :attr:`estimator`."""
 
     config: PipelineConfig
     basis: FourierBasis
@@ -110,9 +115,8 @@ class PipelineState:
     @property
     def estimator(self) -> FilterState:
         """The filter's prior for the next acquisition: row k of its mean is
-        reduced endmember k, and its matrix is the row covariance."""
-        mean = reduce_columns(self.endmembers.full.values, self.basis).T
-        return FilterState(mean, self.covariance)
+        endmember k, and its matrix is the row covariance."""
+        return FilterState(self.endmembers.full.values.T, self.covariance)
 
 
 def init_pipeline(
@@ -121,11 +125,11 @@ def init_pipeline(
     """Initialize a stream from its first P acquisitions.
 
     The spectra must be exactly the config's n_init rows, in acquisition
-    order, each finite.  Chooses the subspace order by the eta energy criterion,
-    estimates the noise floor from smoothing residuals, extracts starting
-    endmembers (unless config.init_endmembers is given), and builds the
-    cached regression system.  The row covariance starts at sigma_v2 I, or
-    for dl at the inverse of the init abundances' Gram (ridged when ill-conditioned).
+    order, each finite.  Chooses the subspace order by the eta energy criterion
+    (but no less than K endmembers need), estimates the noise floor from
+    smoothing residuals, extracts starting endmembers (unless config.init_endmembers
+    is given), and builds the cached regression system.  The row covariance starts
+    at sigma_v2 I, or for dl at the inverse of the init abundances' Gram (ridged).
     """
     spectra = SpectraMatrix(init_spectra)  # checked once; the callees take it as it is
     rows = spectra.values
@@ -134,10 +138,9 @@ def init_pipeline(
             f"expected {config.n_init} initialization spectra, got {rows.shape[0]}"
         )
 
-    if config.n_harmonics is not None:
-        n_harmonics = config.n_harmonics
-    else:
-        n_harmonics = select_num_harmonics(spectra, config.eta)
+    n_harmonics = config.n_harmonics or max(
+        select_num_harmonics(spectra, config.eta), _least_harmonics(config.n_endmembers)
+    )
     basis = build_basis(rows.shape[1], n_harmonics)
     # Floor keeps the observation variance positive on noiseless input.
     sigma_e2 = max(estimate_noise_variance(spectra), 1e-12)
@@ -177,34 +180,31 @@ def pipeline_step(
 ) -> tuple[PipelineState, float]:
     """Process one acquisition; returns the new state and the wall time in ms.
 
-    Cycle: build the filter's prior from the current endmembers and row
-    covariance, estimate the abundance of the incoming spectrum against
-    those endmembers, reduce the spectrum, run the configured state update,
-    and regress the posterior mean back onto the acquired-spectra cone.
-    The new state keeps the constrained estimate and the posterior row
-    covariance; the next prior mean is that estimate's reduction.
+    Cycle: estimate the abundance of the incoming spectrum against the
+    current endmembers, run the configured state update of those endmembers
+    on the spectrum, reduce the posterior mean (one Fourier product, the
+    regression's target), and regress it back onto the acquired-spectra
+    cone.  The new state keeps the constrained estimate, whose transpose is
+    the next prior mean, and the posterior row covariance.
     """
     config = state.config
     tic = time.perf_counter()
 
     prior = state.estimator
     concentration = estimate_concentration(spectrum, state.endmembers.full)
-    observed = reduce_spectrum(np.asarray(spectrum, dtype=np.float64), state.basis)
 
     if config.updater == "kalman":
-        posterior = kf_update(prior, concentration, observed, config.sigma_v2, state.sigma_e2)
+        posterior = kf_update(prior, concentration, spectrum, config.sigma_v2, state.sigma_e2)
     elif config.updater == "rls":
-        posterior = rls_update(prior, concentration, observed, config.rls_forgetting)
+        posterior = rls_update(prior, concentration, spectrum, config.rls_forgetting)
     else:
-        posterior = dl_update(prior, concentration, observed)
+        posterior = dl_update(prior, concentration, spectrum)
 
-    fit = solve_regression(state.regressors, posterior.mean.T)
+    fit = solve_regression(state.regressors, reduce_columns(posterior.mean.T, state.basis))
 
     wall_ms = (time.perf_counter() - tic) * 1e3
-    new_state = replace(
-        state, covariance=posterior.matrix, endmembers=EndmemberEstimate(fit.endmembers)
-    )
-    return new_state, wall_ms
+    endmembers = EndmemberEstimate(fit.endmembers)
+    return replace(state, covariance=posterior.matrix, endmembers=endmembers), wall_ms
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def _innovation(state, concentration, observation):
     if c.ndim != 1 or c.size < 1:
         raise ValueError("concentration must be a non-empty vector")
     if state.mean.shape != (c.size, y.size):
-        raise ValueError(f"state mean shape {state.mean.shape} does not equal (K, 2M)")
+        raise ValueError(f"state mean shape {state.mean.shape} does not equal (K, D)")
     if not (np.isfinite(c).all() and np.isfinite(y).all()):
         raise NumericalError("concentration or observation has non-finite entries")
     predicted = sum(c[k] * state.mean[k] for k in range(c.size))

@@ -365,6 +365,8 @@ class TestRun:
              "abundance_stride must be >= 0"),
             (["--n-endmembers", "2", "--baseline-stride", "0"], "baseline_stride must be >= 1"),
             (["--n-endmembers", "2", "--baselines", "pls"], "unknown baseline 'pls'"),
+            (["--n-endmembers", "2", "--n-harmonics", "1"],
+             "n_harmonics must be >= 2 for n_endmembers = 2"),
         ],
     )
     def test_bad_config_fails_before_reading(self, workspace, tmp_path, monkeypatch,

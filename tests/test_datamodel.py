@@ -121,7 +121,7 @@ def previous_filter_state_check(mean, matrix):
     mean = np.asarray(mean, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     if mean.ndim != 2:
-        raise ValueError("state mean must be a (K, 2M) matrix")
+        raise ValueError("state mean must be a (K, D) matrix")
     if not np.all(np.isfinite(mean)):
         raise ValueError("state mean contains non-finite entries")
     n_rows = mean.shape[0]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import dl_reference
 from kfunmix.datamodel import RIDGE
+from kfunmix.fourier import build_basis
 from kfunmix.kalman import (
     FilterState,
     NumericalError,
@@ -205,7 +206,7 @@ class TestKalmanUpdate:
 
     def test_dimension_mismatch(self):
         state = FilterState(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
+        with pytest.raises(ValueError, match=r"does not equal \(K, D\)"):
             kf_update(state, np.ones(3), np.zeros(2), 0.0, 1.0)
 
     @settings(max_examples=30, deadline=None)
@@ -222,6 +223,33 @@ class TestKalmanUpdate:
             )
         state.validate(eig_tol=1e-8)
         np.testing.assert_array_equal(state.matrix, state.matrix.T)
+
+
+UPDATES = {
+    "kalman": lambda state, c, y: kf_update(state, c, y, 0.3, 0.05),
+    "rls": lambda state, c, y: rls_update(state, c, y, 0.97),
+    "dl": dl_update,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(UPDATES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_update_commutes_with_the_fourier_reduction(rule, seed):
+    """The paper's subspace claim: with the same abundances, reducing the
+    channel-space update equals updating the reduced endmembers on the
+    reduced spectrum, and the row covariance does not see the space."""
+    rng = np.random.default_rng(seed)
+    n_channels, k = 200, 3 + seed
+    operator = build_basis(n_channels, 8 + 4 * seed).operator
+    endmembers = rng.uniform(size=(n_channels, k))
+    sigma = random_spd(rng, k)
+    c = rng.dirichlet(np.ones(k))
+    y = rng.uniform(size=n_channels)
+    full = UPDATES[rule](FilterState(endmembers.T, sigma), c, y)
+    reduced = UPDATES[rule](FilterState((operator @ endmembers).T, sigma), c, operator @ y)
+    mapped = operator @ full.mean.T
+    assert np.abs(mapped - reduced.mean.T).max() <= 1e-12 * np.abs(reduced.mean).max()
+    np.testing.assert_array_equal(full.matrix, reduced.matrix)
 
 
 class TestRlsUpdate:
@@ -312,7 +340,7 @@ class TestDlUpdate:
 
     def test_shape_mismatch(self):
         state = FilterState(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match=r"does not equal \(K, 2M\)"):
+        with pytest.raises(ValueError, match=r"does not equal \(K, D\)"):
             dl_update(state, np.ones(4), np.zeros(2))
 
 
@@ -332,7 +360,7 @@ class TestStateValidation:
             kf_update(state, np.array([1.0]), np.zeros(2), sigma_v2, sigma_e2)
 
     def test_filter_state_shape_checks(self):
-        with pytest.raises(ValueError, match=r"must be a \(K, 2M\) matrix"):
+        with pytest.raises(ValueError, match=r"must be a \(K, D\) matrix"):
             FilterState(np.zeros(4), np.eye(4))
         with pytest.raises(ValueError, match="matrix shape"):
             FilterState(np.zeros((3, 2)), np.eye(2))

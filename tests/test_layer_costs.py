@@ -62,18 +62,43 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
         assert 0.0 < figure["median"] <= figure["p95"]
 
 
-def test_eval_round_times_each_call_of_a_record():
+@pytest.fixture(scope="module")
+def eval_case():
     from kfunmix.vca import vca
 
     data = generate_dataset(
         SynthConfig(n_spectra=max(layer_costs.EVAL_ROWS), n_channels=64, n_endmembers=3, seed=1)
     )
-    endmembers = vca(data.spectra.values[: layer_costs.N_INIT], 3)
-    out = {t: {layer: [] for layer in layer_costs.EVAL_LAYERS} for t in layer_costs.EVAL_ROWS}
+    return data, vca(data.spectra.values[: layer_costs.N_INIT], 3)
+
+
+def empty_eval_samples():
+    return {t: {layer: [] for layer in layer_costs.EVAL_LAYERS} for t in layer_costs.EVAL_ROWS}
+
+
+def test_eval_round_times_each_call_of_the_real_evaluation(eval_case, monkeypatch):
+    evaluate, calls = pipeline._evaluate, []
+
+    def counting(acquired, *args):
+        calls.append(acquired.shape[0])
+        return evaluate(acquired, *args)
+
+    monkeypatch.setattr(pipeline, "_evaluate", counting)
+    out = empty_eval_samples()
     for _ in range(2):
-        layer_costs.eval_round(data, endmembers, 3, out)
+        layer_costs.eval_round(*eval_case, 3, out)
+    assert calls == 2 * [t for t in layer_costs.EVAL_ROWS for _ in range(3)]
     for per_layer in out.values():
         assert all(len(v) == 6 and min(v) > 0.0 for v in per_layer.values())
+
+
+def test_eval_round_restores_every_traced_name_and_names_a_missing_one(eval_case, monkeypatch):
+    before = {name: getattr(pipeline, name) for name in layer_costs.EVAL_TRACED}
+    layer_costs.eval_round(*eval_case, 1, empty_eval_samples())
+    assert all(getattr(pipeline, name) is fn for name, fn in before.items())
+    monkeypatch.delattr(pipeline, "align_components")
+    with pytest.raises(TraceError, match=r"kfunmix\.pipeline\.align_components"):
+        layer_costs.eval_round(*eval_case, 1, empty_eval_samples())
 
 
 def test_vca_round_reports_no_certificate_for_a_checkout_without_one(monkeypatch):

@@ -15,9 +15,10 @@ import pytest
 
 import dl_reference
 import evaluation_reference
+import reduced_step_reference
 from kfunmix.abundance import estimate_concentration, estimate_concentrations
 from kfunmix.datamodel import RIDGE, DatasetBundle, EndmemberMatrix, SpectraMatrix
-from kfunmix.fourier import reduce_columns, reduce_spectrum, select_num_harmonics
+from kfunmix.fourier import reduce_columns, select_num_harmonics
 from kfunmix.kalman import FilterState, NumericalError, kf_update
 from kfunmix.metrics import RE_IDENTITY_SHARE, read_trace_csv, sad
 from kfunmix.pipeline import (
@@ -101,6 +102,22 @@ class TestInitPipeline:
         state = init_pipeline(rows, config)
         assert state.sigma_e2 == 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eta_choice_is_floored_at_what_the_endmembers_need(self, seed):
+        """eta keeps one harmonic of these 90 x 40 K2 sets, whose two reduced
+        coordinates (one of them the zero DC sine) cannot hold two endmembers
+        apart: the estimate collapsed to cond ~1e15 and FCLS warned at every
+        step.  The floor M = 2 keeps them apart, with no warning."""
+        data = generate_dataset(
+            SynthConfig(n_spectra=90, n_channels=40, n_endmembers=2, snr_db=20.0, seed=seed)
+        )
+        rows = data.spectra.values
+        assert select_num_harmonics(rows[:10], 87.0) == 1
+        config = PipelineConfig(n_endmembers=2, n_init=10)
+        assert init_pipeline(rows[:10], config).basis.n_harmonics == 2
+        result = run_experiment(data, protocol_p1(90), config, eval_stride=10, abundance_stride=0)
+        assert np.linalg.cond(result.trace.final_endmembers.values) < 10.0
+
     def test_noisy_rows_estimate_a_positive_floor(self):
         data = generate_dataset(
             SynthConfig(n_spectra=60, n_channels=200, n_endmembers=3, snr_db=20.0, seed=0)
@@ -113,8 +130,7 @@ class TestInitPipeline:
     def test_starting_state_is_anchored_on_the_init_endmembers(self):
         truth, _, state = small_stream_setup()
         np.testing.assert_array_equal(state.endmembers.full.values, truth)
-        expected = reduce_columns(state.endmembers.full.values, state.basis).T
-        np.testing.assert_array_equal(state.estimator.mean, expected)
+        np.testing.assert_array_equal(state.estimator.mean, truth.T)
 
     def test_kalman_covariance_is_scaled_identity(self):
         _, _, state = small_stream_setup(sigma_v2=0.25)
@@ -200,6 +216,15 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match="n_harmonics"):
             PipelineConfig(n_endmembers=2, n_harmonics=0)
 
+    @pytest.mark.parametrize("k, least", [(1, 1), (2, 2), (3, 2), (4, 3), (12, 7)])
+    def test_rejects_harmonics_too_few_for_the_endmembers(self, k, least):
+        """2M reduced coordinates, the DC sine one always zero, span at most
+        2M - 1 directions: K endmembers need 2M - 1 >= K."""
+        PipelineConfig(n_endmembers=k, n_init=12, n_harmonics=least)
+        message = f"n_harmonics must be >= {least} for n_endmembers = {k}"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(n_endmembers=k, n_init=12, n_harmonics=least - 1)
+
     def test_rejects_negative_process_noise(self):
         with pytest.raises(ValueError, match="sigma_v2"):
             PipelineConfig(n_endmembers=2, sigma_v2=-0.1)
@@ -242,28 +267,40 @@ class TestPipelineStep:
         with pytest.raises(TypeError, match="estimator"):
             replace(state, estimator=state.estimator)
 
-    def test_step_derives_its_prior_once(self, monkeypatch):
-        """The prior mean is one reduce_columns call made through this module,
-        where the benchmark's tracer sees it inside the step."""
+    def test_step_makes_one_fourier_product(self, monkeypatch):
+        """The one reduce of a step is of the posterior mean, the regression's
+        target, made through this module, where the benchmark's tracer sees
+        it inside the step; neither the spectrum nor the stored endmembers
+        is reduced."""
         truth, _, state = small_stream_setup()
-        calls = []
+        posteriors, reduced, spectra_reduced = [], [], []
+
+        def updating(*args):
+            posteriors.append(kf_update(*args))
+            return posteriors[-1]
 
         def counting(values, basis):
-            calls.append(values.shape)
+            reduced.append(values)
             return reduce_columns(values, basis)
 
+        monkeypatch.setattr("kfunmix.pipeline.kf_update", updating)
         monkeypatch.setattr("kfunmix.pipeline.reduce_columns", counting)
+        monkeypatch.setattr("kfunmix.pipeline.reduce_spectrum", spectra_reduced.append)
         for weights in ([0.3, 0.7], [0.6, 0.4]):
+            stored = state.endmembers.full.values
             state, _ = pipeline_step(state, truth @ np.array(weights))
-        assert calls == [(64, 2), (64, 2)]
+            assert not np.array_equal(reduced[-1], stored)
+        assert len(reduced) == len(posteriors) == 2 and spectra_reduced == []
+        for values, posterior in zip(reduced, posteriors):
+            assert values.shape == (64, 2)
+            np.testing.assert_array_equal(values, posterior.mean.T)
 
-    def test_mean_is_reanchored_on_the_constrained_estimate(self):
+    def test_next_prior_mean_is_the_constrained_estimate(self):
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(2)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, _ = pipeline_step(state, mix)
-        expected = reduce_columns(new_state.endmembers.full.values, state.basis).T
-        np.testing.assert_array_equal(new_state.estimator.mean, expected)
+        np.testing.assert_array_equal(new_state.estimator.mean, new_state.endmembers.full.values.T)
 
     def test_covariance_matches_a_bare_filter_update(self):
         # the regression step must not touch the covariance
@@ -272,8 +309,7 @@ class TestPipelineStep:
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, _ = pipeline_step(state, mix)
         conc = estimate_concentration(mix, state.endmembers.full)
-        observed = reduce_spectrum(mix, state.basis)
-        bare = kf_update(state.estimator, conc, observed, state.config.sigma_v2, state.sigma_e2)
+        bare = kf_update(state.estimator, conc, mix, state.config.sigma_v2, state.sigma_e2)
         np.testing.assert_array_equal(new_state.estimator.matrix, bare.matrix)
 
     def test_full_estimate_stays_nonnegative(self):
@@ -385,6 +421,31 @@ class TestDlMatchesReference:
         assert_close(state.endmembers.full.values, ref.endmembers.full.values)
         assert_close(state.estimator.mean, ref.estimator.mean)
         assert_close(state.estimator.matrix, np.linalg.inv(ref.estimator.matrix))
+
+
+class TestMatchesTheReducedStep:
+    """The channel-space step against the reduced-domain step it replaced
+    (``tests/reduced_step_reference.py``), from the same start."""
+
+    @pytest.mark.parametrize(
+        "n_channels, k, m, updater", [(400, 5, 16, "kalman"), (200, 3, None, "rls"), (200, 3, 8, "dl")]
+    )
+    def test_three_hundred_steps_agree_within_rounding(self, n_channels, k, m, updater):
+        data = generate_dataset(
+            SynthConfig(n_spectra=330, n_channels=n_channels, n_endmembers=k, snr_db=20.0, seed=1)
+        )
+        rows = data.spectra.values
+        config = PipelineConfig(n_endmembers=k, n_harmonics=m, updater=updater, seed=1)
+        state = ref = init_pipeline(rows[:30], config)
+        for y in rows[30:]:
+            state, _ = pipeline_step(state, y)
+            ref = reduced_step_reference.reduced_step(ref, y)
+
+        def assert_close(actual, desired):
+            assert np.abs(actual - desired).max() <= 1e-10 * np.abs(desired).max()
+
+        assert_close(state.endmembers.full.values, ref.endmembers.full.values)
+        assert_close(state.covariance, ref.covariance)
 
 
 def stream_dataset(seed: int = 7) -> DatasetBundle:
