@@ -5,17 +5,17 @@ default eta), 30 init spectra each, synthetic data at 20 dB.  Each
 acquisition runs once, as one ``pipeline_step`` call under
 ``perfbench/tracer.py``.  Once ``init_pipeline`` has returned, the tracer
 wraps the names the step looks up in ``kfunmix.pipeline`` (``TRACED``): the
-step itself, ``estimate_concentration`` (FCLS of the new spectrum), the
-configured updater (run on the endmembers and the raw spectrum),
-``reduce_columns`` (the one Fourier product of a step, the posterior mean
-reduced to the regression's target; span ``reduce``) and
-``solve_regression``.  A missing name raises ``TraceError`` rather than
-reading zero.  A span costs its caller about 0.5-2 us more than a plain
-call, so each ``step`` figure carries up to about 8 us for the four spans
-inside it.  ``step`` minus the sum of the layers is the step's own code,
-including its two ``FilterState`` constructions.  Single-spectrum
-FCLS runs against a random L = 400 endmember matrix for every K = 2..12,
-and a 215-row batch call at the same K.  Rounds interleave the operating
+step itself and its three layers, ``estimate_concentration`` (FCLS of the
+new spectrum), the configured updater (run on the endmembers and the raw
+spectrum) and ``solve_regression`` (of the posterior mean, in channels; the
+step makes no Fourier product).  A missing name raises ``TraceError``
+rather than reading zero.  A span costs its caller about 0.5-2 us more than
+a plain call, so each ``step`` figure carries up to about 6 us for the
+three spans inside it.  ``step`` minus the sum of the layers is the step's
+own code, including the prior's ``FilterState`` build (the posterior's is
+inside ``update``).  Single-spectrum FCLS runs against a random L = 400
+endmember matrix for every K = 2..12, and a 215-row batch call at the same
+K.  Rounds interleave the operating
 points and the K values, so a drift of the host's speed reaches all of them
 alike.  Each round also times a fixed reference workload (``host_ref``); a
 figure divided by it compares across hosts and runs better than a raw one.
@@ -96,7 +96,7 @@ from tracer import Tracer  # noqa: E402  (perfbench/ is not a package)
 
 # (name, L, K, M or None for the eta criterion)
 OPERATING_POINTS = (("L400K5M16", 400, 5, 16), ("L200K3", 200, 3, None))
-LAYERS = ("fcls_one", "update", "reduce", "regression", "step")
+LAYERS = ("fcls_one", "update", "regression", "step")
 # The span of each name pipeline_step looks up in kfunmix.pipeline.
 TRACED = {
     "pipeline_step": "step",
@@ -104,7 +104,6 @@ TRACED = {
     "kf_update": "update",
     "rls_update": "update",
     "dl_update": "update",
-    "reduce_columns": "reduce",
     "solve_regression": "regression",
 }
 FCLS_CHANNELS = 400

@@ -5,9 +5,9 @@ truncation order of the Fourier subspace, the noise-floor estimate, the
 starting endmembers (extracted geometrically unless provided), and the
 regression system used to restore nonnegativity.  Each later acquisition
 runs one cycle of abundance estimation, state update of the endmembers on
-the raw spectrum, and constrained regression of the updated endmembers'
-reduction back to the full space.  The stream keeps the constrained
-endmembers, which are the filter's mean, and its K x K row covariance.
+the raw spectrum, and constrained regression of the updated endmembers onto
+the acquired spectra.  The stream keeps the constrained endmembers, which
+are the filter's mean, and its K x K row covariance.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ import numpy as np
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
 from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, DatasetBundle, EndmemberMatrix
 from .datamodel import FloatArray, SpectraMatrix
-from .fourier import (
-    FourierBasis,
-    build_basis,
-    reduce_columns,
-    reduce_spectrum,  # noqa: F401 (the benchmark wraps it here)
-    select_num_harmonics,
-)
+from .fourier import FourierBasis, build_basis, select_num_harmonics
+from .fourier import reduce_columns, reduce_spectrum  # noqa: F401 (the benchmark wraps it here)
 from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
 from .mcrals import McrConfig, mcr_als, pca_nonneg_init  # noqa: F401 (the benchmark wraps it here)
 from .metrics import (
@@ -56,8 +51,10 @@ def _least_harmonics(n_endmembers: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings of one streaming run.  Nothing in kfunmix reads ``fcls``; only
-    the benchmark harness passes it on.  ROADMAP item 4 deletes it."""
+    """Settings of one streaming run.  Only kalman and rls read ``sigma_v2``
+    and only rls reads ``rls_forgetting``; a value other than the default of a
+    setting the updater never reads is rejected.  Nothing in kfunmix reads
+    ``fcls``; only the benchmark harness passes it on.  ROADMAP item 4 deletes it."""
 
     n_endmembers: int
     n_init: int = 30
@@ -88,6 +85,10 @@ class PipelineConfig:
             raise ValueError("rls_forgetting must be in (0, 1]")
         if self.updater == "rls" and self.sigma_v2 <= 0.0:
             raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
+        unread = {"kalman": ("rls_forgetting",), "rls": (), "dl": ("sigma_v2", "rls_forgetting")}
+        for name in unread[self.updater]:
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"the {self.updater} updater does not read {name}; leave it unset")
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,10 @@ def pipeline_step(
 
     Cycle: estimate the abundance of the incoming spectrum against the
     current endmembers, run the configured state update of those endmembers
-    on the spectrum, reduce the posterior mean (one Fourier product, the
-    regression's target), and regress it back onto the acquired-spectra
-    cone.  The new state keeps the constrained estimate, whose transpose is
-    the next prior mean, and the posterior row covariance.
+    on the spectrum, and regress the posterior mean onto the acquired-spectra
+    cone; the step makes no Fourier product.  The new state keeps the
+    constrained estimate, whose transpose is the next prior mean, and the
+    posterior row covariance.
     """
     config = state.config
     tic = time.perf_counter()
@@ -200,7 +201,7 @@ def pipeline_step(
     else:
         posterior = dl_update(prior, concentration, spectrum)
 
-    fit = solve_regression(state.regressors, reduce_columns(posterior.mean.T, state.basis))
+    fit = solve_regression(state.regressors, posterior.mean.T)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     endmembers = EndmemberEstimate(fit.endmembers)

@@ -1,26 +1,25 @@
 """Constraint restoration by regression onto acquired spectra.
 
-The filtered reduced endmember estimate is mapped back to a nonnegative
-full-space estimate by regressing it, in the reduced domain, onto the
-first P acquired spectra while forcing the full-space reconstruction to
-stay nonnegative:
+The filtered endmember estimate S (L, K), in channels, is regressed within
+the truncated Fourier subspace onto the first P acquired spectra, keeping
+the reconstruction nonnegative:
 
-    minimize   || Yr R - T ||_F^2   subject to   Y R >= 0
+    minimize   || F (Y R - S) ||_F^2   subject to   Y R >= 0
 
-with Y the (L, P) matrix of regressor spectra, Yr its reduced (2M, P)
-counterpart and T the (2M, K) target.  Scaled ADMM on the split
-Y R = U >= 0, with step ρ and dual λ, alternates a least-squares step in
-R, the clamp U = max(v, 0) of v = Y R - λ/ρ, and a dual ascent step that
-leaves λ' = ρ max(-v, 0).  So λ' + ρU = ρ|v| and the next v is
-Y R' - max(-v, 0): the iteration carries one L x K iterate v as
+with Y the (L, P) regressor spectra and F the (2M, L) Fourier operator.
+With Yr = F Y this is the paper's reduced-domain problem || Yr R - F S ||^2.
+Scaled ADMM on the split Y R = U >= 0, with step ρ and dual λ, alternates
+a least-squares step in R, the clamp U = max(v, 0) of v = Y R - λ/ρ, and a
+dual ascent step that leaves λ' = ρ max(-v, 0).  So λ' + ρU = ρ|v| and the
+next v is Y R' - max(-v, 0): the iteration carries one L x K iterate v as
 
-    R = N^-1 2 Yr^T T + ρ N^-1 Y^T |v|,    v = Y R + min(v, 0),
+    R = N^-1 2 Yr^T F S + ρ N^-1 Y^T |v|,    v = Y R + min(v, 0),
 
-with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream, so they
-are solved through one Cholesky factor at set-up and each iteration is two
-matrix products.  The exit duals (U, λ) are (max(v, 0), ρ max(-v, 0)).  The
-iteration starts at v = 0 (U = λ = 0), where |v| and min(v, 0) vanish, so
-the first iteration is R = C exactly, with C = N^-1 2 Yr^T T the constant
+with N = 2 Yr^T Yr + ρ Y^T Y.  Both maps are fixed for the stream: they are
+solved through one Cholesky factor at set-up, where F is applied once, and
+each iteration is two matrix products.  The exit duals (U, λ) are (max(v, 0),
+ρ max(-v, 0)).  From v = 0 (U = λ = 0), where |v| and min(v, 0) vanish, the
+first iteration is R = C exactly, with C = N^-1 2 Yr^T F S the constant
 term, and v = Y C: it is peeled off as that one product.
 
 The iteration runs at the BLAS level.  Y is stored in Fortran order and
@@ -78,11 +77,11 @@ RHO = 1.0
 class RegressorSet:
     """The fixed regression system built from the first P spectra.
 
-    Holds the full-space regressors Y (L, P), their reduced form Yr
-    (2M, P), and with N = 2 Yr^T Yr + RHO Y^T Y the two maps of the ADMM
-    least-squares step: ``target_map = N^-1 2 Yr^T`` (P, 2M) and
-    ``lift = RHO N^-1 Y^T`` (P, L).  Both depend only on the regressors
-    and are therefore computed once per stream.  :func:`build_regressor_set`
+    Holds the regressors Y (L, P) and, with Yr = F Y their reduction and
+    N = 2 Yr^T Yr + RHO Y^T Y, the two maps of the ADMM least-squares step:
+    ``target_map = N^-1 2 Yr^T F`` and ``lift = RHO N^-1 Y^T``, both (P, L).
+    Both depend only on the regressors and the basis, and are therefore
+    computed once per stream.  :func:`build_regressor_set`
     stores ``full_space``, the left operand of Y R, in Fortran order and
     ``lift`` in C order, so that ``lift.T`` is the Fortran-ordered (L, P)
     operand of the transposed product lift |v| and BLAS reads both in
@@ -91,15 +90,15 @@ class RegressorSet:
     """
 
     full_space: FloatArray
-    reduced_space: FloatArray
     target_map: FloatArray
     lift: FloatArray
 
     def __post_init__(self) -> None:
-        if self.full_space.ndim != 2 or self.reduced_space.ndim != 2:
-            raise ValueError("regressor matrices must be 2-D")
-        if self.full_space.shape[1] != self.reduced_space.shape[1]:
-            raise ValueError("full and reduced regressor counts disagree")
+        p_by_l = self.full_space.shape[::-1]
+        if len(p_by_l) != 2 or self.target_map.shape != p_by_l or self.lift.shape != p_by_l:
+            raise ValueError(
+                f"target map and lift must be (P, L) for (L, P) = {self.full_space.shape}"
+            )
 
 
 def build_regressor_set(
@@ -124,7 +123,7 @@ def build_regressor_set(
         )
     factor = cho_factor(normal, lower=True)
     lift = np.ascontiguousarray(cho_solve(factor, RHO * full.T))
-    return RegressorSet(full, reduced, cho_solve(factor, 2.0 * reduced.T), lift)
+    return RegressorSet(full, cho_solve(factor, 2.0 * reduced.T) @ basis.operator, lift)
 
 
 @dataclass(frozen=True)
@@ -139,15 +138,15 @@ class RegressionResult:
 def solve_regression(
     regressors: RegressorSet, target: FloatArray, *, iterations: int = ADMM_ITERS
 ) -> RegressionResult:
-    """Fit the reduced target as a nonnegative combination of the regressors.
+    """Regress the retained harmonics of an estimate onto the regressors' cone.
 
     Parameters
     ----------
     regressors : RegressorSet
         System built by :func:`build_regressor_set`.
-    target : (2M, K) array
-        Reduced endmember estimate, one column per component; every entry
-        must be finite.
+    target : (L, K) array
+        Endmember estimate in channels, one column per component; every
+        entry must be finite.  Only its reduction F S enters the fit.
     iterations : int
         ADMM iterations from zero; the pipeline always runs ADMM_ITERS,
         and tests pass long runs to reach the converged limit.
@@ -161,7 +160,7 @@ def solve_regression(
     Raises
     ------
     ValueError
-        If the target is not a (2M, K) matrix matching the regressors, or
+        If the target is not an (L, K) matrix matching the regressors, or
         holds a NaN or an infinity.
     NumericalError
         If clamping zeroes out an entire column, leaving no usable
@@ -170,12 +169,11 @@ def solve_regression(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     full = regressors.full_space
-    reduced = regressors.reduced_space
     t = np.asarray(target, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] != reduced.shape[0]:
+    if t.ndim != 2 or t.shape[0] != full.shape[0]:
         raise ValueError(
-            f"target of shape {t.shape} does not have the {reduced.shape[0]} reduced "
-            "rows of the regressors"
+            f"target of shape {t.shape} does not have the L rows of the "
+            f"(L, P) = {full.shape} regressors"
         )
     if not np.isfinite(t).all():
         raise ValueError("target contains non-finite entries")

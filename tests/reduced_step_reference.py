@@ -4,8 +4,10 @@ Each acquisition reduced the stored endmembers to the filter's prior mean
 (the re-anchor) and the spectrum to its 2M coordinates, ran the state
 update there, and regressed the reduced posterior mean back to channel
 space.  ``pipeline_step`` now updates the endmembers on the raw spectrum
-and reduces once, the posterior mean; the filter commutes with the
-reduction, so the two agree up to rounding.
+and regresses the posterior mean in channels, its reduction made by the
+target map; the filter commutes with the reduction, so the two agree up to
+rounding.  The reduced posterior mean T reaches ``solve_regression`` as
+the channel target F^T T, whose reduction is T.
 """
 
 from dataclasses import replace
@@ -32,5 +34,5 @@ def reduced_step(state, spectrum):
         posterior = rls_update(prior, concentration, observed, config.rls_forgetting)
     else:
         posterior = dl_update(prior, concentration, observed)
-    fit = solve_regression(state.regressors, posterior.mean.T)
+    fit = solve_regression(state.regressors, operator.T @ posterior.mean.T)
     return replace(state, covariance=posterior.matrix, endmembers=EndmemberEstimate(fit.endmembers))

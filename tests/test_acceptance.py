@@ -146,15 +146,15 @@ def test_03_constrained_regression_matches_qp(capsys):
         rows = rng.uniform(0.1, 1.0, (5, 8))
         basis = build_basis(8, 2)
         regressors = build_regressor_set(rows, basis)
+        reduced = basis.operator @ regressors.full_space
         mix = rng.uniform(0.2, 1.0, (5, 2))
-        target_vals = regressors.reduced_space @ mix + 0.05 * rng.standard_normal((4, 2))
+        target_vals = reduced @ mix + 0.05 * rng.standard_normal((4, 2))
 
-        fit = solve_regression(regressors, target_vals, iterations=10_000)
-        admm_obj = np.linalg.norm(
-            regressors.reduced_space @ fit.coefficients - target_vals
-        ) ** 2
+        # The reduced target is handed over in channels, as F^T T.
+        fit = solve_regression(regressors, basis.operator.T @ target_vals, iterations=10_000)
+        admm_obj = np.linalg.norm(reduced @ fit.coefficients - target_vals) ** 2
 
-        system = (regressors.reduced_space, regressors.full_space, target_vals)
+        system = (reduced, regressors.full_space, target_vals)
         worst_gap = max(worst_gap, abs(admm_obj - qp_minimum(*system)[1]))
         reference = cvxpy_minimum(*system)  # None without cvxpy
         if reference is not None:

@@ -360,6 +360,8 @@ class TestRun:
             (["--n-endmembers", "2", "--eta", "0"], "eta"),
             (["--n-endmembers", "3", "--n-init", "2"], "n_init"),
             (["--n-endmembers", "2", "--updater", "rls", "--sigma-v2", "0"], "sigma_v2 > 0"),
+            (["--n-endmembers", "2", "--updater", "dl", "--sigma-v2", "0.1"],
+             "the dl updater does not read sigma_v2"),
             (["--n-endmembers", "2", "--eval-stride", "0"], "eval_stride must be >= 1"),
             (["--n-endmembers", "2", "--abundance-stride", "-1"],
              "abundance_stride must be >= 0"),

@@ -17,7 +17,6 @@ import pytest
 
 from kfunmix.abundance import FclsConfig
 from kfunmix.datamodel import EndmemberMatrix
-from kfunmix.fourier import reduce_columns
 from kfunmix.mcrals import McrConfig
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step
 from kfunmix.regression import RegressorSet, solve_regression
@@ -69,7 +68,7 @@ def test_regression_fields_the_hooks_read():
     state, _ = small_state()
     regressors = state.regressors
     assert isinstance(regressors, RegressorSet)
-    result = solve_regression(regressors, reduce_columns(state.endmembers.full.values, state.basis))
+    result = solve_regression(regressors, state.endmembers.full.values)
     counts = worker.LayerCounts(worker.Checks())
     counts.hooks()["regression"]((regressors,), {}, result)
     full, coeff, u = counts.regression_exits[0]

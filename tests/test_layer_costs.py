@@ -173,6 +173,12 @@ def test_a_step_that_raises_restores_every_traced_name(data, monkeypatch):
     assert all(after[name] is before[name] for name in before)
 
 
+def test_traces_the_step_and_its_three_layers():
+    """The step makes no Fourier product, so no reduce span is traced."""
+    assert layer_costs.LAYERS == ("fcls_one", "update", "regression", "step")
+    assert set(layer_costs.TRACED.values()) == set(layer_costs.LAYERS)
+
+
 @pytest.mark.parametrize("updater", pipeline.UPDATERS)
 def test_one_sample_per_step_and_layer(data, updater):
     samples = empty_samples()

@@ -24,6 +24,7 @@ from kfunmix.metrics import RE_IDENTITY_SHARE, read_trace_csv, sad
 from kfunmix.pipeline import (
     BASELINES,
     STRIDES,
+    UPDATERS,
     PipelineConfig,
     check_experiment_options,
     init_pipeline,
@@ -32,6 +33,7 @@ from kfunmix.pipeline import (
 )
 from kfunmix.fourier import build_basis
 from kfunmix.protocols import AcquisitionOrder, P2Config, protocol_p1, protocol_p2
+from kfunmix.regression import solve_regression
 from kfunmix.synthdata import SynthConfig, generate_dataset
 from kfunmix.vca import vca
 
@@ -243,6 +245,31 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match="rls_forgetting"):
             PipelineConfig(n_endmembers=2, rls_forgetting=lam)
 
+    @pytest.mark.parametrize(
+        "updater, setting, value",
+        [
+            ("kalman", "rls_forgetting", 0.9),
+            ("dl", "rls_forgetting", 0.9),
+            ("dl", "sigma_v2", 0.1),
+            ("dl", "sigma_v2", 0.0),
+        ],
+    )
+    def test_rejects_a_setting_the_updater_never_reads(self, updater, setting, value):
+        with pytest.raises(ValueError, match=f"the {updater} updater does not read {setting}"):
+            PipelineConfig(n_endmembers=2, updater=updater, **{setting: value})
+
+    def test_accepts_the_settings_each_updater_reads(self):
+        """Each updater takes the settings it reads, and any setting at its
+        default; an explicit n_harmonics still overrides eta."""
+        PipelineConfig(n_endmembers=2, updater="kalman", sigma_v2=0.1)
+        PipelineConfig(n_endmembers=2, updater="rls", sigma_v2=0.1, rls_forgetting=0.9)
+        for updater in UPDATERS:
+            config = PipelineConfig(
+                n_endmembers=2, updater=updater, sigma_v2=1.0, rls_forgetting=1.0,
+                eta=90.0, n_harmonics=4,
+            )
+            assert (config.sigma_v2, config.rls_forgetting) == (1.0, 1.0)
+
 
 class TestPipelineStep:
     def test_carries_the_setup_and_returns_walltime(self):
@@ -267,33 +294,43 @@ class TestPipelineStep:
         with pytest.raises(TypeError, match="estimator"):
             replace(state, estimator=state.estimator)
 
-    def test_step_makes_one_fourier_product(self, monkeypatch):
-        """The one reduce of a step is of the posterior mean, the regression's
-        target, made through this module, where the benchmark's tracer sees
-        it inside the step; neither the spectrum nor the stored endmembers
-        is reduced."""
+    def test_step_makes_no_fourier_product(self, monkeypatch):
+        """The regression takes the posterior mean in channels, and its target
+        map carries the Fourier operator from set-up: across a stream of
+        steps no reduce runs, through this module or the regression's."""
         truth, _, state = small_stream_setup()
-        posteriors, reduced, spectra_reduced = [], [], []
+        posteriors, targets, reduced = [], [], []
 
         def updating(*args):
             posteriors.append(kf_update(*args))
             return posteriors[-1]
 
-        def counting(values, basis):
-            reduced.append(values)
-            return reduce_columns(values, basis)
+        def regressing(regressors, target):
+            targets.append(target)
+            return solve_regression(regressors, target)
+
+        def counting(name):
+            module, _, attr = name.rpartition(".")
+            real = getattr(sys.modules[module], attr)
+
+            def wrapper(*args):
+                reduced.append(name)
+                return real(*args)
+            return wrapper
 
         monkeypatch.setattr("kfunmix.pipeline.kf_update", updating)
-        monkeypatch.setattr("kfunmix.pipeline.reduce_columns", counting)
-        monkeypatch.setattr("kfunmix.pipeline.reduce_spectrum", spectra_reduced.append)
-        for weights in ([0.3, 0.7], [0.6, 0.4]):
-            stored = state.endmembers.full.values
-            state, _ = pipeline_step(state, truth @ np.array(weights))
-            assert not np.array_equal(reduced[-1], stored)
-        assert len(reduced) == len(posteriors) == 2 and spectra_reduced == []
-        for values, posterior in zip(reduced, posteriors):
-            assert values.shape == (64, 2)
-            np.testing.assert_array_equal(values, posterior.mean.T)
+        monkeypatch.setattr("kfunmix.pipeline.solve_regression", regressing)
+        for name in ("kfunmix.pipeline.reduce_columns", "kfunmix.pipeline.reduce_spectrum",
+                     "kfunmix.regression.reduce_columns"):
+            monkeypatch.setattr(name, counting(name))
+        rng = np.random.default_rng(6)
+        for weights in rng.dirichlet(np.ones(2), size=5):
+            state, _ = pipeline_step(state, truth @ weights)
+        assert reduced == []
+        assert len(targets) == len(posteriors) == 5
+        for target, posterior in zip(targets, posteriors):
+            assert target.shape == (64, 2)
+            np.testing.assert_array_equal(target, posterior.mean.T)
 
     def test_next_prior_mean_is_the_constrained_estimate(self):
         truth, _, state = small_stream_setup()

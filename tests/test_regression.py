@@ -1,4 +1,7 @@
 """Tests for the cone-constrained subspace regression and its cached solver."""
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import blas
@@ -24,15 +27,26 @@ from qp_oracle import cvxpy_minimum, qp_minimum
 def make_instance(
     seed, n_regressors=5, n_channels=8, n_harmonics=2, n_out=2, noise_scale=1.0
 ):
-    """Random system plus a target that keeps the constraint active."""
+    """Random system, its basis, and a target that keeps the constraint active.
+
+    The reduced target T = Yr mix + noise is handed over in channels, as
+    F^T T, whose reduction is T: F's rows are orthonormal but for the zero
+    DC-sine row, which Yr shares, so T's entry there enters no fit."""
     rng = np.random.default_rng(seed)
     rows = rng.uniform(0.0, 1.0, size=(n_regressors, n_channels))
     basis = build_basis(n_channels, n_harmonics)
     regressors = build_regressor_set(rows, basis)
     mix = rng.uniform(0.2, 1.0, size=(n_regressors, n_out))
     noise = noise_scale * rng.normal(size=(2 * n_harmonics, n_out))
-    target = regressors.reduced_space @ mix + noise
-    return regressors, target
+    reduced = basis.operator @ regressors.full_space
+    return regressors, basis, basis.operator.T @ (reduced @ mix + noise)
+
+
+def reduced_problem(regressors, basis, target):
+    """The paper's reduced-domain problem of a channel target S:
+    (Yr, Y, T) with Yr = F Y and T = F S."""
+    operator = basis.operator
+    return operator @ regressors.full_space, regressors.full_space, operator @ target
 
 
 # (seed, P, L, M, K, noise scale, iterations): the small instance, the L400
@@ -87,10 +101,7 @@ def relaid(regressors, layout):
         return regressors
     order = np.ascontiguousarray if layout == "c" else np.asfortranarray
     return RegressorSet(
-        order(regressors.full_space),
-        order(regressors.reduced_space),
-        order(regressors.target_map),
-        order(regressors.lift),
+        order(regressors.full_space), order(regressors.target_map), order(regressors.lift)
     )
 
 
@@ -99,13 +110,14 @@ def kernel_outputs(regressors, target, iterations):
     return result.coefficients, result.endmembers.values, *result.duals
 
 
-def qp_oracle(regressors, target):
-    """Optimal objective of the constrained quadratic program, exact by enumeration."""
-    return qp_minimum(regressors.reduced_space, regressors.full_space, target)[1]
+def qp_oracle(regressors, basis, target):
+    """Optimal objective of the reduced-domain quadratic program, exact by enumeration."""
+    return qp_minimum(*reduced_problem(regressors, basis, target))[1]
 
 
-def admm_objective(regressors, target, result):
-    resid = regressors.reduced_space @ result.coefficients - target
+def admm_objective(regressors, basis, target, result):
+    reduced, _, t = reduced_problem(regressors, basis, target)
+    resid = reduced @ result.coefficients - t
     return float(np.sum(resid**2))
 
 
@@ -115,12 +127,15 @@ class TestBuildRegressorSet:
         rows = rng.uniform(0.1, 1.0, size=(6, 20))
         basis = build_basis(20, 3)
         regs = build_regressor_set(rows, basis)
+        assert [field.name for field in fields(regs)] == ["full_space", "target_map", "lift"]
         assert regs.full_space.shape == (20, 6)
-        assert regs.reduced_space.shape == (6, 6)
+        assert regs.target_map.shape == regs.lift.shape == (6, 20)
         np.testing.assert_array_equal(regs.full_space, rows.T)
-        full, reduced = regs.full_space, regs.reduced_space
+        full, reduced = regs.full_space, basis.operator @ regs.full_space
         normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
-        np.testing.assert_allclose(normal @ regs.target_map, 2.0 * reduced.T, atol=1e-10)
+        np.testing.assert_allclose(
+            normal @ regs.target_map, 2.0 * reduced.T @ basis.operator, atol=1e-10
+        )
         np.testing.assert_allclose(normal @ regs.lift, RHO * full.T, atol=1e-10)
 
     def test_duplicate_rows_are_singular(self):
@@ -144,17 +159,17 @@ class TestBuildRegressorSet:
             build_regressor_set(np.ones(8), build_basis(8, 2))
 
     def test_regressor_set_validation(self):
-        with pytest.raises(ValueError, match="counts disagree"):
-            RegressorSet(np.ones((8, 3)), np.ones((4, 2)), np.ones((2, 4)), np.ones((3, 8)))
+        for target_map, lift in (((4, 8), (3, 8)), ((3, 8), (8, 3))):
+            with pytest.raises(ValueError, match=r"must be \(P, L\) for \(L, P\) = \(8, 3\)"):
+                RegressorSet(np.ones((8, 3)), np.ones(target_map), np.ones(lift))
 
 
 class TestQpOracle:
     """The enumeration oracle against an independent solver and known optima."""
 
     @staticmethod
-    def slsqp_objective(regressors, target):
+    def slsqp_objective(reduced, full, target):
         total = 0.0
-        full, reduced = regressors.full_space, regressors.reduced_space
         start = np.linalg.lstsq(full, np.ones(full.shape[0]), rcond=None)[0]
         for col in target.T:
             res = minimize(
@@ -175,24 +190,25 @@ class TestQpOracle:
         with the objective it reports."""
         active = 0
         for seed in range(20):
-            regressors, target = make_instance(seed)
-            coeff, optimum = qp_minimum(regressors.reduced_space, regressors.full_space, target)
-            assert np.min(regressors.full_space @ coeff) >= -1e-9
-            resid = regressors.reduced_space @ coeff - target
+            reduced, full, target = reduced_problem(*make_instance(seed))
+            coeff, optimum = qp_minimum(reduced, full, target)
+            assert np.min(full @ coeff) >= -1e-9
+            resid = reduced @ coeff - target
             assert np.sum(resid**2) == pytest.approx(optimum, rel=1e-12)
-            reference = self.slsqp_objective(regressors, target)
+            reference = self.slsqp_objective(reduced, full, target)
             assert optimum <= reference + 1e-10 * max(1.0, reference)
             assert reference - optimum <= 1e-6 * max(1.0, reference)
-            unconstrained = np.linalg.lstsq(regressors.reduced_space, target, rcond=None)[0]
-            active += np.min(regressors.full_space @ unconstrained) < 0.0
+            unconstrained = np.linalg.lstsq(reduced, target, rcond=None)[0]
+            active += np.min(full @ unconstrained) < 0.0
         assert active >= 10
 
     def test_target_in_the_cone_image_has_zero_objective(self):
         rng = np.random.default_rng(3)
         rows = rng.uniform(0.1, 1.0, size=(5, 8))
-        regressors = build_regressor_set(rows, build_basis(8, 2))
-        target = regressors.reduced_space @ rng.uniform(0.2, 1.0, size=(5, 2))
-        _, optimum = qp_minimum(regressors.reduced_space, regressors.full_space, target)
+        basis = build_basis(8, 2)
+        regressors = build_regressor_set(rows, basis)
+        target = regressors.full_space @ rng.uniform(0.2, 1.0, size=(5, 2))
+        _, optimum = qp_minimum(*reduced_problem(regressors, basis, target))
         assert optimum <= 1e-20
 
     def test_infeasible_unconstrained_fit_is_rejected(self):
@@ -211,17 +227,17 @@ class TestSolveRegression:
     def test_matches_quadratic_program(self):
         """Long runs must close the objective gap to the QP reference."""
         for seed in range(5):
-            regressors, target = make_instance(seed)
+            regressors, basis, target = make_instance(seed)
             result = solve_regression(regressors, target, iterations=10000)
-            optimum = qp_oracle(regressors, target)
-            gap = admm_objective(regressors, target, result) - optimum
+            optimum = qp_oracle(regressors, basis, target)
+            gap = admm_objective(regressors, basis, target, result) - optimum
             assert abs(gap) <= 1e-4
-            reference = cvxpy_minimum(regressors.reduced_space, regressors.full_space, target)
+            reference = cvxpy_minimum(*reduced_problem(regressors, basis, target))
             if reference is not None:
                 assert abs(reference - optimum) <= 1e-4
 
     def test_estimate_is_nonnegative(self):
-        regressors, target = make_instance(11)
+        regressors, _, target = make_instance(11)
         result = solve_regression(regressors, target)
         assert np.min(result.endmembers.values) >= 0.0
 
@@ -232,9 +248,9 @@ class TestSolveRegression:
         basis = build_basis(16, 3)
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(5, 2))
-        target = regressors.reduced_space @ mix
+        target = regressors.full_space @ mix
         result = solve_regression(regressors, target, iterations=5000)
-        assert admm_objective(regressors, target, result) < 1e-10
+        assert admm_objective(regressors, basis, target, result) < 1e-10
 
     def test_matches_dense_reimplementation(self):
         """The single-iterate recursion on cached maps equals the textbook
@@ -242,14 +258,13 @@ class TestSolveRegression:
         instance up to the stream's operating points, including one where
         2M - 1 < P leaves the objective without a unique minimiser."""
         for seed, n_regressors, n_channels, n_harmonics, n_out, scale, iterations in DENSE_CASES:
-            regressors, target = make_instance(
+            regressors, basis, target = make_instance(
                 seed, n_regressors, n_channels, n_harmonics, n_out, scale
             )
             result = solve_regression(regressors, target, iterations=iterations)
 
-            full, reduced = regressors.full_space, regressors.reduced_space
+            reduced, full, t = reduced_problem(regressors, basis, target)
             normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
-            t = target
             u = np.zeros((full.shape[0], t.shape[1]))
             lam = np.zeros_like(u)
             for _ in range(iterations):
@@ -269,7 +284,7 @@ class TestSolveRegression:
         """The split-variable gap is open after 100 iterations and closed
         after 10 000; the iteration state is exactly (U, lambda), so these
         are two samples of one trajectory from zero."""
-        regressors, target = make_instance(5)
+        regressors, _, target = make_instance(5)
         gaps = []
         for iterations in (100, 10_000):
             result = solve_regression(regressors, target, iterations=iterations)
@@ -286,30 +301,54 @@ class TestSolveRegression:
         basis = build_basis(12, 2)
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(4, 2))
-        target = 1e-8 * (regressors.reduced_space @ mix)
+        target = 1e-8 * (regressors.full_space @ mix)
         result = solve_regression(regressors, target, iterations=200)
         assert 0.0 < np.linalg.norm(result.endmembers.values) < 1e-6
         assert np.linalg.norm(result.coefficients) < 1e-6
 
     def test_zero_target_collapses_to_numerical_error(self):
-        regressors, _ = make_instance(8)
-        target = np.zeros((4, 2))
+        regressors, _, _ = make_instance(8)
+        target = np.zeros((8, 2))
         with pytest.raises(NumericalError, match="collapsed endmember column"):
             solve_regression(regressors, target)
 
     def test_rejects_zero_iterations(self):
-        regressors, target = make_instance(9)
+        regressors, _, target = make_instance(9)
         with pytest.raises(ValueError, match="iterations"):
             solve_regression(regressors, target, iterations=0)
 
     def test_target_row_mismatch(self):
-        regressors, _ = make_instance(10)
-        for bad in (np.ones((6, 2)), np.ones((3, 2)), np.ones(4)):
-            with pytest.raises(ValueError, match="reduced rows"):
+        """A target without the L channel rows, a reduced (2M, K) one among
+        them, is named with the regressors' shape."""
+        regressors, _, _ = make_instance(10)
+        for bad in (np.ones((4, 2)), np.ones((9, 2)), np.ones(8)):
+            shape = re.escape(str(bad.shape))
+            with pytest.raises(
+                ValueError,
+                match=rf"target of shape {shape} does not have the L rows of the "
+                r"\(L, P\) = \(8, 5\) regressors",
+            ):
                 solve_regression(regressors, bad)
 
+    @pytest.mark.parametrize("case", KERNEL_CASES[:2], ids=["L400-M16-K5", "L200-M8-K3"])
+    def test_what_the_subspace_drops_changes_nothing(self, case):
+        """The fit sees the target only through its retained harmonics:
+        adding Z - F^T (F Z), which F maps to zero, moves no output by more
+        than rounding."""
+        seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
+        regressors, basis, target = make_instance(
+            seed, n_regressors, n_channels, n_harmonics, n_out, scale
+        )
+        z = np.random.default_rng(seed).normal(scale=scale, size=target.shape)
+        dropped = z - basis.operator.T @ (basis.operator @ z)
+        assert np.abs(dropped).max() > 0.1 * np.abs(target).max()
+        want = kernel_outputs(regressors, target, ADMM_ITERS)
+        got = kernel_outputs(regressors, target + dropped, ADMM_ITERS)
+        for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
     def test_non_finite_target_rejected(self):
-        regressors, target = make_instance(10)
+        regressors, _, target = make_instance(10)
         for bad in (np.nan, np.inf, -np.inf):
             target[1, 0] = bad
             with pytest.raises(ValueError, match="non-finite"):
@@ -330,7 +369,7 @@ class TestBlasKernel:
         layout.  At two iterations the peeled ones meet; one iteration is
         the last alone, run from v = 0."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
-        regressors, target = make_instance(
+        regressors, _, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
         regressors = relaid(regressors, layout)
@@ -348,7 +387,7 @@ class TestBlasKernel:
         C-ordered lift sums in another order, and only the rounding bound
         of the next test holds."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
-        regressors, target = make_instance(
+        regressors, _, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
         assert regressors.full_space.flags.f_contiguous
@@ -368,7 +407,7 @@ class TestBlasKernel:
         within rounding: 500 iterations move no entry by 1e-12 of the
         largest."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
-        regressors, target = make_instance(
+        regressors, _, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
         regressors = relaid(regressors, layout)
@@ -380,7 +419,7 @@ class TestBlasKernel:
     def test_inputs_are_left_untouched(self):
         """The beta = 1 product writes into a copy of the constant term and
         into the kernel's own iterate, never into the caller's arrays."""
-        regressors, target = make_instance(15, 30, 200, 8, 1, 12.0)
+        regressors, _, target = make_instance(15, 30, 200, 8, 1, 12.0)
         saved = [a.copy() for a in (regressors.full_space, regressors.lift,
                                     regressors.target_map, target)]
         solve_regression(regressors, target)
@@ -402,7 +441,7 @@ class TestStreamEquivalence:
     """Whole streams through the kernel and through the NN-form solve."""
 
     def test_build_stores_fortran_regressors_and_a_c_ordered_lift(self):
-        regressors, _ = make_instance(*KERNEL_CASES[0])
+        regressors, _, _ = make_instance(*KERNEL_CASES[0])
         assert regressors.full_space.flags.f_contiguous
         assert regressors.lift.flags.c_contiguous
         assert not regressors.lift.flags.f_contiguous
