@@ -1,15 +1,16 @@
 """Streaming state estimators for the linear mixing model.
 
-The state mean is the (K, D) matrix whose row k is endmember k, in channels
-or in any fixed linear map of them.  An observation y (length D) relates to
-it through the concentration vector c as ``y = c @ mean + noise``, that is
-``H = c^T (x) I_D`` on a state of length DK.  A covariance ``Sigma (x) I_D``
-keeps that form under every update with this H, so each update carries only
-the K x K Sigma, costs O(K^2 + K D), and has the same K-vector gain for every
-D: a fixed linear map F commutes with it (F of the update = update of F).
+The state mean is the (D, K) matrix whose column k is endmember k, as in
+``EndmemberMatrix``, in channels or any fixed linear map of them.  An
+observation y (length D) relates to it through the concentration vector c
+as ``y = mean @ c + noise``: ``H = c^T (x) I_D`` on the column-stacked
+state of length DK.  A covariance ``Sigma (x) I_D`` keeps that form under
+every update with this H, so each update carries only the K x K Sigma,
+costs O(K^2 + K D), and has the same K-vector gain for every D: a fixed
+linear map F commutes with it (F of the update = update of F).
 
-Three gain rules share one covariance-form step, which moves row k of the
-mean by ``g_k (y - c @ mean)`` and shrinks the K x K row covariance: a
+Three gain rules share one covariance-form step, which moves column k of
+the mean by ``g_k (y - mean @ c)`` and shrinks the K x K covariance: a
 Kalman filter on a random-walk state, exponentially weighted recursive
 least squares (the Kalman step on the inflated prior P / forgetting with
 unit observation variance), and the Gram-normalized rule, RLS at forgetting 1.
@@ -30,9 +31,9 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Estimator state: mean (K, D) and the K x K row covariance.
+    """Estimator state: mean (D, K), one column per endmember, and K x K covariance.
 
-    The matrix is a row covariance for every updater: Sigma for
+    The matrix is that covariance for every updater: Sigma for
     :func:`kf_update`, and the inverse Gram P for :func:`rls_update` and
     :func:`dl_update`.  Positive semidefiniteness (eigenvalues >= -1e-10 at
     rest, >= -1e-8 across long update sequences) is a maintained invariant
@@ -45,16 +46,16 @@ class FilterState:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         if mean.ndim != 2:
-            raise ValueError("state mean must be a (K, D) matrix")
+            raise ValueError("state mean must be a (D, K) matrix")
         if mean.size == 0:
             raise ValueError(f"state mean of shape {mean.shape} is empty; K and D must be >= 1")
         if not np.isfinite(mean).all():
             raise ValueError("state mean contains non-finite entries")
         matrix = np.asarray(self.matrix, dtype=np.float64)
-        n_rows = mean.shape[0]
-        if matrix.shape != (n_rows, n_rows):
+        n_columns = mean.shape[1]
+        if matrix.shape != (n_columns, n_columns):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match K = {n_rows} state rows"
+                f"matrix shape {matrix.shape} does not match K = {n_columns} state columns"
             )
         if not np.isfinite(matrix).all():
             raise ValueError("matrix contains non-finite entries")
@@ -64,7 +65,7 @@ class FilterState:
         object.__setattr__(self, "matrix", matrix)
 
     def validate(self, eig_tol: float = 1e-10) -> None:
-        """Assert positive semidefiniteness of the row covariance within eig_tol."""
+        """Assert positive semidefiniteness of the covariance within eig_tol."""
         smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
         if smallest < -eig_tol:
             raise ValueError(f"matrix has eigenvalue {smallest} < -{eig_tol}")
@@ -73,19 +74,19 @@ class FilterState:
 def _residual(
     state: FilterState, concentration: FloatArray, observation: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    """Return c and the innovation y - c @ mean after checking both inputs."""
+    """Return c and the innovation y - mean @ c after checking both inputs."""
     c = np.asarray(concentration, dtype=np.float64)
     y = np.asarray(observation, dtype=np.float64)
     if c.ndim != 1 or c.size < 1:
         raise ValueError("concentration must be a non-empty vector")
-    if state.mean.shape != (c.size, y.size):
+    if state.mean.shape != (y.size, c.size):
         raise ValueError(
-            f"state mean shape {state.mean.shape} does not equal (K, D) = "
-            f"({c.size}, {y.size})"
+            f"state mean shape {state.mean.shape} does not equal (D, K) = "
+            f"({y.size}, {c.size})"
         )
     if not (np.isfinite(c).all() and np.isfinite(y).all()):
         raise NumericalError("concentration or observation has non-finite entries")
-    return c, y - c @ state.mean
+    return c, y - state.mean @ c
 
 
 def _kalman_step(
@@ -101,7 +102,7 @@ def _kalman_step(
     if not np.isfinite(gain).all():
         raise NumericalError("gain has non-finite entries")
     matrix = prior - np.outer(prior_c, prior_c) / scale
-    return FilterState(state.mean + np.outer(gain, residual), 0.5 * (matrix + matrix.T))
+    return FilterState(state.mean + np.outer(residual, gain), 0.5 * (matrix + matrix.T))
 
 
 def kf_update(
@@ -116,7 +117,7 @@ def kf_update(
     Parameters
     ----------
     state : FilterState
-        Prior belief at step t-1; its matrix is the row covariance Sigma.
+        Prior belief at step t-1; its matrix is the K x K covariance Sigma.
     concentration : (K,) array
         Mixing weights of the current observation.
     observation : (D,) array

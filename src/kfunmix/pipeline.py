@@ -7,7 +7,7 @@ regression system used to restore nonnegativity.  Each later acquisition
 runs one cycle of abundance estimation, state update of the endmembers on
 the raw spectrum, and constrained regression of the updated endmembers onto
 the acquired spectra.  The stream keeps the constrained endmembers, which
-are the filter's mean, and its K x K row covariance.
+are the filter's mean, and its K x K covariance.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
 from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, DatasetBundle, EndmemberMatrix
 from .datamodel import FloatArray, SpectraMatrix
-from .fourier import FourierBasis, build_basis, select_num_harmonics
+from .fourier import build_basis, select_num_harmonics
 from .fourier import reduce_columns, reduce_spectrum  # noqa: F401 (the benchmark wraps it here)
 from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
 from .mcrals import McrConfig, mcr_als, pca_nonneg_init  # noqa: F401 (the benchmark wraps it here)
@@ -93,7 +93,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class EndmemberEstimate:
-    """Current full-space endmember estimate; its transpose is the filter's mean."""
+    """Current full-space endmember estimate, which is the filter's mean."""
 
     full: EndmemberMatrix
 
@@ -101,13 +101,13 @@ class EndmemberEstimate:
 @dataclass(frozen=True)
 class PipelineState:
     """Everything the stream carries between acquisitions: the settings, the
-    fixed Fourier basis, regressor set and floored noise estimate sigma_e2
-    from set-up, the filter's K x K row covariance, and the current
+    chosen harmonic count M, regressor set and floored noise estimate
+    sigma_e2 from set-up, the filter's K x K covariance, and the current
     full-space endmembers.  Each quantity is stored once; the filter's
     state is the last two, as :attr:`estimator`."""
 
     config: PipelineConfig
-    basis: FourierBasis
+    n_harmonics: int
     regressors: RegressorSet
     sigma_e2: float
     covariance: FloatArray
@@ -115,9 +115,9 @@ class PipelineState:
 
     @property
     def estimator(self) -> FilterState:
-        """The filter's prior for the next acquisition: row k of its mean is
-        endmember k, and its matrix is the row covariance."""
-        return FilterState(self.endmembers.full.values.T, self.covariance)
+        """The filter's prior for the next acquisition: its mean is the
+        (L, K) endmember matrix itself, and its matrix is the covariance."""
+        return FilterState(self.endmembers.full.values, self.covariance)
 
 
 def init_pipeline(
@@ -129,7 +129,7 @@ def init_pipeline(
     order, each finite.  Chooses the subspace order by the eta energy criterion
     (but no less than K endmembers need), estimates the noise floor from
     smoothing residuals, extracts starting endmembers (unless config.init_endmembers
-    is given), and builds the cached regression system.  The row covariance starts
+    is given), and builds the cached regression system.  The K x K covariance starts
     at sigma_v2 I, or for dl at the inverse of the init abundances' Gram (ridged).
     """
     spectra = SpectraMatrix(init_spectra)  # checked once; the callees take it as it is
@@ -142,7 +142,6 @@ def init_pipeline(
     n_harmonics = config.n_harmonics or max(
         select_num_harmonics(spectra, config.eta), _least_harmonics(config.n_endmembers)
     )
-    basis = build_basis(rows.shape[1], n_harmonics)
     # Floor keeps the observation variance positive on noiseless input.
     sigma_e2 = max(estimate_noise_variance(spectra), 1e-12)
 
@@ -165,10 +164,10 @@ def init_pipeline(
     else:
         covariance = config.sigma_v2 * np.eye(config.n_endmembers)
 
-    regressors = build_regressor_set(spectra, basis)
+    regressors = build_regressor_set(spectra, build_basis(rows.shape[1], n_harmonics))
     return PipelineState(
         config=config,
-        basis=basis,
+        n_harmonics=n_harmonics,
         regressors=regressors,
         sigma_e2=sigma_e2,
         covariance=covariance,
@@ -185,8 +184,8 @@ def pipeline_step(
     current endmembers, run the configured state update of those endmembers
     on the spectrum, and regress the posterior mean onto the acquired-spectra
     cone; the step makes no Fourier product.  The new state keeps the
-    constrained estimate, whose transpose is the next prior mean, and the
-    posterior row covariance.
+    constrained estimate, which is the next prior mean, and the posterior
+    covariance.
     """
     config = state.config
     tic = time.perf_counter()
@@ -201,7 +200,7 @@ def pipeline_step(
     else:
         posterior = dl_update(prior, concentration, spectrum)
 
-    fit = solve_regression(state.regressors, posterior.mean.T)
+    fit = solve_regression(state.regressors, posterior.mean)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     endmembers = EndmemberEstimate(fit.endmembers)
@@ -227,7 +226,7 @@ class ExperimentResult:
 def _snapshot(config: PipelineConfig, state: PipelineState, extra: dict[str, str]) -> dict[str, str]:
     """Trace comments: every scalar setting, the chosen M and the noise floor, then ``extra``."""
     snap = {k: str(v) for k, v in vars(config).items() if isinstance(v, (int, float, str))}
-    snap["n_harmonics"] = str(state.basis.n_harmonics)
+    snap["n_harmonics"] = str(state.n_harmonics)
     snap["sigma_e2_hat"] = str(state.sigma_e2)
     snap.update(extra)
     return snap

@@ -191,6 +191,9 @@ def phasor_embedding(
     it raises ValueError naming the row.
     """
     rows = np.asarray(spectra)
+    if basis is not None and basis.n_channels != rows.shape[1]:
+        raise ValueError(f"basis of {basis.n_channels} channels does not match "
+                         f"spectra of {rows.shape[1]} channels")
     if basis is None or basis.n_harmonics < 2:
         basis = build_basis(rows.shape[1], 2)
     totals = np.sum(rows, axis=1, keepdims=True)
@@ -224,7 +227,8 @@ def protocol_p2(
     indices are ordered; an n_essential of None stands for n, the spectrum
     count.  A degenerate embedding (all points coincide) falls back to the
     first n_essential native indices with a warning; a spectrum that is not
-    finite raises ValueError naming its row.
+    finite raises ValueError naming its row, and a basis built for another
+    channel count one naming both counts.
     """
     rows = SpectraMatrix(spectra).values
     n = rows.shape[0]

@@ -49,12 +49,12 @@ for the C-ordered lift sums in another order at L = 400), so a loop
 written with ``@`` agrees bit for bit only where the two builds agree on
 the product, and within rounding elsewhere.
 
-The step ρ = RHO and the budget of ADMM_ITERS iterations are constants,
-not settings.  The zero-frequency harmonic has no sine row, so Yr has
-rank at most 2M - 1.  When that is below P, as at the default eta on
-200-channel data (M = 7-9 against P = 30), the objective does not
-determine R, and the fixed iteration from zero is what selects the
-estimate among the minimisers.
+The step ρ = RHO and the budget of ADMM_ITERS >= 2 iterations are
+constants, not settings, read at each call.  The zero-frequency harmonic
+has no sine row, so Yr has rank at most 2M - 1.  When that is below P, as
+at the default eta on 200-channel data (M = 7-9 against P = 30), the
+objective does not determine R, and the fixed iteration from zero is what
+selects the estimate among the minimisers.
 """
 
 from __future__ import annotations
@@ -135,10 +135,8 @@ class RegressionResult:
     duals: tuple[FloatArray, FloatArray]
 
 
-def solve_regression(
-    regressors: RegressorSet, target: FloatArray, *, iterations: int = ADMM_ITERS
-) -> RegressionResult:
-    """Regress the retained harmonics of an estimate onto the regressors' cone.
+def solve_regression(regressors: RegressorSet, target: FloatArray) -> RegressionResult:
+    """Regress an estimate's retained harmonics onto the cone in ADMM_ITERS iterations.
 
     Parameters
     ----------
@@ -147,9 +145,6 @@ def solve_regression(
     target : (L, K) array
         Endmember estimate in channels, one column per component; every
         entry must be finite.  Only its reduction F S enters the fit.
-    iterations : int
-        ADMM iterations from zero; the pipeline always runs ADMM_ITERS,
-        and tests pass long runs to reach the converged limit.
 
     Returns
     -------
@@ -166,8 +161,6 @@ def solve_regression(
         If clamping zeroes out an entire column, leaving no usable
         endmember estimate for that component.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     full = regressors.full_space
     t = np.asarray(target, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != full.shape[0]:
@@ -182,12 +175,12 @@ def solve_regression(
     lift_t = regressors.lift.T  # (L, P), Fortran-ordered for a C-ordered lift
     zero = np.zeros((full.shape[0], t.shape[1]), order="F")
     # From v = 0 the first iteration gives coeff = const and v = full @ const.
-    v = zero if iterations == 1 else blas.dgemm(1.0, full, const)
+    v = blas.dgemm(1.0, full, const)
     a = np.empty_like(zero)
     # coeff = const + lift @ |v| and v = full @ coeff + min(v, 0), with each
     # sum taken by dgemm's beta = 1 (const is copied, v is overwritten), and
     # lift @ |v| formed as (lift^T)^T |v|.
-    for _ in range(iterations - 2):
+    for _ in range(ADMM_ITERS - 2):
         np.abs(v, out=a)
         coeff = blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1)
         np.minimum(v, zero, out=v)

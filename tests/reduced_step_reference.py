@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from kfunmix.abundance import estimate_concentration
+from kfunmix.fourier import build_basis
 from kfunmix.kalman import FilterState, dl_update, kf_update, rls_update
 from kfunmix.pipeline import EndmemberEstimate
 from kfunmix.regression import solve_regression
@@ -23,9 +24,9 @@ from kfunmix.regression import solve_regression
 def reduced_step(state, spectrum):
     """One acquisition in the reduced domain; returns the new state."""
     config = state.config
-    operator = state.basis.operator
     endmembers = state.endmembers.full
-    prior = FilterState((operator @ endmembers.values).T, state.covariance)
+    operator = build_basis(endmembers.n_channels, state.n_harmonics).operator
+    prior = FilterState(operator @ endmembers.values, state.covariance)
     concentration = estimate_concentration(spectrum, endmembers)
     observed = operator @ np.asarray(spectrum, dtype=np.float64)
     if config.updater == "kalman":
@@ -34,5 +35,5 @@ def reduced_step(state, spectrum):
         posterior = rls_update(prior, concentration, observed, config.rls_forgetting)
     else:
         posterior = dl_update(prior, concentration, observed)
-    fit = solve_regression(state.regressors, operator.T @ posterior.mean.T)
+    fit = solve_regression(state.regressors, operator.T @ posterior.mean)
     return replace(state, covariance=posterior.matrix, endmembers=EndmemberEstimate(fit.endmembers))

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kfunmix import regression
 from kfunmix.abundance import estimate_concentration
 from kfunmix.fourier import build_basis, reduce_columns, select_num_harmonics
 from kfunmix.kalman import FilterState, kf_update
@@ -98,7 +99,7 @@ def test_01_filter_equals_batch_posterior(capsys):
         dim = n_comp * dim_obs
         mean0 = rng.uniform(-1.0, 1.0, dim)
         sigma_e2 = 0.5
-        state = FilterState(mean0.reshape(n_comp, dim_obs), np.eye(n_comp))
+        state = FilterState(mean0.reshape(dim_obs, n_comp, order="F"), np.eye(n_comp))
         info = np.eye(dim).copy()
         lead = mean0.copy()
         for _ in range(n_steps):
@@ -109,7 +110,7 @@ def test_01_filter_equals_batch_posterior(capsys):
             info += h.T @ h / sigma_e2
             lead += (h.T @ obs / sigma_e2).ravel()
         batch = np.linalg.solve(info, lead)
-        flat = state.mean.reshape(-1)
+        flat = state.mean.reshape(-1, order="F")
         worst = max(worst, np.linalg.norm(flat - batch) / np.linalg.norm(batch))
     elapsed = time.perf_counter() - tic
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -137,7 +138,8 @@ def test_02_kron_observation_identity(capsys):
     assert ok
 
 
-def test_03_constrained_regression_matches_qp(capsys):
+def test_03_constrained_regression_matches_qp(capsys, monkeypatch):
+    monkeypatch.setattr(regression, "ADMM_ITERS", 10_000)
     tic = time.perf_counter()
     worst_gap = -np.inf
     worst_neg = 0.0
@@ -151,7 +153,7 @@ def test_03_constrained_regression_matches_qp(capsys):
         target_vals = reduced @ mix + 0.05 * rng.standard_normal((4, 2))
 
         # The reduced target is handed over in channels, as F^T T.
-        fit = solve_regression(regressors, basis.operator.T @ target_vals, iterations=10_000)
+        fit = solve_regression(regressors, basis.operator.T @ target_vals)
         admm_obj = np.linalg.norm(reduced @ fit.coefficients - target_vals) ** 2
 
         system = (reduced, regressors.full_space, target_vals)

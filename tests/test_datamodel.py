@@ -121,12 +121,12 @@ def previous_filter_state_check(mean, matrix):
     mean = np.asarray(mean, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     if mean.ndim != 2:
-        raise ValueError("state mean must be a (K, D) matrix")
+        raise ValueError("state mean must be a (D, K) matrix")
     if not np.all(np.isfinite(mean)):
         raise ValueError("state mean contains non-finite entries")
-    n_rows = mean.shape[0]
-    if matrix.shape != (n_rows, n_rows):
-        raise ValueError(f"matrix shape {matrix.shape} does not match K = {n_rows} state rows")
+    n_columns = mean.shape[1]
+    if matrix.shape != (n_columns, n_columns):
+        raise ValueError(f"matrix shape {matrix.shape} does not match K = {n_columns} state columns")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite entries")
     if np.max(np.abs(matrix - matrix.T)) > 1e-10:
@@ -175,7 +175,7 @@ ENDMEMBER_TABLE = {
     "no-columns": np.zeros((4, 0)),
 }
 
-STATE_MEAN = np.arange(12.0).reshape(3, 4)
+STATE_MEAN = np.arange(12.0).reshape(4, 3)
 STATE_MATRIX = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
 FILTER_STATE_TABLE = {
     "valid": (STATE_MEAN, STATE_MATRIX),
@@ -186,7 +186,7 @@ FILTER_STATE_TABLE = {
     **{
         f"mean-{name}-at-{index}": (with_entry(STATE_MEAN, index, value), STATE_MATRIX)
         for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
-        for index in ((0, 0), (2, 3))
+        for index in ((0, 0), (3, 2))
     },
     **{
         f"matrix-{name}-at-{index}": (STATE_MEAN, with_entry(STATE_MATRIX, index, value))

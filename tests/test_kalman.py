@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import dl_reference
 from kfunmix.datamodel import RIDGE
-from kfunmix.fourier import build_basis
+from kfunmix.fourier import build_basis, reduce_columns, reduce_spectrum
 from kfunmix.kalman import (
     FilterState,
     NumericalError,
@@ -19,6 +19,11 @@ from kfunmix.kalman import (
 def dense_h(c, dim_obs):
     """Materialized observation matrix: c^T Kronecker identity."""
     return np.kron(np.asarray(c)[None, :], np.eye(dim_obs))
+
+
+def stacked(mean):
+    """The (D, K) mean as the length-DK state that stacks its columns."""
+    return mean.reshape(-1, order="F")
 
 
 def dense_kf_step(mean, cov, c, y, sigma_v2, sigma_e2):
@@ -73,7 +78,7 @@ class TestKalmanUpdate:
         rng = np.random.default_rng(0)
         n_blocks, dim_obs = 3, 4
         sigma0 = random_spd(rng, n_blocks)
-        mean0 = rng.normal(size=(n_blocks, dim_obs))
+        mean0 = rng.normal(size=(dim_obs, n_blocks))
         c = rng.dirichlet(np.ones(n_blocks))
         y = rng.normal(size=dim_obs)
         sigma_v2, sigma_e2 = 0.3, 0.05
@@ -81,9 +86,9 @@ class TestKalmanUpdate:
         out = kf_update(FilterState(mean0, sigma0), c, y, sigma_v2, sigma_e2)
 
         mean, cov = dense_kf_step(
-            mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), c, y, sigma_v2, sigma_e2
+            stacked(mean0), np.kron(sigma0, np.eye(dim_obs)), c, y, sigma_v2, sigma_e2
         )
-        np.testing.assert_allclose(out.mean.reshape(-1), mean, atol=1e-10)
+        np.testing.assert_allclose(stacked(out.mean), mean, atol=1e-10)
         np.testing.assert_allclose(np.kron(out.matrix, np.eye(dim_obs)), cov, atol=1e-10)
 
     @pytest.mark.parametrize("rule", ["kalman", "rls"])
@@ -92,11 +97,11 @@ class TestKalmanUpdate:
         """Over 300 steps the dense covariance stays Sigma (x) I and the means agree."""
         rng = np.random.default_rng(n_blocks * 100 + dim_obs)
         sigma0 = random_spd(rng, n_blocks)
-        mean0 = rng.normal(size=(n_blocks, dim_obs))
+        mean0 = rng.normal(size=(dim_obs, n_blocks))
         sigma_v2, sigma_e2 = 0.05, 0.2
         forgetting = 0.98
         state = FilterState(mean0, sigma0)
-        mean, cov = mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs))
+        mean, cov = stacked(mean0), np.kron(sigma0, np.eye(dim_obs))
         for _ in range(300):
             c = rng.dirichlet(np.ones(n_blocks))
             y = rng.normal(size=dim_obs)
@@ -106,7 +111,7 @@ class TestKalmanUpdate:
             else:
                 state = rls_update(state, c, y, forgetting)
                 mean, cov = dense_rls_step(mean, cov, c, y, forgetting)
-        np.testing.assert_allclose(state.mean.reshape(-1), mean, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(stacked(state.mean), mean, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(
             cov, np.kron(state.matrix, np.eye(dim_obs)), rtol=0.0, atol=1e-10
         )
@@ -115,7 +120,7 @@ class TestKalmanUpdate:
         """With sigma_v2 = 0 the filter equals the batch MAP estimate."""
         rng = np.random.default_rng(1)
         for n_blocks, dim_obs in [(1, 2), (2, 4), (3, 6)]:
-            mean0 = rng.normal(size=(n_blocks, dim_obs))
+            mean0 = rng.normal(size=(dim_obs, n_blocks))
             sigma0 = random_spd(rng, n_blocks) + np.eye(n_blocks)
             sigma_e2 = 0.1
             cs = [rng.dirichlet(np.ones(n_blocks)) for _ in range(50)]
@@ -126,9 +131,9 @@ class TestKalmanUpdate:
                 state = kf_update(state, c, y, 0.0, sigma_e2)
 
             expected = batch_map_oracle(
-                mean0.reshape(-1), np.kron(sigma0, np.eye(dim_obs)), cs, ys, sigma_e2
+                stacked(mean0), np.kron(sigma0, np.eye(dim_obs)), cs, ys, sigma_e2
             )
-            np.testing.assert_allclose(state.mean.reshape(-1), expected, atol=1e-8)
+            np.testing.assert_allclose(stacked(state.mean), expected, atol=1e-8)
 
     def test_order_invariance_without_process_noise(self):
         rng = np.random.default_rng(2)
@@ -152,7 +157,7 @@ class TestKalmanUpdate:
         sigma0 = np.zeros((3, 3))
         sigma0[:2, :2] = random_spd(rng, 2)
         sigma0[2, 2] = 5.0
-        mean0 = rng.normal(size=(3, dim_obs))
+        mean0 = rng.normal(size=(dim_obs, 3))
         out = kf_update(
             FilterState(mean0, sigma0),
             np.array([0.6, 0.4, 0.0]),
@@ -160,8 +165,8 @@ class TestKalmanUpdate:
             0.0,
             0.1,
         )
-        assert np.abs(out.mean[:2] - mean0[:2]).max() > 0.0
-        np.testing.assert_array_equal(out.mean[2], mean0[2])
+        assert np.abs(out.mean[:, :2] - mean0[:, :2]).max() > 0.0
+        np.testing.assert_array_equal(out.mean[:, 2], mean0[:, 2])
         assert out.matrix[2, 2] == sigma0[2, 2]
         np.testing.assert_array_equal(out.matrix[:2, 2], 0.0)
 
@@ -178,12 +183,12 @@ class TestKalmanUpdate:
 
     def test_singular_innovation_raises(self):
         """The scalar c^T Sigma c + sigma_e2 must be finite and positive."""
-        overflow = FilterState(np.zeros((1, 2)), np.array([[1e300]]))
+        overflow = FilterState(np.zeros((2, 1)), np.array([[1e300]]))
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match="innovation variance"
         ):
             kf_update(overflow, np.array([1e10]), np.zeros(2), 0.0, 1.0)
-        indefinite = FilterState(np.zeros((1, 2)), np.array([[-1.0]]))
+        indefinite = FilterState(np.zeros((2, 1)), np.array([[-1.0]]))
         with pytest.raises(NumericalError, match="innovation variance"):
             kf_update(indefinite, np.array([1.0]), np.zeros(2), 0.0, 0.5)
         with pytest.raises(NumericalError, match="innovation variance"):
@@ -197,7 +202,7 @@ class TestKalmanUpdate:
             "rls": lambda s, c, y: rls_update(s, c, y, 1.0),
             "dl": dl_update,
         }
-        state = FilterState(np.zeros((2, 3)), np.eye(2))
+        state = FilterState(np.zeros((3, 2)), np.eye(2))
         c, y = np.array([0.5, 0.5]), np.ones(3)
         with pytest.raises(NumericalError, match="non-finite"):
             updates[rule](state, c, np.array([1.0, bad, 1.0]))
@@ -206,7 +211,7 @@ class TestKalmanUpdate:
 
     def test_dimension_mismatch(self):
         state = FilterState(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match=r"does not equal \(K, D\)"):
+        with pytest.raises(ValueError, match=r"does not equal \(D, K\)"):
             kf_update(state, np.ones(3), np.zeros(2), 0.0, 1.0)
 
     @settings(max_examples=30, deadline=None)
@@ -214,7 +219,7 @@ class TestKalmanUpdate:
     def test_covariance_stays_psd(self, seed, n_steps):
         rng = np.random.default_rng(seed)
         n_blocks, dim_obs = 2, 3
-        state = FilterState(np.zeros((n_blocks, dim_obs)), np.eye(n_blocks))
+        state = FilterState(np.zeros((dim_obs, n_blocks)), np.eye(n_blocks))
         sigma_v2, sigma_e2 = float(rng.uniform(0, 2)), float(rng.uniform(0.01, 1))
         for _ in range(n_steps):
             state = kf_update(
@@ -237,19 +242,40 @@ UPDATES = {
 def test_update_commutes_with_the_fourier_reduction(rule, seed):
     """The paper's subspace claim: with the same abundances, reducing the
     channel-space update equals updating the reduced endmembers on the
-    reduced spectrum, and the row covariance does not see the space."""
+    reduced spectrum, and the K x K covariance does not see the space."""
     rng = np.random.default_rng(seed)
     n_channels, k = 200, 3 + seed
-    operator = build_basis(n_channels, 8 + 4 * seed).operator
+    basis = build_basis(n_channels, 8 + 4 * seed)
     endmembers = rng.uniform(size=(n_channels, k))
     sigma = random_spd(rng, k)
     c = rng.dirichlet(np.ones(k))
     y = rng.uniform(size=n_channels)
-    full = UPDATES[rule](FilterState(endmembers.T, sigma), c, y)
-    reduced = UPDATES[rule](FilterState((operator @ endmembers).T, sigma), c, operator @ y)
-    mapped = operator @ full.mean.T
-    assert np.abs(mapped - reduced.mean.T).max() <= 1e-12 * np.abs(reduced.mean).max()
+    full = UPDATES[rule](FilterState(endmembers, sigma), c, y)
+    reduced = UPDATES[rule](
+        FilterState(reduce_columns(endmembers, basis), sigma), c, reduce_spectrum(y, basis)
+    )
+    mapped = reduce_columns(full.mean, basis)
+    assert np.abs(mapped - reduced.mean).max() <= 1e-12 * np.abs(reduced.mean).max()
     np.testing.assert_array_equal(full.matrix, reduced.matrix)
+
+
+@pytest.mark.parametrize("rule", sorted(UPDATES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channel_permutation_permutes_the_mean_rows(rule, seed):
+    """Row d of the (D, K) mean is channel d: permuting the channels of the
+    mean and of the spectrum permutes the posterior mean's rows, and the
+    K x K matrix, which never sees a channel, comes out bit for bit."""
+    rng = np.random.default_rng(10 + seed)
+    n_channels, k = 64, 2 + seed
+    endmembers = rng.uniform(size=(n_channels, k))
+    sigma = random_spd(rng, k)
+    c = rng.dirichlet(np.ones(k))
+    y = rng.uniform(size=n_channels)
+    perm = rng.permutation(n_channels)
+    want = UPDATES[rule](FilterState(endmembers, sigma), c, y)
+    got = UPDATES[rule](FilterState(endmembers[perm], sigma), c, y[perm])
+    assert np.abs(got.mean - want.mean[perm]).max() <= 1e-12 * np.abs(want.mean).max()
+    np.testing.assert_array_equal(got.matrix, want.matrix)
 
 
 class TestRlsUpdate:
@@ -257,7 +283,7 @@ class TestRlsUpdate:
         """Forgetting 1 is the Kalman recursion at sigma_v2=0, sigma_e2=1."""
         rng = np.random.default_rng(5)
         sigma0 = random_spd(rng, 2) + np.eye(2)
-        mean0 = rng.normal(size=(2, 3))
+        mean0 = rng.normal(size=(3, 2))
         kf_state = FilterState(mean0, sigma0)
         rls_state = FilterState(mean0, sigma0)
         for _ in range(10):
@@ -301,21 +327,21 @@ class TestDlUpdate:
         It starts from the state after the first spectrum: mean y_1 and P = 1."""
         rng = np.random.default_rng(6)
         ys = rng.normal(size=(8, 3))
-        state = FilterState(ys[:1], np.ones((1, 1)))
+        state = FilterState(ys[:1].T, np.ones((1, 1)))
         for i, y in enumerate(ys[1:], start=2):
             state = dl_update(state, np.array([1.0]), y)
-            np.testing.assert_allclose(state.mean[0], ys[:i].mean(axis=0), atol=1e-12)
+            np.testing.assert_allclose(state.mean[:, 0], ys[:i].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(state.matrix, [[1.0 / len(ys)]], rtol=1e-12)
 
     def test_component_unseen_at_init_stays_still(self):
         """An unseen component leaves the init Gram singular; its ridged inverse
-        keeps the seen row averaging its observations and the unseen one still."""
+        keeps the seen column averaging its observations and the unseen one still."""
         y1, y2 = np.array([1.5, -0.5]), np.array([0.5, 2.5])
         prior = np.linalg.inv(np.diag([1.0, 0.0]) + RIDGE * np.eye(2))
-        state = FilterState(np.vstack([y1, np.zeros(2)]), prior)
+        state = FilterState(np.column_stack([y1, np.zeros(2)]), prior)
         out = dl_update(state, np.array([1.0, 0.0]), y2)
-        np.testing.assert_allclose(out.mean[0], (y1 + y2) / 2, atol=1e-6)
-        np.testing.assert_allclose(out.mean[1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.mean[:, 0], (y1 + y2) / 2, atol=1e-6)
+        np.testing.assert_allclose(out.mean[:, 1], 0.0, atol=1e-12)
 
     def test_matrix_is_the_inverse_of_the_accumulated_gram(self):
         rng = np.random.default_rng(7)
@@ -331,7 +357,7 @@ class TestDlUpdate:
         """The mean follows the Gram-form rule started from A_0 = P_0^-1."""
         rng = np.random.default_rng(9)
         gram0 = random_spd(rng, 3)
-        state = FilterState(rng.normal(size=(3, 4)), np.linalg.inv(gram0))
+        state = FilterState(rng.normal(size=(4, 3)), np.linalg.inv(gram0))
         ref = FilterState(state.mean, gram0)
         for _ in range(50):
             c, y = rng.dirichlet(np.ones(3)), rng.normal(size=4)
@@ -340,7 +366,7 @@ class TestDlUpdate:
 
     def test_shape_mismatch(self):
         state = FilterState(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match=r"does not equal \(K, D\)"):
+        with pytest.raises(ValueError, match=r"does not equal \(D, K\)"):
             dl_update(state, np.ones(4), np.zeros(2))
 
 
@@ -355,29 +381,29 @@ class TestStateValidation:
         ],
     )
     def test_kf_update_rejects_noise_variances_out_of_range(self, sigma_v2, sigma_e2, message):
-        state = FilterState(np.zeros((1, 2)), np.eye(1))
+        state = FilterState(np.zeros((2, 1)), np.eye(1))
         with pytest.raises(ValueError, match=message):
             kf_update(state, np.array([1.0]), np.zeros(2), sigma_v2, sigma_e2)
 
     def test_filter_state_shape_checks(self):
-        with pytest.raises(ValueError, match=r"must be a \(K, D\) matrix"):
+        with pytest.raises(ValueError, match=r"must be a \(D, K\) matrix"):
             FilterState(np.zeros(4), np.eye(4))
         with pytest.raises(ValueError, match="matrix shape"):
-            FilterState(np.zeros((3, 2)), np.eye(2))
+            FilterState(np.zeros((2, 3)), np.eye(2))
         with pytest.raises(ValueError, match="matrix shape"):
             FilterState(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="not symmetric"):
-            FilterState(np.zeros((2, 1)), np.array([[1.0, 0.5], [0.0, 1.0]]))
+            FilterState(np.zeros((1, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            FilterState(np.array([[np.nan], [0.0]]), np.eye(2))
+            FilterState(np.array([[np.nan, 0.0]]), np.eye(2))
         with pytest.raises(ValueError, match="non-finite"):
-            FilterState(np.zeros((1, 2)), np.array([[np.inf]]))
-        with pytest.raises(ValueError, match=r"state mean of shape \(0, 4\) is empty"):
-            FilterState(np.zeros((0, 4)), np.zeros((0, 0)))
-        with pytest.raises(ValueError, match=r"state mean of shape \(3, 0\) is empty"):
-            FilterState(np.zeros((3, 0)), np.eye(3))
+            FilterState(np.zeros((2, 1)), np.array([[np.inf]]))
+        with pytest.raises(ValueError, match=r"state mean of shape \(4, 0\) is empty"):
+            FilterState(np.zeros((4, 0)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=r"state mean of shape \(0, 3\) is empty"):
+            FilterState(np.zeros((0, 3)), np.eye(3))
 
     def test_validate_flags_indefinite_covariance(self):
-        state = FilterState(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        state = FilterState(np.zeros((1, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="eigenvalue"):
             state.validate()

@@ -73,7 +73,7 @@ class TestInitPipeline:
         _, init_rows, _ = small_stream_setup()
         config = PipelineConfig(n_endmembers=2, n_init=8, n_harmonics=5)
         state = init_pipeline(init_rows, config)
-        assert state.basis.n_harmonics == 5
+        assert state.n_harmonics == 5
 
     def test_eta_path_uses_energy_selector(self):
         data = generate_dataset(
@@ -81,8 +81,8 @@ class TestInitPipeline:
         )
         rows = data.spectra.values[:30]
         state = init_pipeline(rows, PipelineConfig(n_endmembers=3, n_init=30))
-        assert state.basis.n_harmonics == select_num_harmonics(rows, 87.0)
-        assert state.basis.n_harmonics == 7
+        assert state.n_harmonics == select_num_harmonics(rows, 87.0)
+        assert state.n_harmonics == 7
 
     def test_noise_floor_on_smooth_rows(self):
         # cubic rows leave no smoothing residual, so the estimate hits the floor
@@ -116,7 +116,7 @@ class TestInitPipeline:
         rows = data.spectra.values
         assert select_num_harmonics(rows[:10], 87.0) == 1
         config = PipelineConfig(n_endmembers=2, n_init=10)
-        assert init_pipeline(rows[:10], config).basis.n_harmonics == 2
+        assert init_pipeline(rows[:10], config).n_harmonics == 2
         result = run_experiment(data, protocol_p1(90), config, eval_stride=10, abundance_stride=0)
         assert np.linalg.cond(result.trace.final_endmembers.values) < 10.0
 
@@ -132,7 +132,7 @@ class TestInitPipeline:
     def test_starting_state_is_anchored_on_the_init_endmembers(self):
         truth, _, state = small_stream_setup()
         np.testing.assert_array_equal(state.endmembers.full.values, truth)
-        np.testing.assert_array_equal(state.estimator.mean, truth.T)
+        np.testing.assert_array_equal(state.estimator.mean, truth)
 
     def test_kalman_covariance_is_scaled_identity(self):
         _, _, state = small_stream_setup(sigma_v2=0.25)
@@ -142,7 +142,7 @@ class TestInitPipeline:
         _, init_rows, _ = small_stream_setup()
         config = PipelineConfig(n_endmembers=2, n_init=8, n_harmonics=4)
         state = init_pipeline(SpectraMatrix(init_rows), config)
-        assert state.basis.n_channels == 64
+        assert state.regressors.full_space.shape == (64, 8)
 
     def test_rejects_wrong_row_count(self):
         _, init_rows, _ = small_stream_setup()
@@ -277,7 +277,7 @@ class TestPipelineStep:
         rng = np.random.default_rng(1)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, wall_ms = pipeline_step(state, mix)
-        for name in ("config", "basis", "regressors", "sigma_e2"):
+        for name in ("config", "n_harmonics", "regressors", "sigma_e2"):
             assert getattr(new_state, name) is getattr(state, name)
         assert wall_ms > 0.0
 
@@ -287,9 +287,10 @@ class TestPipelineStep:
         for s in (state, new_state):
             names = [field.name for field in fields(s)]
             assert names == [
-                "config", "basis", "regressors", "sigma_e2", "covariance", "endmembers"
+                "config", "n_harmonics", "regressors", "sigma_e2", "covariance", "endmembers"
             ]
             assert isinstance(s.estimator, FilterState)
+            assert s.estimator.mean is s.endmembers.full.values
             np.testing.assert_array_equal(s.estimator.matrix, s.covariance)
         with pytest.raises(TypeError, match="estimator"):
             replace(state, estimator=state.estimator)
@@ -330,14 +331,14 @@ class TestPipelineStep:
         assert len(targets) == len(posteriors) == 5
         for target, posterior in zip(targets, posteriors):
             assert target.shape == (64, 2)
-            np.testing.assert_array_equal(target, posterior.mean.T)
+            assert target is posterior.mean
 
     def test_next_prior_mean_is_the_constrained_estimate(self):
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(2)
         mix = rng.dirichlet(np.ones(2)) @ truth.T
         new_state, _ = pipeline_step(state, mix)
-        np.testing.assert_array_equal(new_state.estimator.mean, new_state.endmembers.full.values.T)
+        np.testing.assert_array_equal(new_state.estimator.mean, new_state.endmembers.full.values)
 
     def test_covariance_matches_a_bare_filter_update(self):
         # the regression step must not touch the covariance
@@ -361,11 +362,12 @@ class TestPipelineStep:
         truth, _, state = small_stream_setup()
         rng = np.random.default_rng(4)
         mix = rng.dirichlet(np.ones(2), size=5) @ truth.T
-        red0 = reduce_columns(state.endmembers.full.values, state.basis).T
+        basis = build_basis(64, state.n_harmonics)
+        red0 = reduce_columns(state.endmembers.full.values, basis)
         full0 = state.endmembers.full.values.copy()
         for row in mix:
             state, _ = pipeline_step(state, row)
-        red = reduce_columns(state.endmembers.full.values, state.basis).T
+        red = reduce_columns(state.endmembers.full.values, basis)
         assert np.abs(red - red0).max() <= 1e-2
         assert np.abs(state.endmembers.full.values - full0).max() <= 0.05
 

@@ -448,6 +448,17 @@ class TestProtocolP2:
         with pytest.raises(ValueError, match="n_clusters must be in"):
             protocol_p2(rows, basis, P2Config(None, rows.shape[0] + 1))
 
+    @pytest.mark.parametrize("n_harmonics", [1, 2])
+    def test_basis_of_another_channel_count_is_named(self, n_harmonics):
+        """A basis built for other spectra is named with both channel counts,
+        not left to fail inside the Fourier product (M = 2) or swapped for
+        one that fits (M = 1, which the embedding cannot use)."""
+        data = generate_dataset(SynthConfig(n_spectra=40, n_channels=60, n_endmembers=3, seed=5))
+        with pytest.raises(
+            ValueError, match="basis of 80 channels does not match spectra of 60 channels"
+        ):
+            protocol_p2(data.spectra, build_basis(80, n_harmonics), P2Config(20, 5, seed=0))
+
 
 # (n_spectra, n_endmembers, purity_cap, n_essential, n_clusters): 40 generated sets,
 # capped and uncapped, n from 200 to 1000, essentials from 10 to every spectrum.

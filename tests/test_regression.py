@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import blas
 from scipy.optimize import minimize
 
+from kfunmix import regression
 from kfunmix.datamodel import EndmemberMatrix
 from kfunmix.fourier import build_basis
 from kfunmix.kalman import NumericalError
@@ -105,8 +106,14 @@ def relaid(regressors, layout):
     )
 
 
-def kernel_outputs(regressors, target, iterations):
-    result = solve_regression(regressors, target, iterations=iterations)
+def solve_for(monkeypatch, iterations, regressors, target):
+    """``solve_regression`` run for ``iterations`` ADMM iterations from zero."""
+    monkeypatch.setattr(regression, "ADMM_ITERS", iterations)
+    return solve_regression(regressors, target)
+
+
+def kernel_outputs(monkeypatch, regressors, target, iterations):
+    result = solve_for(monkeypatch, iterations, regressors, target)
     return result.coefficients, result.endmembers.values, *result.duals
 
 
@@ -224,11 +231,11 @@ class TestQpOracle:
 
 
 class TestSolveRegression:
-    def test_matches_quadratic_program(self):
+    def test_matches_quadratic_program(self, monkeypatch):
         """Long runs must close the objective gap to the QP reference."""
         for seed in range(5):
             regressors, basis, target = make_instance(seed)
-            result = solve_regression(regressors, target, iterations=10000)
+            result = solve_for(monkeypatch, 10000, regressors, target)
             optimum = qp_oracle(regressors, basis, target)
             gap = admm_objective(regressors, basis, target, result) - optimum
             assert abs(gap) <= 1e-4
@@ -241,7 +248,7 @@ class TestSolveRegression:
         result = solve_regression(regressors, target)
         assert np.min(result.endmembers.values) >= 0.0
 
-    def test_exact_representation_recovered(self):
+    def test_exact_representation_recovered(self, monkeypatch):
         """A target already in the cone's image comes back residual-free."""
         rng = np.random.default_rng(2)
         rows = rng.uniform(0.1, 1.0, size=(5, 16))
@@ -249,10 +256,10 @@ class TestSolveRegression:
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(5, 2))
         target = regressors.full_space @ mix
-        result = solve_regression(regressors, target, iterations=5000)
+        result = solve_for(monkeypatch, 5000, regressors, target)
         assert admm_objective(regressors, basis, target, result) < 1e-10
 
-    def test_matches_dense_reimplementation(self):
+    def test_matches_dense_reimplementation(self, monkeypatch):
         """The single-iterate recursion on cached maps equals the textbook
         (U, lambda) iteration with a dense solve each step, from a small
         instance up to the stream's operating points, including one where
@@ -261,7 +268,7 @@ class TestSolveRegression:
             regressors, basis, target = make_instance(
                 seed, n_regressors, n_channels, n_harmonics, n_out, scale
             )
-            result = solve_regression(regressors, target, iterations=iterations)
+            result = solve_for(monkeypatch, iterations, regressors, target)
 
             reduced, full, t = reduced_problem(regressors, basis, target)
             normal = 2.0 * reduced.T @ reduced + RHO * full.T @ full
@@ -280,20 +287,20 @@ class TestSolveRegression:
                 gap = np.abs(got - want).max()
                 assert gap <= 1e-10 * np.abs(want).max(), case
 
-    def test_feasibility_gap_closes_without_being_monotone(self):
+    def test_feasibility_gap_closes_without_being_monotone(self, monkeypatch):
         """The split-variable gap is open after 100 iterations and closed
         after 10 000; the iteration state is exactly (U, lambda), so these
         are two samples of one trajectory from zero."""
         regressors, _, target = make_instance(5)
         gaps = []
         for iterations in (100, 10_000):
-            result = solve_regression(regressors, target, iterations=iterations)
+            result = solve_for(monkeypatch, iterations, regressors, target)
             recon = regressors.full_space @ result.coefficients
             gaps.append(float(np.linalg.norm(result.duals[0] - recon)))
         assert gaps[0] > 0.0
         assert gaps[-1] <= 1e-10
 
-    def test_tiny_target_scales_down(self):
+    def test_tiny_target_scales_down(self, monkeypatch):
         """Positive homogeneity: a barely nonzero target gives a barely
         nonzero estimate instead of collapsing."""
         rng = np.random.default_rng(7)
@@ -302,20 +309,31 @@ class TestSolveRegression:
         regressors = build_regressor_set(rows, basis)
         mix = rng.uniform(0.2, 1.0, size=(4, 2))
         target = 1e-8 * (regressors.full_space @ mix)
-        result = solve_regression(regressors, target, iterations=200)
+        result = solve_for(monkeypatch, 200, regressors, target)
         assert 0.0 < np.linalg.norm(result.endmembers.values) < 1e-6
         assert np.linalg.norm(result.coefficients) < 1e-6
+
+    def test_budget_is_the_module_constant_read_at_each_call(self, monkeypatch):
+        """Without a keyword the kernel runs ADMM_ITERS iterations, the
+        constant as it stands when called: the default run equals the loop
+        at ADMM_ITERS, and a budget set afterwards takes effect."""
+        seed, n_regressors, n_channels, n_harmonics, n_out, scale = KERNEL_CASES[1]
+        regressors, _, target = make_instance(
+            seed, n_regressors, n_channels, n_harmonics, n_out, scale
+        )
+        default = solve_regression(regressors, target)
+        want = admm_loop(regressors, target, ADMM_ITERS, dgemm_tn, dgemm_nn)
+        np.testing.assert_array_equal(default.coefficients, want[0])
+        shorter = solve_for(monkeypatch, ADMM_ITERS // 2, regressors, target)
+        assert not np.array_equal(shorter.coefficients, default.coefficients)
+        with pytest.raises(TypeError, match="iterations"):
+            solve_regression(regressors, target, iterations=ADMM_ITERS)
 
     def test_zero_target_collapses_to_numerical_error(self):
         regressors, _, _ = make_instance(8)
         target = np.zeros((8, 2))
         with pytest.raises(NumericalError, match="collapsed endmember column"):
             solve_regression(regressors, target)
-
-    def test_rejects_zero_iterations(self):
-        regressors, _, target = make_instance(9)
-        with pytest.raises(ValueError, match="iterations"):
-            solve_regression(regressors, target, iterations=0)
 
     def test_target_row_mismatch(self):
         """A target without the L channel rows, a reduced (2M, K) one among
@@ -331,7 +349,7 @@ class TestSolveRegression:
                 solve_regression(regressors, bad)
 
     @pytest.mark.parametrize("case", KERNEL_CASES[:2], ids=["L400-M16-K5", "L200-M8-K3"])
-    def test_what_the_subspace_drops_changes_nothing(self, case):
+    def test_what_the_subspace_drops_changes_nothing(self, monkeypatch, case):
         """The fit sees the target only through its retained harmonics:
         adding Z - F^T (F Z), which F maps to zero, moves no output by more
         than rounding."""
@@ -342,8 +360,8 @@ class TestSolveRegression:
         z = np.random.default_rng(seed).normal(scale=scale, size=target.shape)
         dropped = z - basis.operator.T @ (basis.operator @ z)
         assert np.abs(dropped).max() > 0.1 * np.abs(target).max()
-        want = kernel_outputs(regressors, target, ADMM_ITERS)
-        got = kernel_outputs(regressors, target + dropped, ADMM_ITERS)
+        want = kernel_outputs(monkeypatch, regressors, target, ADMM_ITERS)
+        got = kernel_outputs(monkeypatch, regressors, target + dropped, ADMM_ITERS)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
@@ -358,29 +376,32 @@ class TestSolveRegression:
 class TestBlasKernel:
     """The dgemm kernel of ``solve_regression`` against the loop it replaced."""
 
-    @pytest.mark.parametrize("iterations", [1, 2, 50, 500])
+    @pytest.mark.parametrize("iterations", [2, 50, 500])
     @pytest.mark.parametrize("layout", ["built", "c", "fortran"])
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
-    def test_bit_identical_to_the_loop_on_the_same_blas(self, case, layout, iterations):
+    def test_bit_identical_to_the_loop_on_the_same_blas(
+        self, monkeypatch, case, layout, iterations
+    ):
         """With the products formed by the same BLAS in the kernel's forms
         (the lift product transposed, Y R untransposed), the beta = 1 sums,
         the in-place buffers and the peeled first and last iterations change
         no bit of the coefficients, the estimate or either dual, whatever the
-        layout.  At two iterations the peeled ones meet; one iteration is
-        the last alone, run from v = 0."""
+        layout.  At two iterations the peeled ones meet."""
         seed, n_regressors, n_channels, n_harmonics, n_out, scale = case
         regressors, _, target = make_instance(
             seed, n_regressors, n_channels, n_harmonics, n_out, scale
         )
         regressors = relaid(regressors, layout)
         want = admm_loop(regressors, target, iterations, dgemm_tn, dgemm_nn)
-        got = kernel_outputs(regressors, target, iterations)
+        got = kernel_outputs(monkeypatch, regressors, target, iterations)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.array_equal(g, w), name
 
-    @pytest.mark.parametrize("iterations", [1, 2, 50, 500])
+    @pytest.mark.parametrize("iterations", [2, 50, 500])
     @pytest.mark.parametrize("case", KERNEL_CASES[1:2], ids=["L200-M8-K3"])
-    def test_bit_identical_to_the_numpy_loop_at_the_operating_points(self, case, iterations):
+    def test_bit_identical_to_the_numpy_loop_at_the_operating_points(
+        self, monkeypatch, case, iterations
+    ):
         """NumPy and SciPy each ship a BLAS build; at the L200 K3 operating
         point, with the set ``build_regressor_set`` returns, the ``@`` loop
         and the kernel agree bit for bit.  At L400 K5 NumPy's kernel for the
@@ -393,7 +414,7 @@ class TestBlasKernel:
         assert regressors.full_space.flags.f_contiguous
         assert regressors.lift.flags.c_contiguous
         want = admm_loop(regressors, target, iterations, np.matmul, np.matmul)
-        got = kernel_outputs(regressors, target, iterations)
+        got = kernel_outputs(monkeypatch, regressors, target, iterations)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.array_equal(g, w), name
             # Later BLAS calls round differently on the other memory layout.
@@ -401,7 +422,7 @@ class TestBlasKernel:
 
     @pytest.mark.parametrize("layout", ["built", "c", "fortran"])
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"L{c[2]}-M{c[3]}-K{c[4]}")
-    def test_numpy_loop_within_rounding_anywhere(self, case, layout):
+    def test_numpy_loop_within_rounding_anywhere(self, monkeypatch, case, layout):
         """Where NumPy's BLAS forms a product in another order (gemv at
         K = 1, other kernels for the C-ordered lift at L400) the two stay
         within rounding: 500 iterations move no entry by 1e-12 of the
@@ -412,7 +433,7 @@ class TestBlasKernel:
         )
         regressors = relaid(regressors, layout)
         want = admm_loop(regressors, target, 500, np.matmul, np.matmul)
-        got = kernel_outputs(regressors, target, 500)
+        got = kernel_outputs(monkeypatch, regressors, target, 500)
         for name, g, w in zip(("coefficients", "endmembers", "U", "lambda"), got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
