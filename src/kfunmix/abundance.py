@@ -85,8 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import COND_LIMIT, COND_WARN, RIDGE, EndmemberMatrix, FloatArray
-from .kalman import NumericalError
+from .datamodel import COND_LIMIT, COND_WARN, RIDGE, EndmemberMatrix, FloatArray, NumericalError
+from .datamodel import SpectraMatrix
 
 # lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
 SCREEN_RATIO = 1e-12
@@ -193,7 +193,7 @@ def _solve_supports(gram: FloatArray, rhs: FloatArray, layout: _Layout, k: int) 
 
 
 def estimate_concentrations(
-    spectra_rows: FloatArray, endmembers: EndmemberMatrix | FloatArray
+    spectra_rows: SpectraMatrix | FloatArray, endmembers: EndmemberMatrix | FloatArray
 ) -> FloatArray:
     """Solve the simplex-constrained least-squares problem for many spectra.
 
@@ -215,9 +215,10 @@ def estimate_concentrations(
 
     Parameters
     ----------
-    spectra_rows : (n, L) array
+    spectra_rows : (n, L) array or SpectraMatrix
         One spectrum per row; all share the endmember matrix.  Every entry
-        must be finite.
+        must be finite.  A plain array is scanned for that; a SpectraMatrix
+        was checked where it was made and is not scanned again.
     endmembers : (L, K) matrix
         Candidate pure spectra as columns, K <= MAX_ENDMEMBERS; must have
         full column rank (the shared RIDGE keeps near-rank-deficient systems
@@ -245,7 +246,11 @@ def estimate_concentrations(
     s = np.asarray(endmembers)
     if s.ndim != 2:
         raise ValueError(f"endmembers must be an (L, K) matrix, got shape {s.shape}")
-    rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
+    checked = isinstance(spectra_rows, SpectraMatrix)
+    if checked:
+        rows = spectra_rows.values
+    else:
+        rows = np.atleast_2d(np.asarray(spectra_rows, dtype=np.float64))
     n, n_channels = rows.shape
     if s.shape[0] != n_channels:
         raise ValueError(
@@ -254,7 +259,7 @@ def estimate_concentrations(
     k = s.shape[1]
     if k > MAX_ENDMEMBERS:
         raise ValueError(f"at most {MAX_ENDMEMBERS} endmembers are supported, got {k}")
-    if not np.isfinite(rows).all():
+    if not (checked or np.isfinite(rows).all()):
         bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"spectrum {bad} is not finite")
     # G and b are written straight into the bordered matrix and the right-hand side.

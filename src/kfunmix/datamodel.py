@@ -39,6 +39,11 @@ FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip any float64 exactly
 _PARSER_ERROR = re.compile(r"could not convert string .* at row (\d+), column (\d+)\.", re.S)
 
 
+class NumericalError(RuntimeError):
+    """Raised when a computation meets non-finite input or a singular system,
+    or leaves no usable estimate."""
+
+
 def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
@@ -83,6 +88,17 @@ class SpectraMatrix(_Matrix):
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError(f"spectra must be at least 1x2, got {arr.shape}")
         object.__setattr__(self, "values", arr)
+
+    def rows(self, index: slice | list[int]) -> SpectraMatrix:
+        """The rows ``index`` picks, a slice (which gives a view) or a list of
+        row numbers, as a SpectraMatrix.  Rows of checked values are checked,
+        so they are not scanned again."""
+        picked = self.values[index]
+        if picked.ndim != 2 or picked.shape[0] < 1 or picked.shape[1] != self.n_channels:
+            raise ValueError(f"row selection of shape {picked.shape} from {self.values.shape} spectra")
+        selected = object.__new__(SpectraMatrix)
+        object.__setattr__(selected, "values", picked)
+        return selected
 
     @property
     def n_spectra(self) -> int:
@@ -149,6 +165,42 @@ class EndmemberMatrix(_Matrix):
             raise ValueError("endmember matrix has an all-zero column")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def positive_part(cls, values: npt.ArrayLike) -> EndmemberMatrix:
+        """max(values, 0), C-ordered, checked on the column maxima of ``values`` alone.
+
+        The positive part is nonnegative by construction.  Column k of it is
+        finite exactly when the maximum of column k is, since a NaN or +inf
+        reaches that maximum and -inf is clamped away, and it is all zero
+        exactly when that maximum is <= 0.  So one reduction settles every
+        invariant; it reads contiguous columns of a Fortran-ordered matrix.
+
+        Raises
+        ------
+        NumericalError
+            If a column has no positive entry, so that clamping collapses it
+            to zero: a fit that leaves no usable endmember.
+        ValueError
+            If ``values`` is not a non-empty matrix, or holds a NaN or +inf.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"endmembers must be a non-empty matrix, got shape {arr.shape}")
+        peak = arr.max(axis=0)
+        if not (peak > 0.0).all():  # a column with no positive entry, or a NaN
+            dead = np.flatnonzero(peak <= 0.0)
+            if dead.size:
+                raise NumericalError(
+                    f"the nonnegative part collapsed endmember column {int(dead[0])} to zero"
+                )
+        if not np.isfinite(peak).all():
+            raise ValueError("endmembers contains non-finite entries")
+        clamped = object.__new__(cls)
+        # A C-ordered copy, then the clamp: faster than a C-ordered clamp of
+        # a Fortran-ordered matrix.
+        object.__setattr__(clamped, "values", np.maximum(np.ascontiguousarray(arr), 0.0))
+        return clamped
+
     @property
     def n_channels(self) -> int:
         return self.values.shape[0]
@@ -156,6 +208,42 @@ class EndmemberMatrix(_Matrix):
     @property
     def n_endmembers(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass(frozen=True)
+class CovarianceMatrix(_Matrix):
+    """A K x K state covariance, finite and symmetric to within 1e-10.
+
+    Checked once, where it is made: built from another CovarianceMatrix, it
+    takes that one's values as they are, and :meth:`symmetric_part` makes
+    one symmetric bit for bit, so only its finiteness is checked there.
+    """
+
+    values: FloatArray
+
+    def __post_init__(self) -> None:
+        if isinstance(self.values, CovarianceMatrix):
+            object.__setattr__(self, "values", self.values.values)
+            return
+        matrix = np.asarray(self.values, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"covariance must be a square matrix, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix contains non-finite entries")
+        if np.abs(matrix - matrix.T).max() > 1e-10:
+            raise ValueError("matrix is not symmetric")
+        object.__setattr__(self, "values", matrix)
+
+    @classmethod
+    def symmetric_part(cls, matrix: FloatArray) -> CovarianceMatrix:
+        """0.5 (M + M^T) of a square float matrix M.  It is symmetric bit for
+        bit, since IEEE addition commutes, so only its finiteness is checked."""
+        sym = 0.5 * (matrix + matrix.T)
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix contains non-finite entries")
+        covariance = object.__new__(cls)
+        object.__setattr__(covariance, "values", sym)
+        return covariance
 
 
 @dataclass(frozen=True)

@@ -22,47 +22,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import FloatArray
+from .datamodel import CovarianceMatrix, EndmemberMatrix, FloatArray, NumericalError
 
-
-class NumericalError(RuntimeError):
-    """Raised when an update meets non-finite input or a singular system."""
+_NON_FINITE_INPUT = "concentration or observation has non-finite entries"
 
 
 @dataclass(frozen=True)
 class FilterState:
     """Estimator state: mean (D, K), one column per endmember, and K x K covariance.
 
-    The matrix is that covariance for every updater: Sigma for
-    :func:`kf_update`, and the inverse Gram P for :func:`rls_update` and
-    :func:`dl_update`.  Positive semidefiniteness (eigenvalues >= -1e-10 at
-    rest, >= -1e-8 across long update sequences) is a maintained invariant
-    checked by :meth:`validate` rather than on every construction.
+    The covariance is that of every updater: Sigma for :func:`kf_update`,
+    and the inverse Gram P for :func:`rls_update` and :func:`dl_update`;
+    :attr:`matrix` is its array.  Each fact is checked once, where it is
+    made: a mean given as an ``EndmemberMatrix`` and a ``CovarianceMatrix``
+    carry their checks, and anything else is checked here (the mean
+    non-empty and finite, the covariance K x K, finite and symmetric).
+    Positive semidefiniteness (eigenvalues >= -1e-10 at rest, >= -1e-8
+    across long update sequences) is a maintained invariant checked by
+    :meth:`validate` rather than on every construction.
     """
 
     mean: FloatArray
-    matrix: FloatArray
+    covariance: CovarianceMatrix
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.ndim != 2:
-            raise ValueError("state mean must be a (D, K) matrix")
-        if mean.size == 0:
-            raise ValueError(f"state mean of shape {mean.shape} is empty; K and D must be >= 1")
-        if not np.isfinite(mean).all():
-            raise ValueError("state mean contains non-finite entries")
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        mean = self.mean
+        if isinstance(mean, EndmemberMatrix):
+            mean = mean.values
+        else:
+            mean = np.asarray(mean, dtype=np.float64)
+            if mean.ndim != 2:
+                raise ValueError("state mean must be a (D, K) matrix")
+            if mean.size == 0:
+                raise ValueError(f"state mean of shape {mean.shape} is empty; K and D must be >= 1")
+            if not np.isfinite(mean).all():
+                raise ValueError("state mean contains non-finite entries")
+        covariance = self.covariance
+        checked = isinstance(covariance, CovarianceMatrix)
+        matrix = covariance.values if checked else np.asarray(covariance, dtype=np.float64)
         n_columns = mean.shape[1]
         if matrix.shape != (n_columns, n_columns):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match K = {n_columns} state columns"
             )
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix contains non-finite entries")
-        if np.abs(matrix - matrix.T).max() > 1e-10:
-            raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "covariance", covariance if checked else CovarianceMatrix(matrix))
+
+    @property
+    def matrix(self) -> FloatArray:
+        """The K x K covariance array."""
+        return self.covariance.values
 
     def validate(self, eig_tol: float = 1e-10) -> None:
         """Assert positive semidefiniteness of the covariance within eig_tol."""
@@ -71,10 +80,14 @@ class FilterState:
             raise ValueError(f"matrix has eigenvalue {smallest} < -{eig_tol}")
 
 
-def _residual(
+def _inputs(
     state: FilterState, concentration: FloatArray, observation: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    """Return c and the innovation y - mean @ c after checking both inputs."""
+    """Return c and y after checking their shapes against the mean and c's entries.
+
+    y is scanned by :func:`_kalman_step` only when the posterior mean it
+    makes is not finite; in a stream, FCLS has scanned it already.
+    """
     c = np.asarray(concentration, dtype=np.float64)
     y = np.asarray(observation, dtype=np.float64)
     if c.ndim != 1 or c.size < 1:
@@ -84,16 +97,21 @@ def _residual(
             f"state mean shape {state.mean.shape} does not equal (D, K) = "
             f"({y.size}, {c.size})"
         )
-    if not (np.isfinite(c).all() and np.isfinite(y).all()):
-        raise NumericalError("concentration or observation has non-finite entries")
-    return c, y - state.mean @ c
+    if not np.isfinite(c).all():
+        raise NumericalError(_NON_FINITE_INPUT)
+    return c, y
 
 
 def _kalman_step(
-    state: FilterState, c: FloatArray, residual: FloatArray, prior: FloatArray, obs_var: float
+    state: FilterState, c: FloatArray, y: FloatArray, prior: FloatArray, obs_var: float
 ) -> FilterState:
-    """Covariance-form step: with s = c^T prior c + obs_var, the gain is prior c / s
-    and the posterior matrix prior - (prior c)(prior c)^T / s, re-symmetrized."""
+    """Covariance-form step: with s = c^T prior c + obs_var, the gain is prior c / s,
+    the mean moves by the innovation y - mean @ c times the gain, and the
+    posterior matrix is the symmetric part of prior - (prior c)(prior c)^T / s.
+
+    The posterior state checks its mean's entries; a non-finite y shows
+    there, and only then is y scanned, to name it as a non-finite input.
+    """
     prior_c = prior @ c
     scale = float(c @ prior_c) + obs_var
     if not (np.isfinite(scale) and scale > 0.0):
@@ -102,7 +120,13 @@ def _kalman_step(
     if not np.isfinite(gain).all():
         raise NumericalError("gain has non-finite entries")
     matrix = prior - np.outer(prior_c, prior_c) / scale
-    return FilterState(state.mean + np.outer(residual, gain), 0.5 * (matrix + matrix.T))
+    mean = state.mean + np.outer(y - state.mean @ c, gain)
+    try:
+        return FilterState(mean, CovarianceMatrix.symmetric_part(matrix))
+    except ValueError:
+        if not np.isfinite(y).all():
+            raise NumericalError(_NON_FINITE_INPUT) from None
+        raise
 
 
 def kf_update(
@@ -138,14 +162,17 @@ def kf_update(
         If sigma_v2 is not >= 0 or sigma_e2 is not > 0 (NaN included for both).
     NumericalError
         If an input or the gain is not finite, or the innovation variance
-        c^T Sigma c + sigma_e2 is not finite and positive.
+        c^T Sigma c + sigma_e2 is not finite and positive.  The observation
+        is scanned only once the posterior mean is found non-finite, so an
+        infinite entry that meets an exactly zero gain entry makes NumPy
+        warn of an invalid value first.
     """
     if not sigma_v2 >= 0.0:
         raise ValueError("sigma_v2 must be >= 0")
     if not sigma_e2 > 0.0:
         raise ValueError("sigma_e2 must be > 0")
-    c, residual = _residual(state, concentration, observation)
-    return _kalman_step(state, c, residual, state.matrix + sigma_v2 * np.eye(c.size), sigma_e2)
+    c, y = _inputs(state, concentration, observation)
+    return _kalman_step(state, c, y, state.matrix + sigma_v2 * np.eye(c.size), sigma_e2)
 
 
 def rls_update(
@@ -165,8 +192,8 @@ def rls_update(
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
-    c, residual = _residual(state, concentration, observation)
-    return _kalman_step(state, c, residual, state.matrix / forgetting, 1.0)
+    c, y = _inputs(state, concentration, observation)
+    return _kalman_step(state, c, y, state.matrix / forgetting, 1.0)
 
 
 def dl_update(

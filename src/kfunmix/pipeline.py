@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
-from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, DatasetBundle, EndmemberMatrix
-from .datamodel import FloatArray, SpectraMatrix
+from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, CovarianceMatrix, DatasetBundle
+from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
 from .fourier import build_basis, select_num_harmonics
 from .fourier import reduce_columns, reduce_spectrum  # noqa: F401 (the benchmark wraps it here)
 from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
@@ -104,20 +104,28 @@ class PipelineState:
     chosen harmonic count M, regressor set and floored noise estimate
     sigma_e2 from set-up, the filter's K x K covariance, and the current
     full-space endmembers.  Each quantity is stored once; the filter's
-    state is the last two, as :attr:`estimator`."""
+    state is the last two, as :attr:`estimator`.  A covariance given as a
+    plain array is checked (finite, symmetric) into a ``CovarianceMatrix``
+    where the state is made or replaced; a step hands on the posterior's,
+    which its update checked."""
 
     config: PipelineConfig
     n_harmonics: int
     regressors: RegressorSet
     sigma_e2: float
-    covariance: FloatArray
+    covariance: CovarianceMatrix
     endmembers: EndmemberEstimate
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.covariance, CovarianceMatrix):
+            object.__setattr__(self, "covariance", CovarianceMatrix(self.covariance))
 
     @property
     def estimator(self) -> FilterState:
         """The filter's prior for the next acquisition: its mean is the
-        (L, K) endmember matrix itself, and its matrix is the covariance."""
-        return FilterState(self.endmembers.full.values, self.covariance)
+        (L, K) endmember matrix itself, and its covariance the stored one.
+        Both carry their checks, so the build compares shapes only."""
+        return FilterState(self.endmembers.full, self.covariance)
 
 
 def init_pipeline(
@@ -159,10 +167,9 @@ def init_pipeline(
         gram = init_conc.T @ init_conc
         if np.linalg.cond(gram) > COND_LIMIT:
             gram = gram + RIDGE * np.eye(config.n_endmembers)
-        inverse = np.linalg.inv(gram)
-        covariance = 0.5 * (inverse + inverse.T)
+        covariance = CovarianceMatrix.symmetric_part(np.linalg.inv(gram))
     else:
-        covariance = config.sigma_v2 * np.eye(config.n_endmembers)
+        covariance = CovarianceMatrix(config.sigma_v2 * np.eye(config.n_endmembers))
 
     regressors = build_regressor_set(spectra, build_basis(rows.shape[1], n_harmonics))
     return PipelineState(
@@ -185,7 +192,10 @@ def pipeline_step(
     on the spectrum, and regress the posterior mean onto the acquired-spectra
     cone; the step makes no Fourier product.  The new state keeps the
     constrained estimate, which is the next prior mean, and the posterior
-    covariance.
+    covariance.  Each fact is checked once: FCLS scans the spectrum, the
+    update checks the abundances and the posterior it makes, and the
+    regression checks its estimate; the prior and the regression target
+    are taken in the types that carry those checks.
     """
     config = state.config
     tic = time.perf_counter()
@@ -200,11 +210,11 @@ def pipeline_step(
     else:
         posterior = dl_update(prior, concentration, spectrum)
 
-    fit = solve_regression(state.regressors, posterior.mean)
+    fit = solve_regression(state.regressors, posterior)
 
     wall_ms = (time.perf_counter() - tic) * 1e3
     endmembers = EndmemberEstimate(fit.endmembers)
-    return replace(state, covariance=posterior.matrix, endmembers=endmembers), wall_ms
+    return replace(state, covariance=posterior.covariance, endmembers=endmembers), wall_ms
 
 
 @dataclass(frozen=True)
@@ -233,7 +243,7 @@ def _snapshot(config: PipelineConfig, state: PipelineState, extra: dict[str, str
 
 
 def _evaluate(
-    acquired: FloatArray,
+    acquired: SpectraMatrix,
     endmembers: EndmemberMatrix,
     truth_endmembers: EndmemberMatrix | None,
     truth_concentrations: FloatArray | None,
@@ -317,11 +327,11 @@ def run_experiment(
         baseline_stride=baseline_stride,
     )
 
-    rows_all = dataset.spectra.values
-    if max(order.indices) >= rows_all.shape[0]:
+    if max(order.indices) >= dataset.spectra.n_spectra:
         raise ValueError("order refers to indices beyond the dataset")
-    stream = rows_all[list(order.indices)]
-    n_stream = stream.shape[0]
+    # Checked at load; its prefixes are handed on without another scan.
+    stream = dataset.spectra.rows(list(order.indices))
+    n_stream = stream.n_spectra
     n_init = config.n_init
     if n_stream <= n_init:
         raise ValueError(
@@ -335,7 +345,7 @@ def run_experiment(
         else None
     )
 
-    state = init_pipeline(stream[:n_init], config)
+    state = init_pipeline(stream.rows(slice(n_init)), config)
     extra = {
         "eval_stride": str(eval_stride),
         "abundance_stride": str(abundance_stride),
@@ -353,7 +363,7 @@ def run_experiment(
         name: str | None, t: int, endmembers: EndmemberMatrix, with_ab: bool, wall_ms: float
     ) -> None:
         asad_val, rmse_val, re_val, conc = _evaluate(
-            stream[:t],
+            stream.rows(slice(t)),
             endmembers,
             truth_s,
             truth_c[:t] if truth_c is not None else None,
@@ -364,7 +374,7 @@ def run_experiment(
 
     try:
         for t in range(n_init + 1, n_stream + 1):
-            state, wall_ms = pipeline_step(state, stream[t - 1])
+            state, wall_ms = pipeline_step(state, stream.values[t - 1])
             is_final = t == n_stream
             offset = t - n_init - 1
 
@@ -377,13 +387,14 @@ def run_experiment(
             if baselines and (offset % baseline_stride == 0 or is_final):
                 # One VCA serves both baselines; mcr-als's wall time includes it.
                 tic = time.perf_counter()
-                start = vca(stream[:t], config.n_endmembers, config.seed)
+                acquired = stream.rows(slice(t))
+                start = vca(acquired, config.n_endmembers, config.seed)
                 vca_ms = (time.perf_counter() - tic) * 1e3
                 for name in baselines:
                     tic = time.perf_counter()
                     ref = start
                     if name == "mcr-als":
-                        ref = mcr_als(stream[:t], McrConfig(start)).endmembers
+                        ref = mcr_als(acquired, McrConfig(start)).endmembers
                     record(name, t, ref, True, vca_ms + (time.perf_counter() - tic) * 1e3)
     except NumericalError:
         if flush_path is not None:

@@ -40,11 +40,19 @@ instead of transposing it on each call; BLAS adds βC to the finished
 product once, so both sums round exactly as a separate product and
 addition do, and the iterates are bit for bit those of the same products
 formed on their own by the same BLAS.  The peeled start drops only a zero
-product and a zero summand, so it changes no bit either.  The last
-iteration keeps Y R apart, since the estimate is max(Y R, 0), and its
-columns, still contiguous in Fortran order, give the check for a column
-the clamp zeroes.  NumPy's ``@`` runs on NumPy's own BLAS build, which may
-form a product in another order (it takes gemv when K = 1, and its kernel
+product and a zero summand, so it changes no bit either.  The loop binds
+dgemm, ``np.absolute`` and ``np.minimum`` to locals and hands dgemm its
+arguments by position: SciPy's f2py wrapper parses each keyword argument
+on every call, about 0.3 us apiece over 96 calls a solve.  ``np.minimum``
+keeps ``out=``, since NumPy deprecates a third positional argument there.
+The last iteration keeps Y R apart, since the estimate is max(Y R, 0):
+``EndmemberMatrix.positive_part`` checks that estimate on the column
+maxima of Y R alone, which read contiguous memory in Fortran order, and a
+column the clamp zeroes raises NumericalError there.  The exit duals are
+formed only when read (``RegressionResult.duals``).
+
+NumPy's ``@`` runs on NumPy's own BLAS build, which may form a product in
+another order (it takes gemv when K = 1, and its kernel
 for the C-ordered lift sums in another order at L = 400), so a loop
 written with ``@`` agrees bit for bit only where the two builds agree on
 the product, and within rounding elsewhere.
@@ -59,6 +67,7 @@ selects the estimate among the minimisers.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -67,7 +76,7 @@ from scipy.linalg import blas, cho_factor, cho_solve
 
 from .datamodel import COND_LIMIT, COND_WARN, EndmemberMatrix, FloatArray, SpectraMatrix
 from .fourier import FourierBasis, reduce_columns
-from .kalman import NumericalError
+from .kalman import FilterState
 
 ADMM_ITERS = 50
 RHO = 1.0
@@ -128,23 +137,41 @@ def build_regressor_set(
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Coefficients, the clamped full-space estimate, and final duals."""
+    """Coefficients R, the clamped full-space estimate max(Y R, 0), and the
+    two arrays the exit duals are formed from.
+
+    ``fit`` is Y R and ``iterate`` the v that entered the last iteration, so
+    the exit iterate is Y R + min(v, 0) and the duals (U, lambda) are its
+    parts (max(., 0), RHO max(-., 0)).  A step reads only the estimate, so
+    :attr:`duals` forms them on first read, by the operations that formed
+    them at exit, and keeps them.
+    """
 
     coefficients: FloatArray
     endmembers: EndmemberMatrix
-    duals: tuple[FloatArray, FloatArray]
+    fit: FloatArray
+    iterate: FloatArray
+
+    @functools.cached_property
+    def duals(self) -> tuple[FloatArray, FloatArray]:
+        """The final (U, lambda)."""
+        v = np.ascontiguousarray(self.fit) + np.minimum(self.iterate, 0.0)
+        return np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)
 
 
-def solve_regression(regressors: RegressorSet, target: FloatArray) -> RegressionResult:
+def solve_regression(
+    regressors: RegressorSet, target: FilterState | FloatArray
+) -> RegressionResult:
     """Regress an estimate's retained harmonics onto the cone in ADMM_ITERS iterations.
 
     Parameters
     ----------
     regressors : RegressorSet
         System built by :func:`build_regressor_set`.
-    target : (L, K) array
+    target : (L, K) array, or a FilterState
         Endmember estimate in channels, one column per component; every
-        entry must be finite.  Only its reduction F S enters the fit.
+        entry must be finite.  A FilterState stands for its mean, whose
+        entries it has checked.  Only the reduction F S enters the fit.
 
     Returns
     -------
@@ -162,44 +189,35 @@ def solve_regression(regressors: RegressorSet, target: FloatArray) -> Regression
         endmember estimate for that component.
     """
     full = regressors.full_space
-    t = np.asarray(target, dtype=np.float64)
+    checked = isinstance(target, FilterState)
+    t = target.mean if checked else np.asarray(target, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != full.shape[0]:
         raise ValueError(
             f"target of shape {t.shape} does not have the L rows of the "
             f"(L, P) = {full.shape} regressors"
         )
-    if not np.isfinite(t).all():
+    if not (checked or np.isfinite(t).all()):
         raise ValueError("target contains non-finite entries")
 
     const = np.asfortranarray(regressors.target_map @ t)  # (P, K)
     lift_t = regressors.lift.T  # (L, P), Fortran-ordered for a C-ordered lift
     zero = np.zeros((full.shape[0], t.shape[1]), order="F")
+    dgemm, absolute, minimum = blas.dgemm, np.absolute, np.minimum
     # From v = 0 the first iteration gives coeff = const and v = full @ const.
-    v = blas.dgemm(1.0, full, const)
+    v = dgemm(1.0, full, const)
     a = np.empty_like(zero)
     # coeff = const + lift @ |v| and v = full @ coeff + min(v, 0), with each
     # sum taken by dgemm's beta = 1 (const is copied, v is overwritten), and
-    # lift @ |v| formed as (lift^T)^T |v|.
+    # lift @ |v| formed as (lift^T)^T |v|.  The dgemm arguments after b are
+    # (beta, c, trans_a, trans_b, overwrite_c), passed by position.
     for _ in range(ADMM_ITERS - 2):
-        np.abs(v, out=a)
-        coeff = blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1)
-        np.minimum(v, zero, out=v)
-        v = blas.dgemm(1.0, full, coeff, 1.0, v, overwrite_c=True)
+        absolute(v, out=a)
+        coeff = dgemm(1.0, lift_t, a, 1.0, const, 1)
+        minimum(v, zero, out=v)
+        v = dgemm(1.0, full, coeff, 1.0, v, 0, 0, 1)
     # The results leave in C order, as NumPy products are: later BLAS calls
     # on them round differently when handed the other layout.
-    np.abs(v, out=a)
-    coeff = np.ascontiguousarray(blas.dgemm(1.0, lift_t, a, 1.0, const, trans_a=1))
-    recon = blas.dgemm(1.0, full, coeff)
-    # A column whose constrained fit max(Y R, 0) is identically zero cannot
-    # serve as an endmember downstream; treat it as a degenerate-stream
-    # failure.  Y R is still Fortran-ordered, so each column's maximum reads
-    # contiguous memory.
-    dead = np.nonzero(recon.max(axis=0) <= 0.0)[0]
-    if dead.size:
-        raise NumericalError(
-            f"regression collapsed endmember column {int(dead[0])} to zero"
-        )
-    recon = np.ascontiguousarray(recon)
-    v = recon + np.minimum(v, zero)
-    estimate = EndmemberMatrix(np.maximum(recon, 0.0))
-    return RegressionResult(coeff, estimate, (np.maximum(v, 0.0), RHO * np.maximum(-v, 0.0)))
+    absolute(v, out=a)
+    coeff = np.ascontiguousarray(dgemm(1.0, lift_t, a, 1.0, const, 1))
+    recon = dgemm(1.0, full, coeff)
+    return RegressionResult(coeff, EndmemberMatrix.positive_part(recon), recon, v)

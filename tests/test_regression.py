@@ -1,6 +1,7 @@
 """Tests for the cone-constrained subspace regression and its cached solver."""
 import re
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step
 from kfunmix.regression import (
     ADMM_ITERS,
     RHO,
-    RegressionResult,
     RegressorSet,
     build_regressor_set,
     solve_regression,
@@ -449,13 +449,12 @@ class TestBlasKernel:
             assert np.array_equal(before, after)
 
 
-def nn_form_solve(regressors, target):
-    """``solve_regression`` with the lift product in the NN form it took
-    before: SciPy's dgemm on a Fortran-ordered copy of the lift."""
-    coeff, estimate, u, lam = admm_loop(
-        regressors, np.asarray(target, dtype=np.float64), ADMM_ITERS, dgemm_nn, dgemm_nn
-    )
-    return RegressionResult(coeff, EndmemberMatrix(estimate), (u, lam))
+def nn_form_solve(regressors, posterior):
+    """The estimate of ``solve_regression`` with the lift product in the NN
+    form it took before: SciPy's dgemm on a Fortran-ordered copy of the lift.
+    The step hands over its posterior state and reads only the estimate."""
+    _, estimate, _, _ = admm_loop(regressors, posterior.mean, ADMM_ITERS, dgemm_nn, dgemm_nn)
+    return SimpleNamespace(endmembers=EndmemberMatrix(estimate))
 
 
 class TestStreamEquivalence:
