@@ -14,6 +14,13 @@ its stderr, which are echoed as it ends.  The output file holds every pair and, 
 median and quartiles, plus the number of pairs the change won (ties count
 for neither) and whether the gain rule holds: at least nine tenths of the
 pairs won and a median gap wider than the parent's interquartile distance.
+Each metric that BENCHMARK.json gives a ``bound`` also gets the
+no-regression verdict (``verdict``): ``worse`` when the change's median is
+worse than the parent's by more than bound x the parent's median,
+``unresolved`` when the parent's interquartile distance is wider than that
+too and not every change run beats every parent run, and ``within bound``
+otherwise.  Each side's failed and attempted operations, summed over its
+result lines, and their ratio are kept under ``operations``.
 The script exits 1 when any run exited non-zero, printed no result line or
 read ``correct: false``.
 
@@ -74,13 +81,32 @@ def quantile(values: list[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression verdict on one metric (module docstring); ``sign`` is
+    1 where lower is better and -1 where higher is."""
+    median = quantile(parent, 0.5)
+    allowed = bound * abs(median)
+    if sign * (quantile(change, 0.5) - median) > allowed:
+        return "worse"
+    spread = quantile(parent, 0.75) - quantile(parent, 0.25)
+    # in signed values lower is better, so the change's worst run is its largest
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarise(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict[str, dict]:
     """Per-metric medians, quartiles and wins over the pairs where both sides ran.
 
     ``pairs`` holds ``{"parent": result, "change": result}`` with each
     result the benchmark's JSON line, or None for a run that printed none;
-    ``better`` maps a metric name to "lower" or "higher".
+    ``better`` maps a metric name to "lower" or "higher", and ``bounds`` a
+    metric name to its relative bound, which adds its verdict.
     """
+    bounds = bounds or {}
     complete = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
     summary: dict[str, dict] = {}
     names = sorted({m for p in complete for m in p["parent"]["metrics"]} & set(better))
@@ -107,7 +133,25 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "gain_rule_met": wins >= WIN_SHARE * len(complete)
             and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
+        if name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["verdict"] = verdict(
+                values["parent"], values["change"], sign, bounds[name]
+            )
     return summary
+
+
+def operations(results: list[dict | None]) -> dict[str, float | int | None]:
+    """Failed and attempted operations summed over one side's result lines,
+    and the failed share (None when nothing was attempted)."""
+    lines = [r for r in results if r is not None]
+    failed = sum(r.get("failed", 0) for r in lines)
+    attempted = sum(r.get("attempted", 0) for r in lines)
+    return {
+        "failed": failed,
+        "attempted": attempted,
+        "failed_share": failed / attempted if attempted else None,
+    }
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -151,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
 
     pairs = []
     for seed in seeds:
@@ -173,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         "correct_runs": {
             side: sum(bool(r[side] and r[side]["correct"]) for r in results) for side in SIDES
         },
-        "summary": summarise(results, better),
+        "operations": {side: operations([r[side] for r in results]) for side in SIDES},
+        "summary": summarise(results, better, bounds),
         "pairs": pairs,
     }
     doc = {"groups": []}
@@ -187,6 +233,14 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for name, stats in group["summary"].items():
+        if "verdict" in stats:
+            print(
+                f"{name}: {stats['verdict']}, median {stats['parent']['median']:.6g} -> "
+                f"{stats['change']['median']:.6g}, change won {stats['change_wins']}"
+                f"/{stats['pairs']}, gain rule {'met' if stats['gain_rule_met'] else 'not met'}",
+                file=sys.stderr,
+            )
     runs = [p[side] for p in pairs for side in SIDES]
     failed = sum(
         run["returncode"] != 0 or run["result"] is None or not run["result"]["correct"]

@@ -51,11 +51,15 @@ The evaluation of one record (``eval_us``) is timed at L200 K3 for t =
 100, 215 and 400 acquired spectra, ``--calls`` times each after every
 stream round, so the step and the evaluation meet the same host speed.
 Each is one ``kfunmix.pipeline._evaluate`` call with abundances, run under
-the tracer, which wraps the five names it looks up in ``kfunmix.pipeline``
-(``EVAL_TRACED``): the batch FCLS of the t spectra, the reconstruction
-error, ASAD, the alignment and the RMSE.  The t spectra are the first of a
-400 x 200 synthetic set at 20 dB, scored against VCA endmembers of its
-first 30 spectra, as a stream's early estimate would be.
+the tracer, which times the whole call (``record``) and wraps the five
+names it looks up in ``kfunmix.pipeline`` (``EVAL_TRACED``): the batch FCLS
+of the t spectra, the reconstruction error, ASAD, the alignment and the
+RMSE.  The t spectra are the first of a 400 x 200 synthetic set at 20 dB,
+handed over as the checked ``SpectraMatrix`` prefix a run hands over.
+Each call scores the next of the successive estimates of one default
+L200 K3 stream over that set, in a fresh ``EndmemberMatrix``, as a run's
+record scores the estimate its last step made: no call finds the Gram or
+the angle matrix that an earlier call formed.
 
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
@@ -77,6 +81,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -120,13 +125,15 @@ VCA_NOISY_SHAPE = (340, 400, 5, None)
 # the calls each record makes.
 EVAL_SHAPE = (400, 200, 3, None)
 EVAL_ROWS = (100, 215, 400)
-# The span of each name _evaluate looks up in kfunmix.pipeline, in call order.
+# The span of each name _evaluate looks up in kfunmix.pipeline, then the
+# span of the whole record.
 EVAL_TRACED = {
     "estimate_concentrations": "fcls_batch",
     "reconstruction_error": "reconstruction_error",
     "asad": "asad",
     "align_components": "align",
     "rmse_concentrations": "rmse",
+    "_evaluate": "record",
 }
 EVAL_LAYERS = tuple(EVAL_TRACED.values())
 
@@ -182,19 +189,37 @@ def vca_round(cases: dict, calls: int, out: dict[str, dict[str, list]]) -> None:
         out[name]["certified"].extend(verdicts)
 
 
-def eval_round(data, endmembers, calls: int, out: dict[int, dict[str, list[float]]]) -> None:
-    """``calls`` traced ``_evaluate`` calls of one record for each t of
-    EVAL_ROWS; each layer's seconds go to ``out[t][layer]``."""
+def stream_estimates(data, config) -> list:
+    """The endmember estimate after each acquisition of one stream over
+    ``data`` (``N_INIT`` spectra start it), as plain arrays."""
     from kfunmix import pipeline
 
     rows = data.spectra.values
+    state = pipeline.init_pipeline(rows[:N_INIT], config)
+    estimates = []
+    for spectrum in rows[N_INIT:]:
+        state, _ = pipeline.pipeline_step(state, spectrum)
+        estimates.append(state.endmembers.full.values)
+    return estimates
+
+
+def eval_round(data, estimates, calls: int, out: dict[int, dict[str, list[float]]]) -> None:
+    """``calls`` traced ``_evaluate`` calls of one record for each t of
+    EVAL_ROWS; each layer's seconds go to ``out[t][layer]``.  Each call
+    scores the next array of the iterator ``estimates`` in a fresh
+    ``EndmemberMatrix``, made outside the timed call."""
+    from kfunmix import pipeline
+    from kfunmix.datamodel import EndmemberMatrix
+
     truth_s, truth_c = data.endmembers, data.concentrations.values
     targets = [(pipeline, name, span, None) for name, span in EVAL_TRACED.items()]
     for t in EVAL_ROWS:
+        acquired = data.spectra.rows(slice(t))  # a checked prefix, as run_experiment's
         tracer = Tracer()
         with tracer.installed(targets):
             for _ in range(calls):
-                pipeline._evaluate(rows[:t], endmembers, truth_s, truth_c[:t], True)
+                endmembers = EndmemberMatrix(next(estimates))
+                pipeline._evaluate(acquired, endmembers, truth_s, truth_c[:t], True)
         for layer in EVAL_LAYERS:
             out[t][layer].extend(ns / 1e9 for ns in tracer.durations(layer))
 
@@ -257,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("rounds, steps and calls must be >= 1, max-k in [2, 12]")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata, vca
+    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata
 
     def synth(n_spectra: int, n_channels: int, k: int, purity_cap: float | None = None):
         return synthdata.generate_dataset(
@@ -281,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     noisy_n, noisy_l, noisy_k, _ = VCA_NOISY_SHAPE
     vca_cases[f"L{noisy_l}K{noisy_k}_N{noisy_n}"] = (synth(*VCA_NOISY_SHAPE).spectra.values, noisy_k)
     eval_data = synth(*EVAL_SHAPE)
-    eval_endmembers = vca.vca(eval_data.spectra.values[:N_INIT], EVAL_SHAPE[2])
+    eval_config = pipeline.PipelineConfig(n_endmembers=EVAL_SHAPE[2])
+    eval_estimates = itertools.cycle(stream_estimates(eval_data, eval_config))
     data_dir = tempfile.TemporaryDirectory()
     datamodel.save_dataset(synth(*LOAD_SHAPE), data_dir.name)
     rng = np.random.default_rng(0)
@@ -313,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         p2.append(clock() - t0)
         for name, data, config in streams:
             init[name].append(stream_round(data, config, args.steps, layers[name]))
-            eval_round(eval_data, eval_endmembers, args.calls, evals)
+            eval_round(eval_data, eval_estimates, args.calls, evals)
         for k, (s, rows) in fcls_cases.items():
             for i in range(args.calls):
                 t0 = clock()

@@ -58,9 +58,12 @@ in a candidate's rounding error, so two supports whose objectives differ by
 less than about eps cond(G) |b| |x| can be ranked the wrong way round.
 
 FCLS's ill-conditioning warning is screened on the eigenvalues of the K x K
-Gram G = S^T S that the solve forms anyway.  cond(S)^2 = cond(G), so
-lambda_min(G) > SCREEN_RATIO lambda_max(G) puts cond(S) below 1e6, two
-orders of magnitude under COND_WARN.  Flipping that takes errors in G near
+Gram G = S^T S that the solve needs anyway.  An EndmemberMatrix keeps its G
+and eigenvalues once formed (``EndmemberMatrix.bordered_gram``), so
+the record that scores an estimate and the next step, which unmixes against
+it, form them once; the warning and the singularity test below read them on every call.
+cond(S)^2 = cond(G), so lambda_min(G) > SCREEN_RATIO lambda_max(G) puts
+cond(S) below 1e6, two orders of magnitude under COND_WARN.  Flipping that takes errors in G near
 1e-12 lambda_max(G), about 4500 ulps of it, far beyond the rounding of a
 Gram product, so no warning is possible.  Only when the screen fails does
 the SVD of the L x K matrix S run, and it decides the warning exactly as it
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import COND_LIMIT, COND_WARN, RIDGE, EndmemberMatrix, FloatArray, NumericalError
-from .datamodel import SpectraMatrix
+from .datamodel import SpectraMatrix, bordered_gram
 
 # lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
 SCREEN_RATIO = 1e-12
@@ -223,7 +226,9 @@ def estimate_concentrations(
         Candidate pure spectra as columns, K <= MAX_ENDMEMBERS; must have
         full column rank (the shared RIDGE keeps near-rank-deficient systems
         solvable, with a warning once the condition number of S passes
-        COND_WARN; both live in :mod:`kfunmix.datamodel`).
+        COND_WARN; both live in :mod:`kfunmix.datamodel`).  An
+        EndmemberMatrix's Gram and its eigenvalues are formed on its first
+        call and kept; a plain array's are formed on every call.
 
     Returns
     -------
@@ -262,14 +267,12 @@ def estimate_concentrations(
     if not (checked or np.isfinite(rows).all()):
         bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"spectrum {bad} is not finite")
-    # G and b are written straight into the bordered matrix and the right-hand side.
-    padded = np.zeros((k + 1, k + 1))
-    gram = padded[:k, :k]
-    np.matmul(s.T, s, out=gram)
-    if not np.isfinite(gram.diagonal()).all():
-        raise ValueError("endmember matrix holds a NaN or an infinity")
-
-    eig = np.linalg.eigvalsh(gram)
+    # An EndmemberMatrix keeps its bordered G + RIDGE I and G's eigenvalues;
+    # a plain array's are formed here.
+    if isinstance(endmembers, EndmemberMatrix):
+        padded, eig = endmembers.bordered_gram
+    else:
+        padded, eig = bordered_gram(s)
     if eig[0] + RIDGE <= k * np.finfo(np.float64).eps * eig[-1]:
         raise NumericalError(
             "endmember Gram is singular to working precision; the endmember "
@@ -284,9 +287,7 @@ def estimate_concentrations(
                 stacklevel=2,
             )
 
-    diagonal = padded.reshape(-1)[: k * (k + 2) : k + 2]  # a view of G's diagonal
-    diagonal += RIDGE
-
+    # b goes straight into the right-hand side.
     rhs = np.empty((k + 1, n))
     np.matmul(s.T, rows.T, out=rhs[:k])
     rhs[k] = 1.0

@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .datamodel import format_float, load_dataset, save_dataset
+from .datamodel import check_seed, format_float, load_dataset, save_dataset
 from .fourier import build_basis
 from .kalman import NumericalError
 from .metrics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
@@ -76,6 +76,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
         if args.n_clusters is None:
             raise ValueError("--n-clusters is required for protocol p2")
         p2_config = P2Config(args.n_essential, args.n_clusters, args.seed)
+    if args.shuffle:
+        check_seed(args.seed, "shuffle_seed")  # before the dataset is read
     _check_writable(args.out)
     bundle = load_dataset(args.data)
     if p2_config is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
 from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, CovarianceMatrix, DatasetBundle
-from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix
+from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix, check_seed
 from .fourier import build_basis, select_num_harmonics
 from .fourier import reduce_columns, reduce_spectrum  # noqa: F401 (the benchmark wraps it here)
 from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
@@ -83,6 +83,7 @@ class PipelineConfig:
             raise ValueError(f"updater must be one of {UPDATERS}, got {self.updater!r}")
         if not 0.0 < self.rls_forgetting <= 1.0:
             raise ValueError("rls_forgetting must be in (0, 1]")
+        check_seed(self.seed, "seed")
         if self.updater == "rls" and self.sigma_v2 <= 0.0:
             raise ValueError("the RLS updater needs sigma_v2 > 0 to initialize P")
         unread = {"kalman": ("rls_forgetting",), "rls": (), "dl": ("sigma_v2", "rls_forgetting")}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datamodel import FloatArray, SpectraMatrix
+from .datamodel import FloatArray, SpectraMatrix, check_seed
 from .fourier import FourierBasis, build_basis
 
 KMEANS_MAX_ITERS = 100
@@ -56,6 +56,7 @@ class P2Config:
         too_many = self.n_essential is not None and self.n_clusters > self.n_essential
         if self.n_clusters < 1 or too_many:
             raise ValueError("n_clusters must be in [1, n_essential]")
+        check_seed(self.seed, "seed")
 
 
 def protocol_p1(n: int, shuffle_seed: int | None = None) -> AcquisitionOrder:
@@ -64,6 +65,7 @@ def protocol_p1(n: int, shuffle_seed: int | None = None) -> AcquisitionOrder:
         raise ValueError("n must be >= 1")
     idx = np.arange(n)
     if shuffle_seed is not None:
+        check_seed(shuffle_seed, "shuffle_seed")
         idx = np.random.default_rng(shuffle_seed).permutation(n)
     return AcquisitionOrder(tuple(int(i) for i in idx))
 

@@ -33,6 +33,7 @@ from .datamodel import (
     EndmemberMatrix,
     FloatArray,
     SpectraMatrix,
+    check_seed,
 )
 from .metrics import sad
 
@@ -75,6 +76,7 @@ class SynthConfig:
                 raise ValueError(
                     f"purity_cap must be in (1/K, 1], got {self.purity_cap}"
                 )
+        check_seed(self.seed, "seed")
 
 
 def _draw_peak_spectrum(n_channels: int, rng: np.random.Generator) -> FloatArray:

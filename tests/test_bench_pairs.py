@@ -98,6 +98,70 @@ class TestSummarise:
         assert set(bench_pairs.summarise(self.pairs(), {"run_s": "lower"})) == {"run_s"}
 
 
+def pairs_of(parent: list[float], change: list[float]) -> list[dict]:
+    return [
+        {"parent": result_line(p, 1.0 / p), "change": result_line(c, 1.0 / c)}
+        for p, c in zip(parent, change)
+    ]
+
+
+class TestVerdict:
+    """The no-regression verdict of each bounded metric, on synthetic result lines."""
+
+    BOUNDS = {"run_s": 0.25, "acq_per_s": 0.25}
+
+    def verdicts(self, parent, change):
+        got = bench_pairs.summarise(pairs_of(parent, change), BETTER, self.BOUNDS)
+        return got["run_s"]["verdict"], got["acq_per_s"]["verdict"]
+
+    def test_a_median_worse_by_more_than_the_bound_is_worse(self):
+        parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+        # run_s 1.3x is worse; acq_per_s 1/1.3x = 0.77x falls by 23%, inside the bound
+        assert self.verdicts(parent, [1.3 * p for p in parent]) == ("worse", "within bound")
+        # acq_per_s 0.7x falls by 30%
+        assert self.verdicts(parent, [p / 0.7 for p in parent]) == ("worse", "worse")
+
+    def test_a_median_worse_by_less_than_the_bound_is_within_it(self):
+        parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+        assert self.verdicts(parent, [1.2 * p for p in parent]) == ("within bound", "within bound")
+        assert self.verdicts(parent, [0.5 * p for p in parent]) == ("within bound", "within bound")
+
+    def test_a_parent_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 1.0, 1.0]
+        assert self.verdicts(parent, parent) == ("unresolved", "unresolved")
+
+    def test_a_change_that_beats_every_parent_run_is_resolved(self):
+        parent = [0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 1.0, 1.0]
+        change = [0.5, 0.55, 0.5, 0.45, 0.5, 0.5, 0.59, 0.5, 0.5, 0.5]
+        assert self.verdicts(parent, change) == ("within bound", "within bound")
+        # one change run no better than the parent's best leaves it unresolved
+        assert self.verdicts(parent, change[:-1] + [0.6])[0] == "unresolved"
+
+    def test_worse_is_decided_before_the_spread(self):
+        parent = [0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 1.0, 1.0]
+        assert self.verdicts(parent, [2.0 * p for p in parent])[0] == "worse"
+
+    def test_only_bounded_metrics_get_a_verdict(self):
+        got = bench_pairs.summarise(pairs_of([1.0], [1.0]), BETTER, {"run_s": 0.1})
+        assert got["run_s"]["verdict"] == "within bound" and got["run_s"]["bound"] == 0.1
+        assert "verdict" not in got["acq_per_s"]
+        assert "verdict" not in bench_pairs.summarise(pairs_of([1.0], [1.0]), BETTER)["run_s"]
+
+
+class TestOperations:
+    def test_sums_failed_and_attempted_over_the_result_lines(self):
+        lines = [dict(result_line(1.0, 1.0), attempted=10, failed=1),
+                 dict(result_line(1.0, 1.0), attempted=30, failed=0), None]
+        assert bench_pairs.operations(lines) == {
+            "failed": 1, "attempted": 40, "failed_share": 0.025,
+        }
+
+    def test_no_attempt_has_no_share(self):
+        assert bench_pairs.operations([None]) == {
+            "failed": 0, "attempted": 0, "failed_share": None,
+        }
+
+
 class FakeProc:
     def __init__(self, returncode, stdout, stderr):
         self.returncode = returncode
@@ -160,7 +224,7 @@ class TestRunRecords:
             json.dumps(
                 {
                     "run_seconds": 20,
-                    "end_to_end": [{"name": "run_s", "better": "lower"}],
+                    "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}],
                     "per_layer": [],
                 }
             )
@@ -182,3 +246,5 @@ class TestRunRecords:
         assert got == status
         group = json.loads(out.read_text())["groups"][0]
         assert group["correct_runs"] == {"parent": 1, "change": int(change["correct"])}
+        assert group["operations"]["parent"] == {"failed": 0, "attempted": 4, "failed_share": 0.0}
+        assert group["summary"]["run_s"]["verdict"] == "within bound"

@@ -1,6 +1,7 @@
 """Tests of the per-layer cost script: a tiny full run and traced rounds."""
 
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -8,9 +9,11 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from kfunmix import pipeline
+from kfunmix.datamodel import SpectraMatrix
 from kfunmix.kalman import NumericalError
 from kfunmix.pipeline import PipelineConfig
 from kfunmix.synthdata import SynthConfig, generate_dataset
@@ -63,13 +66,28 @@ def test_prints_median_and_p95_for_every_layer_and_k(capsys):
 
 
 @pytest.fixture(scope="module")
-def eval_case():
-    from kfunmix.vca import vca
-
+def eval_estimates():
     data = generate_dataset(
         SynthConfig(n_spectra=max(layer_costs.EVAL_ROWS), n_channels=64, n_endmembers=3, seed=1)
     )
-    return data, vca(data.spectra.values[: layer_costs.N_INIT], 3)
+    return data, layer_costs.stream_estimates(data, PipelineConfig(n_endmembers=3))
+
+
+@pytest.fixture
+def eval_case(eval_estimates):
+    data, estimates = eval_estimates
+    return data, itertools.cycle(estimates)
+
+
+def test_stream_estimates_are_the_successive_estimates_of_one_stream(eval_estimates):
+    data, estimates = eval_estimates
+    assert len(estimates) == max(layer_costs.EVAL_ROWS) - layer_costs.N_INIT
+    rows = data.spectra.values
+    state = pipeline.init_pipeline(rows[: layer_costs.N_INIT], PipelineConfig(n_endmembers=3))
+    for spectrum, estimate in zip(rows[layer_costs.N_INIT :][:3], estimates):
+        state, _ = pipeline.pipeline_step(state, spectrum)
+        np.testing.assert_array_equal(state.endmembers.full.values, estimate)
+    assert all((a != b).any() for a, b in zip(estimates, estimates[1:]))
 
 
 def empty_eval_samples():
@@ -80,7 +98,8 @@ def test_eval_round_times_each_call_of_the_real_evaluation(eval_case, monkeypatc
     evaluate, calls = pipeline._evaluate, []
 
     def counting(acquired, *args):
-        calls.append(acquired.shape[0])
+        assert isinstance(acquired, SpectraMatrix)  # a checked prefix, as in a run
+        calls.append(acquired.n_spectra)
         return evaluate(acquired, *args)
 
     monkeypatch.setattr(pipeline, "_evaluate", counting)
@@ -90,6 +109,30 @@ def test_eval_round_times_each_call_of_the_real_evaluation(eval_case, monkeypatc
     assert calls == 2 * [t for t in layer_costs.EVAL_ROWS for _ in range(3)]
     for per_layer in out.values():
         assert all(len(v) == 6 and min(v) > 0.0 for v in per_layer.values())
+
+
+def test_each_evaluation_scores_another_estimate_in_a_fresh_wrapper(eval_case, monkeypatch):
+    """No call can find a Gram or an angle matrix that an earlier call formed."""
+    evaluate, scored = pipeline._evaluate, []
+
+    def recording(acquired, endmembers, *args):
+        assert "bordered_gram" not in vars(endmembers)
+        scored.append(endmembers)
+        return evaluate(acquired, endmembers, *args)
+
+    monkeypatch.setattr(pipeline, "_evaluate", recording)
+    layer_costs.eval_round(*eval_case, 4, empty_eval_samples())
+    assert len(scored) == 4 * len(layer_costs.EVAL_ROWS)
+    assert all((a.values != b.values).any() for a, b in zip(scored, scored[1:]))
+
+
+def test_the_record_span_holds_its_five_layers(eval_case):
+    out = empty_eval_samples()
+    layer_costs.eval_round(*eval_case, 2, out)
+    assert layer_costs.EVAL_LAYERS[-1] == "record"
+    for per_layer in out.values():
+        for i, record in enumerate(per_layer["record"]):
+            assert record >= sum(per_layer[layer][i] for layer in layer_costs.EVAL_LAYERS[:-1])
 
 
 def test_eval_round_restores_every_traced_name_and_names_a_missing_one(eval_case, monkeypatch):
