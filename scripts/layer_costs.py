@@ -36,10 +36,10 @@ VCA is timed once a round per case (``vca_us``), ``--calls`` calls each:
 prefixes of 51, 171 and 340 spectra of the P2 order timed in set-up, which the
 ``p2-rls-baselines`` benchmark's VCA baseline meets (K3, clean regime), and
 two noisy K5 cases, the L400K5M16 stream's 30 init spectra and 340 x 400
-spectra.  Where the checkout's ``kfunmix.vca`` proves the clean regime
-before it takes the centred SVD (``_certify_clean``), each case also gives
-that certificate's own time (``certificate``) and whether it decided the
-regime (``certified``); both are null for a checkout without one.
+spectra.  Where the checkout's ``kfunmix.vca`` proves the clean regime from
+a sketch (``_certify_clean``), each case also gives that certificate's own
+time (``certificate``) and whether it decided the regime (``certified``);
+both are null for a checkout without one.
 
 BLAS and OpenMP run on one thread, as in the benchmark: before NumPy is
 imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and

@@ -34,9 +34,8 @@ def planted_dataset(seed=3, n=200, n_channels=60):
 def spy_svd(monkeypatch):
     """Record each np.linalg.svd call as 'centred', 'raw' or 'sketch'.
 
-    A call for singular values alone ('sketch') is the certificate's: those
-    of the centred data projected on the raw-data subspace.  A full SVD is
-    of the centred data when its rows average to zero.
+    A call for singular values alone is the certificate's sketch; a full
+    SVD is of the centred data when its rows average to zero.
     """
     calls = []
     original = np.linalg.svd
@@ -206,8 +205,8 @@ class TestVca:
         noisy = rows + 0.01 * rng.normal(size=rows.shape)
         calls = spy_svd(monkeypatch)
         picked = vca(noisy, 3, seed=0).values
-        # The raw-data SVD comes first; the noisy branch adds the centred one.
-        assert full_svds(calls) == ["raw", "centred"]
+        # The noisy branch's only full SVD is of the centred data.
+        assert full_svds(calls) == ["centred"]
         for j in range(3):
             best = min(sad(picked[:, q], truth[:, j]) for q in range(3))
             assert best < 10.0
@@ -237,18 +236,33 @@ class TestVca:
 
 
 class TestMatchesReference:
-    """The certificate decides nothing but which path runs: picks and warnings
+    """The sketch decides nothing but which path runs: picks and warnings
     equal those of the two-SVD reference bit for bit."""
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_p2_prefixes_are_certified_and_match(self, seed, monkeypatch):
         stream = p2_stream(seed)
         calls = spy_svd(monkeypatch)
+        bounds = []
+        original = vca_module._estimate_snr_db
+
+        def spy(*args):
+            bounds.append(original(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr("kfunmix.vca._estimate_snr_db", spy)
         for t in P2_PREFIXES:
             calls.clear()
+            bounds.clear()
             got = capture(vca, stream[:t], 3, seed)
-            # Certified: the raw-data SVD is the only full one.
-            assert calls == ["raw", "sketch"], t
+            # Certified: the clean branch's raw-data SVD is the only full one.
+            assert calls == ["sketch", "raw"], t
+            # The SNR was estimated once, from the sketch's bound, which sits
+            # within 0.1 dB of the exact SNR, so a looser bound cannot shrink
+            # the certified set unseen.
+            (bound,) = bounds
+            exact = reference.exact_snr_db(stream[:t], 3)
+            assert exact - 0.1 <= bound <= exact + 1e-9, t
             assert_same_output(got, capture(reference.vca, stream[:t], 3, seed))
 
     @pytest.mark.parametrize(
@@ -325,9 +339,7 @@ class TestCertificate:
         x += noise * rng.standard_normal(x.shape) + rng.uniform(0.0, 5.0, size=(n_channels, 1))
         x *= 10.0**log_scale
         centered = x - x.mean(axis=1, keepdims=True)
-        # The raw top-(K+1) subspace, as vca takes it: K columns when K = min(L, N).
-        basis = np.linalg.svd(x, full_matrices=False)[0][:, : k + 1]
-        top, sigma_last, frobenius = vca_module._subspace_bounds(centered, basis, k)
+        top, sigma_last, frobenius = vca_module._sketch_bounds(centered, k)
         u, s, _ = np.linalg.svd(centered, full_matrices=False)
         assert top <= float(np.sum(s[:k] ** 2))
         # The energy the exact path feeds its SNR estimate.
@@ -364,21 +376,20 @@ class TestCertificate:
             calls.clear()
             got = capture(vca, rows, k)
             if noisy:
-                assert full_svds(calls) == ["raw", "centred"]
+                assert full_svds(calls) == ["centred"]
             assert_same_output(got, capture(reference.vca, rows, k))
 
     def test_a_certified_call_runs_one_full_svd(self, monkeypatch):
         rows = generate_dataset(SynthConfig(n_spectra=340, n_channels=200, n_endmembers=3, seed=1))
         calls = spy_svd(monkeypatch)
         vca(rows.spectra.values, 3)
-        assert calls == ["raw", "sketch"]
+        assert calls == ["sketch", "raw"]
 
     @pytest.mark.parametrize(
         "case, expected",
         [("noisy", ["centred"]), ("planted", ["centred", "raw"]), ("rank-deficient", ["centred", "raw"])],
     )
-    def test_an_uncertified_call_adds_the_centred_svd(self, case, expected, monkeypatch):
-        """The clean branch reuses the raw-data SVD: no call takes it twice."""
+    def test_an_uncertified_call_runs_the_reference_svds(self, case, expected, monkeypatch):
         if case == "noisy":
             rows, k = generate_dataset(SynthConfig(340, 400, 5, seed=1)).spectra.values, 5
         else:
@@ -386,51 +397,7 @@ class TestCertificate:
             rows = build()
         calls = spy_svd(monkeypatch)
         capture(vca, rows, k)
-        assert calls == ["raw", "sketch", "centred"]
+        assert calls == ["sketch", *expected]
         calls.clear()
         capture(reference.vca, rows, k)
         assert calls == expected
-
-    @pytest.mark.parametrize("seed", range(1, 6))
-    def test_the_snr_bound_of_a_p2_prefix_is_within_a_hundredth_of_a_db(self, seed, monkeypatch):
-        """The certificate's SNR bound sits at most 0.01 dB below the exact
-        SNR, so a looser bound cannot shrink the certified set unseen."""
-        stream = p2_stream(seed)
-        bounds = []
-        original = vca_module._estimate_snr_db
-
-        def spy(*args):
-            bounds.append(original(*args))
-            return bounds[-1]
-
-        monkeypatch.setattr("kfunmix.vca._estimate_snr_db", spy)
-        for t in P2_PREFIXES:
-            bounds.clear()
-            vca(stream[:t], 3, seed)
-            # Certified, so the estimate ran once, on the bound.
-            (bound,) = bounds
-            exact = reference.exact_snr_db(stream[:t], 3)
-            assert exact - 0.01 <= bound <= exact + 1e-9, t
-
-
-class TestGenerator:
-    @pytest.mark.parametrize(
-        "rows, k",
-        [
-            (generate_dataset(SynthConfig(340, 200, 3, seed=1)).spectra.values, 3),
-            (stream_init_rows(), 5),
-            (rank_deficient_rows(), 4),
-        ],
-        ids=["certified", "noisy", "uncertified-clean"],
-    )
-    def test_vca_builds_one_generator_from_the_callers_seed(self, rows, k, monkeypatch):
-        seeds = []
-        original = np.random.default_rng
-
-        def spy(seed=None):
-            seeds.append(seed)
-            return original(seed)
-
-        monkeypatch.setattr("kfunmix.vca.np.random.default_rng", spy)
-        capture(vca, rows, k, 17)
-        assert seeds == [17]

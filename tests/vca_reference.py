@@ -1,10 +1,10 @@
 """Two-SVD vertex component analysis, kept as a reference.
 
 This is the form `kfunmix.vca.vca` took before it learned to prove the
-clean regime without the centred SVD.  Every call with K >= 2 runs a full
-SVD of the centred data, whose singular values feed the significance
-warning and the SNR estimate, and then, in the clean regime, a second full
-SVD of the raw data.  The tests compare the production function against it: its picks
+clean regime from a sketch.  Every call with K >= 2 runs a full SVD of the
+centred data, whose singular values feed the significance warning and the
+SNR estimate, and then, in the clean regime, a second full SVD of the raw
+data.  The tests compare the production function against it: its picks
 and warnings must match bit for bit on every input, whichever path the
 production function takes.
 """
