@@ -15,7 +15,9 @@ three spans inside it.  ``step`` minus the sum of the layers is the step's
 own code, including the prior's ``FilterState`` build (the posterior's is
 inside ``update``).  Single-spectrum FCLS runs against a random L = 400
 endmember matrix for every K = 2..12, and a 215-row batch call at the same
-K.  Rounds interleave the operating
+K; FCLS's screen memo, where the checkout has one, is emptied before each
+of those calls, so each forms its Gram screen as a step against a new
+estimate does.  Rounds interleave the operating
 points and the K values, so a drift of the host's speed reaches all of them
 alike.  Each round also times a fixed reference workload (``host_ref``); a
 figure divided by it compares across hosts and runs better than a raw one.
@@ -58,8 +60,9 @@ RMSE.  The t spectra are the first of a 400 x 200 synthetic set at 20 dB,
 handed over as the checked ``SpectraMatrix`` prefix a run hands over.
 Each call scores the next of the successive estimates of one default
 L200 K3 stream over that set, in a fresh ``EndmemberMatrix``, as a run's
-record scores the estimate its last step made: no call finds the Gram or
-the angle matrix that an earlier call formed.
+record scores the estimate its last step made: both memos are keyed by
+the estimate's bytes, so no call finds the screen or the angle matrix that
+an earlier call formed.
 
 All times are in microseconds: the median and 95th percentile over every
 sample of every round.  The script imports ``kfunmix`` from ``--src``
@@ -189,6 +192,31 @@ def vca_round(cases: dict, calls: int, out: dict[str, dict[str, list]]) -> None:
         out[name]["certified"].extend(verdicts)
 
 
+def fcls_round(cases: dict, calls: int, one: dict, batch: dict) -> None:
+    """``calls`` single-spectrum FCLS calls and one batch call per K of
+    ``cases`` ({K: (S, rows)}); their seconds go to ``one[K]`` and
+    ``batch[K]``.  Each call finds FCLS's screen memo empty, where the
+    checkout has one, so it forms the screen of S as it would for a new
+    estimate."""
+    from kfunmix import abundance
+
+    def forget_screen() -> None:
+        if hasattr(abundance, "_last_screen"):
+            abundance._last_screen = None
+
+    clock = time.perf_counter
+    for k, (s, rows) in cases.items():
+        for i in range(calls):
+            forget_screen()
+            t0 = clock()
+            abundance.estimate_concentration(rows[i % BATCH_ROWS], s)
+            one[k].append(clock() - t0)
+        forget_screen()
+        t0 = clock()
+        abundance.estimate_concentrations(rows, s)
+        batch[k].append(clock() - t0)
+
+
 def stream_estimates(data, config) -> list:
     """The endmember estimate after each acquisition of one stream over
     ``data`` (``N_INIT`` spectra start it), as plain arrays."""
@@ -282,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("rounds, steps and calls must be >= 1, max-k in [2, 12]")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from kfunmix import abundance, datamodel, fourier, pipeline, protocols, synthdata
+    from kfunmix import datamodel, fourier, pipeline, protocols, synthdata
 
     def synth(n_spectra: int, n_channels: int, k: int, purity_cap: float | None = None):
         return synthdata.generate_dataset(
@@ -340,14 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, data, config in streams:
             init[name].append(stream_round(data, config, args.steps, layers[name]))
             eval_round(eval_data, eval_estimates, args.calls, evals)
-        for k, (s, rows) in fcls_cases.items():
-            for i in range(args.calls):
-                t0 = clock()
-                abundance.estimate_concentration(rows[i % BATCH_ROWS], s)
-                fcls_one[k].append(clock() - t0)
-            t0 = clock()
-            abundance.estimate_concentrations(rows, s)
-            fcls_batch[k].append(clock() - t0)
+        fcls_round(fcls_cases, args.calls, fcls_one, fcls_batch)
         vca_round(vca_cases, args.calls, vca_samples)
     data_dir.cleanup()
 

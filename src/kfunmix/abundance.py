@@ -20,9 +20,10 @@ no other row or column couples to those rows.  The NNLS layout is the
 FCLS one without its border row and column, the empty support included:
 its matrix is the identity and its candidate x = 0.  RIDGE is not part of
 the layout.  FCLS adds it to the diagonal of G after its eigenvalue screen;
-NNLS adds it only to the Gram of a design with cond(C) > COND_LIMIT, with a
-"rank deficient" warning.  How the m x m systems (m = K + 1 or K) are
-applied depends on the column count n of the right-hand side alone:
+NNLS adds it, with a "rank deficient" warning, only to the Gram of a design
+with cond(C) > COND_LIMIT or whose unridged Gram is singular on some
+support.  How the m x m systems (m = K + 1 or K) are applied depends on the
+column count n of the right-hand side alone:
 
 - n <= m // 2, a single spectrum among them for FCLS: one batched LU solve
   of all the systems against the right-hand side masked to each support.
@@ -58,10 +59,10 @@ in a candidate's rounding error, so two supports whose objectives differ by
 less than about eps cond(G) |b| |x| can be ranked the wrong way round.
 
 FCLS's ill-conditioning warning is screened on the eigenvalues of the K x K
-Gram G = S^T S that the solve needs anyway.  An EndmemberMatrix keeps its G
-and eigenvalues once formed (``EndmemberMatrix.bordered_gram``), so
-the record that scores an estimate and the next step, which unmixes against
-it, form them once; the warning and the singularity test below read them on every call.
+Gram G = S^T S that the solve needs anyway.  G and its eigenvalues are kept
+for the last endmember matrix screened (keyed by its bytes and layout), so a
+record's FCLS and the next step's, against one estimate, form them once;
+the warning and the singularity test below read them on every call.
 cond(S)^2 = cond(G), so lambda_min(G) > SCREEN_RATIO lambda_max(G) puts
 cond(S) below 1e6, two orders of magnitude under COND_WARN.  Flipping that takes errors in G near
 1e-12 lambda_max(G), about 4500 ulps of it, far beyond the rounding of a
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import COND_LIMIT, COND_WARN, RIDGE, EndmemberMatrix, FloatArray, NumericalError
-from .datamodel import SpectraMatrix, bordered_gram
+from .datamodel import SpectraMatrix, memo_key
 
 # lambda_min(G) / lambda_max(G) above this puts cond(S) below 1e6 < COND_WARN.
 SCREEN_RATIO = 1e-12
@@ -195,6 +196,33 @@ def _solve_supports(gram: FloatArray, rhs: FloatArray, layout: _Layout, k: int) 
     return out
 
 
+# FCLS's screen of the last endmember matrix it read: (memo_key, bordered
+# G + RIDGE I, eigenvalues of G), replaced whole, as metrics' _last_scored is.
+_last_screen: tuple[tuple, FloatArray, FloatArray] | None = None
+
+
+def _screened(s: np.ndarray) -> tuple[FloatArray, FloatArray]:
+    """The bordered G + RIDGE I that FCLS solves with and the ascending
+    eigenvalues of G = S^T S, kept for the last S (module docstring).  A NaN,
+    an infinity or an overflow in S reaches the diagonal of G and raises
+    ValueError before the eigenvalues are taken; nothing is kept then."""
+    global _last_screen
+    key = memo_key(s)
+    last = _last_screen
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    k = s.shape[1]
+    bordered = np.zeros((k + 1, k + 1))
+    gram = bordered[:k, :k]
+    np.matmul(s.T, s, out=gram)
+    if not np.isfinite(gram.diagonal()).all():
+        raise ValueError("endmember matrix holds a NaN or an infinity")
+    eigenvalues = np.linalg.eigvalsh(gram)
+    bordered.reshape(-1)[: k * (k + 2) : k + 2] += RIDGE  # G's diagonal, after the screen
+    _last_screen = (key, bordered, eigenvalues)
+    return bordered, eigenvalues
+
+
 def estimate_concentrations(
     spectra_rows: SpectraMatrix | FloatArray, endmembers: EndmemberMatrix | FloatArray
 ) -> FloatArray:
@@ -226,9 +254,9 @@ def estimate_concentrations(
         Candidate pure spectra as columns, K <= MAX_ENDMEMBERS; must have
         full column rank (the shared RIDGE keeps near-rank-deficient systems
         solvable, with a warning once the condition number of S passes
-        COND_WARN; both live in :mod:`kfunmix.datamodel`).  An
-        EndmemberMatrix's Gram and its eigenvalues are formed on its first
-        call and kept; a plain array's are formed on every call.
+        COND_WARN; both live in :mod:`kfunmix.datamodel`).  Its Gram and
+        eigenvalues are kept for the last matrix screened, wrapper or plain
+        array; the warning and the singularity test read them on every call.
 
     Returns
     -------
@@ -267,12 +295,7 @@ def estimate_concentrations(
     if not (checked or np.isfinite(rows).all()):
         bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"spectrum {bad} is not finite")
-    # An EndmemberMatrix keeps its bordered G + RIDGE I and G's eigenvalues;
-    # a plain array's are formed here.
-    if isinstance(endmembers, EndmemberMatrix):
-        padded, eig = endmembers.bordered_gram
-    else:
-        padded, eig = bordered_gram(s)
+    padded, eig = _screened(s)
     if eig[0] + RIDGE <= k * np.finfo(np.float64).eps * eig[-1]:
         raise NumericalError(
             "endmember Gram is singular to working precision; the endmember "
@@ -313,7 +336,8 @@ def nonneg_least_squares(design: FloatArray, targets: FloatArray) -> FloatArray:
     The FCLS enumeration without the sum-to-one row (module docstring):
     each column keeps the nonnegative candidate of largest b^T x, and gets
     exact zeros when no candidate betters the empty support's x = 0.  RIDGE I
-    is added to G = C^T C, with a warning, only when cond(C) > COND_LIMIT.
+    is added to G = C^T C, with a warning, only when cond(C) > COND_LIMIT or
+    when G, whose condition number is cond(C)^2, is singular on some support.
 
     Parameters
     ----------
@@ -332,12 +356,13 @@ def nonneg_least_squares(design: FloatArray, targets: FloatArray) -> FloatArray:
     if k > MAX_ENDMEMBERS:
         raise ValueError(f"at most {MAX_ENDMEMBERS} design columns are supported, got {k}")
     gram = c.T @ c
-    if np.linalg.cond(c) > COND_LIMIT:
-        warnings.warn(
-            "design matrix is rank deficient; adding ridge to its Gram", stacklevel=2
-        )
-        gram.flat[:: k + 1] += RIDGE
     rhs = c.T @ np.asarray(targets, dtype=np.float64)
-    out = _solve_supports(gram, rhs, _bordered_layout(k)[1], k)
-    np.maximum(out, 0.0, out=out)
-    return out
+    layout = _bordered_layout(k)[1]
+    if not np.linalg.cond(c) > COND_LIMIT:
+        try:
+            return np.maximum(_solve_supports(gram, rhs, layout, k), 0.0)
+        except NumericalError:  # G's condition number is cond(C)^2
+            pass
+    warnings.warn("design matrix is rank deficient; adding ridge to its Gram", stacklevel=2)
+    gram.flat[:: k + 1] += RIDGE
+    return np.maximum(_solve_supports(gram, rhs, layout, k), 0.0)

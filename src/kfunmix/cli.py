@@ -19,9 +19,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .datamodel import check_seed, format_float, load_dataset, save_dataset
+from .datamodel import NumericalError, check_seed, format_float, load_dataset, save_dataset
 from .fourier import build_basis
-from .kalman import NumericalError
 from .metrics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
 from .pipeline import BASELINES, STRIDES, UPDATERS, PipelineConfig, run_experiment
 from .pipeline import check_experiment_options

@@ -6,12 +6,12 @@ itself: ``np.asarray(w)`` is ``w.values``, so every function that takes a
 wrapper or a plain array unwraps both the same way.  Shapes follow the
 row-per-observation convention: spectra are (n_spectra, n_channels),
 concentrations are (n_spectra, n_endmembers), endmembers are stored
-column-wise as (n_channels, n_endmembers).
+column-wise as (n_channels, n_endmembers).  A wrapper holds only its
+checked values; a module that keeps a result keys it by :func:`memo_key`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import re
@@ -50,6 +50,15 @@ def check_seed(value: int, name: str) -> None:
     negative, which NumPy's generators reject only once they are seeded."""
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def memo_key(arr: np.ndarray) -> tuple:
+    """The key of a one-entry memo of a result computed from ``arr``: its
+    dtype, shape, strides and bytes.  The strides too, since a reduction may
+    round another memory layout of equal values differently.  So a hit
+    returns exactly what a miss computes, and an array written in place
+    since is a new key."""
+    return (arr.dtype, arr.shape, arr.strides, arr.tobytes())
 
 
 def _as_float_matrix(values: npt.ArrayLike, name: str) -> FloatArray:
@@ -209,18 +218,6 @@ class EndmemberMatrix(_Matrix):
         object.__setattr__(clamped, "values", np.maximum(np.ascontiguousarray(arr), 0.0))
         return clamped
 
-    @functools.cached_property
-    def bordered_gram(self) -> tuple[FloatArray, FloatArray]:
-        """FCLS's bordered Gram and the eigenvalues of S^T S, formed on first
-        read by :func:`bordered_gram` and kept.  An estimate that a record
-        scores and the next step unmixes against is therefore screened once.
-        FCLS only reads them, and neither they nor ``values`` may be written
-        in place once this is read; every estimate the stream makes is a new
-        matrix.  The arrays are not marked read-only: on a 2-vCPU Xeon that
-        cost about 1.5 us per fresh estimate, a quarter of what carrying
-        them costs a step that does not reuse them."""
-        return bordered_gram(self.values)
-
     @property
     def n_channels(self) -> int:
         return self.values.shape[0]
@@ -228,30 +225,6 @@ class EndmemberMatrix(_Matrix):
     @property
     def n_endmembers(self) -> int:
         return self.values.shape[1]
-
-
-def bordered_gram(values: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """The (K + 1) x (K + 1) matrix FCLS borders, and the eigenvalues of G = S^T S.
-
-    For an (L, K) matrix S, G is written into the top-left block of a
-    zeroed (K + 1) x (K + 1) matrix, its eigenvalues are taken in ascending
-    order, and then RIDGE is added to the block's diagonal: the calls FCLS
-    has always made, so a kept matrix and a fresh one agree bit for bit
-    (:mod:`kfunmix.abundance` borders it with the sum-to-one row and
-    column).  A NaN or an infinity in column j of S reaches G_jj, as does an
-    overflow from finite entries near 1e154; either raises ValueError
-    before the eigenvalues are taken.
-    """
-    k = values.shape[1]
-    bordered = np.zeros((k + 1, k + 1))
-    gram = bordered[:k, :k]
-    np.matmul(values.T, values, out=gram)
-    if not np.isfinite(gram.diagonal()).all():
-        raise ValueError("endmember matrix holds a NaN or an infinity")
-    eigenvalues = np.linalg.eigvalsh(gram)
-    diagonal = bordered.reshape(-1)[: k * (k + 2) : k + 2]  # a view of G's diagonal
-    diagonal += RIDGE
-    return bordered, eigenvalues
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .datamodel import (
     FloatArray,
     SpectraMatrix,
     format_float,
+    memo_key,
 )
 
 
@@ -138,15 +139,13 @@ def _scored(
 
     A record calls ``asad`` and then ``align_components`` on one pair, so
     the second call finds the first one's result.  The key is both float64
-    arrays' shape, strides and bytes: the strides too, since a reduction
-    may round another memory layout of equal values differently.  So a hit
-    returns exactly what a miss computes, and an array written in place
-    since is a new key.  Only a pair that scored without an error is kept.
+    arrays' :func:`~kfunmix.datamodel.memo_key`, so a hit returns exactly
+    what a miss computes.  Only a pair that scored without an error is kept.
     """
     global _last_scored
     est = np.asarray(estimated, dtype=np.float64)
     ref = np.asarray(truth, dtype=np.float64)
-    key = (est.shape, est.strides, est.tobytes(), ref.shape, ref.strides, ref.tobytes())
+    key = (memo_key(est), memo_key(ref))
     last = _last_scored
     if last is not None and last[0] == key:
         return last[1], last[2]

@@ -20,10 +20,10 @@ import numpy as np
 
 from .abundance import MAX_ENDMEMBERS, FclsConfig, estimate_concentration, estimate_concentrations
 from .datamodel import COND_LIMIT, RIDGE, ConcentrationMatrix, CovarianceMatrix, DatasetBundle
-from .datamodel import EndmemberMatrix, FloatArray, SpectraMatrix, check_seed
+from .datamodel import EndmemberMatrix, FloatArray, NumericalError, SpectraMatrix, check_seed
 from .fourier import build_basis, select_num_harmonics
 from .fourier import reduce_columns, reduce_spectrum  # noqa: F401 (the benchmark wraps it here)
-from .kalman import FilterState, NumericalError, dl_update, kf_update, rls_update
+from .kalman import FilterState, dl_update, kf_update, rls_update
 from .mcrals import McrConfig, mcr_als, pca_nonneg_init  # noqa: F401 (the benchmark wraps it here)
 from .metrics import (
     MetricRecord,

@@ -13,8 +13,8 @@ and the innovation are written out here rather than taken from
 
 import numpy as np
 
-from kfunmix.datamodel import COND_LIMIT, RIDGE
-from kfunmix.kalman import FilterState, NumericalError
+from kfunmix.datamodel import COND_LIMIT, RIDGE, NumericalError
+from kfunmix.kalman import FilterState
 
 
 def _innovation(state, concentration, observation):

@@ -11,8 +11,7 @@ from kfunmix.abundance import (
     estimate_concentration,
     estimate_concentrations,
 )
-from kfunmix.datamodel import COND_WARN, RIDGE, EndmemberMatrix
-from kfunmix.kalman import NumericalError
+from kfunmix.datamodel import COND_WARN, RIDGE, EndmemberMatrix, NumericalError
 from kfunmix.metrics import asad
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step, run_experiment
 from kfunmix.protocols import protocol_p1

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from kfunmix.cli import build_parser, main
-from kfunmix.datamodel import load_dataset
-from kfunmix.kalman import NumericalError, kf_update
+from kfunmix.datamodel import NumericalError, load_dataset
+from kfunmix.kalman import kf_update
 from kfunmix.metrics import read_trace_csv
 from kfunmix.pipeline import PipelineConfig, run_experiment
 from kfunmix.protocols import load_order_csv, protocol_p1

@@ -12,9 +12,8 @@ import types
 import numpy as np
 import pytest
 
-from kfunmix import pipeline
-from kfunmix.datamodel import SpectraMatrix
-from kfunmix.kalman import NumericalError
+from kfunmix import abundance, pipeline
+from kfunmix.datamodel import NumericalError, SpectraMatrix, memo_key
 from kfunmix.pipeline import PipelineConfig
 from kfunmix.synthdata import SynthConfig, generate_dataset
 
@@ -112,11 +111,13 @@ def test_eval_round_times_each_call_of_the_real_evaluation(eval_case, monkeypatc
 
 
 def test_each_evaluation_scores_another_estimate_in_a_fresh_wrapper(eval_case, monkeypatch):
-    """No call can find a Gram or an angle matrix that an earlier call formed."""
+    """No call can find a screen or an angle matrix that an earlier call
+    formed: FCLS's memo holds another estimate's key on every call."""
     evaluate, scored = pipeline._evaluate, []
 
     def recording(acquired, endmembers, *args):
-        assert "bordered_gram" not in vars(endmembers)
+        last = abundance._last_screen
+        assert last is None or last[0] != memo_key(endmembers.values)
         scored.append(endmembers)
         return evaluate(acquired, endmembers, *args)
 
@@ -200,6 +201,26 @@ def test_main_restores_every_traced_name(capsys):
     capsys.readouterr()
     after = traced_names()
     assert all(after[name] is before[name] for name in before)
+
+
+def test_each_timed_fcls_call_screens_its_matrix_afresh(monkeypatch):
+    """The per-K calls reuse one endmember matrix per K, yet each forms its
+    screen, so every figure includes it."""
+    rng = np.random.default_rng(0)
+    cases = {k: (rng.uniform(size=(40, k)), rng.uniform(size=(9, 40))) for k in (2, 3)}
+    one, batch = {2: [], 3: []}, {2: [], 3: []}
+    counts = {"eigvalsh": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    layer_costs.fcls_round(cases, 3, one, batch)
+    assert counts["eigvalsh"] == 2 * (3 + 1)  # per K: three single-spectrum calls, one batch
+    assert [len(v) for v in one.values()] == [3, 3]
+    assert [len(v) for v in batch.values()] == [1, 1]
 
 
 def test_a_step_that_raises_restores_every_traced_name(data, monkeypatch):

@@ -17,9 +17,9 @@ import dl_reference
 import evaluation_reference
 import reduced_step_reference
 from kfunmix.abundance import estimate_concentration, estimate_concentrations
-from kfunmix.datamodel import RIDGE, DatasetBundle, EndmemberMatrix, SpectraMatrix
+from kfunmix.datamodel import RIDGE, DatasetBundle, EndmemberMatrix, NumericalError, SpectraMatrix
 from kfunmix.fourier import reduce_columns, select_num_harmonics
-from kfunmix.kalman import FilterState, NumericalError, kf_update
+from kfunmix.kalman import FilterState, kf_update
 from kfunmix.metrics import RE_IDENTITY_SHARE, read_trace_csv, sad
 from kfunmix.pipeline import (
     BASELINES,

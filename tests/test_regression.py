@@ -9,9 +9,8 @@ from scipy.linalg import blas
 from scipy.optimize import minimize
 
 from kfunmix import regression
-from kfunmix.datamodel import EndmemberMatrix
+from kfunmix.datamodel import EndmemberMatrix, NumericalError
 from kfunmix.fourier import build_basis
-from kfunmix.kalman import NumericalError
 from kfunmix.metrics import asad
 from kfunmix.pipeline import PipelineConfig, init_pipeline, pipeline_step
 from kfunmix.regression import (

@@ -2,9 +2,10 @@
 assignment per record, and one Gram and eigenvalue screen per estimate.
 
 ``asad`` and ``align_components`` share a memo of the last pair they scored,
-keyed by both arrays' bytes, and an ``EndmemberMatrix`` keeps the Gram and
-eigenvalues FCLS screens it with.  These tests count the work a default run
-makes and hold every cached answer to a fresh, uncached one, bit for bit.
+and FCLS keeps the Gram and eigenvalues of the last endmember matrix it
+screened, each keyed by ``memo_key`` of the arrays it read.  These tests
+count the work a default run makes and hold every kept answer to a fresh
+one, bit for bit.
 """
 
 import warnings
@@ -12,9 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kfunmix import metrics, pipeline
+from kfunmix import abundance, metrics, pipeline
 from kfunmix.abundance import estimate_concentration, estimate_concentrations
-from kfunmix.datamodel import RIDGE, EndmemberMatrix, NumericalError, bordered_gram
+from kfunmix.datamodel import RIDGE, EndmemberMatrix, NumericalError, memo_key
 from kfunmix.metrics import align_components, asad, reconstruction_error, rmse_concentrations
 from kfunmix.pipeline import PipelineConfig, run_experiment
 from kfunmix.protocols import protocol_p1
@@ -49,6 +50,7 @@ def test_a_default_run_scores_each_estimate_once(dataset, monkeypatch):
     counting(monkeypatch, metrics, "_angle_matrix", counts)
     counting(monkeypatch, metrics, "_assign", counts)
     counting(monkeypatch, np.linalg, "eigvalsh", counts)
+    monkeypatch.setattr(abundance, "_last_screen", None)
     result = run_experiment(dataset, protocol_p1(N_SPECTRA), PipelineConfig(n_endmembers=3))
     assert len(result.trace.records) == N_RECORDS
     assert counts == {"_angle_matrix": N_RECORDS, "_assign": N_RECORDS, "eigvalsh": N_RECORDS + 1}
@@ -61,6 +63,7 @@ def fresh_record(acquired, endmembers, truth_s, truth_c):
     angles = metrics._angle_matrix(s, ref)
     perm = metrics._assign(angles)
     asad_val = float(np.mean(angles[np.arange(perm.size), perm]))
+    abundance._last_screen = None
     conc = estimate_concentrations(y, s)
     re_val = reconstruction_error(y, conc, s)
     metrics._last_scored = None
@@ -145,20 +148,19 @@ class TestAngleMemo:
 class TestKeptGram:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_kept_gram_is_the_one_fcls_formed(self, k):
-        """The calls FCLS made on a plain array: G into the top-left block of
-        a zeroed bordered matrix, its eigenvalues, then RIDGE on its diagonal."""
+        """The calls FCLS has always made: G into the top-left block of a
+        zeroed bordered matrix, its eigenvalues, then RIDGE on its diagonal."""
         s = np.random.default_rng(k).uniform(size=(120, k))
         padded = np.zeros((k + 1, k + 1))
         gram = padded[:k, :k]
         np.matmul(s.T, s, out=gram)
         eig = np.linalg.eigvalsh(gram)
         padded.reshape(-1)[: k * (k + 2) : k + 2] += RIDGE
-        endmembers = EndmemberMatrix(s.copy())
-        kept = endmembers.bordered_gram
-        assert endmembers.bordered_gram is kept
+        abundance._last_screen = None
+        fresh = abundance._screened(s)
+        kept = abundance._screened(s.copy())
+        assert all(a is b for a, b in zip(kept, fresh))
         for got, want in zip(kept, (padded, eig)):
-            assert got.tobytes() == want.tobytes()
-        for got, want in zip(kept, bordered_gram(s)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
@@ -168,10 +170,34 @@ class TestKeptGram:
         s = rng.uniform(size=(80, k))
         rows = rng.uniform(size=(n, 80))
         endmembers = EndmemberMatrix(s)
-        for _ in range(2):  # the first call forms the Gram, the second reads it
+        for _ in range(2):  # the first call forms the screen, the second reads it
             got = estimate_concentrations(rows, endmembers)
+            abundance._last_screen = None
             assert got.tobytes() == estimate_concentrations(rows, s.copy()).tobytes()
-        assert "bordered_gram" in vars(endmembers)
+        assert abundance._last_screen[0] == memo_key(s)
+        assert list(vars(endmembers)) == ["values"]
+
+    def test_a_wrapper_and_its_plain_copy_share_one_screen(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        s = rng.uniform(size=(90, 4))
+        counts = {}
+        counting(monkeypatch, np.linalg, "eigvalsh", counts)
+        estimate_concentration(rng.uniform(size=90), EndmemberMatrix(s))
+        estimate_concentrations(rng.uniform(size=(30, 90)), s.copy())
+        assert counts["eigvalsh"] == 1
+
+    def test_an_array_written_in_place_is_screened_afresh(self):
+        rng = np.random.default_rng(6)
+        s = rng.uniform(size=(70, 3))
+        rows = rng.uniform(size=(5, 70))
+        endmembers = EndmemberMatrix(s)
+        before = estimate_concentrations(rows, endmembers)
+        s[:, 0] *= 4.0  # the wrapper holds this very array
+        got = estimate_concentrations(rows, endmembers)
+        abundance._last_screen = None
+        want = estimate_concentrations(rows, s.copy())
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, before)
 
     def test_the_warning_is_decided_on_every_call(self):
         rng = np.random.default_rng(3)
@@ -180,6 +206,7 @@ class TestKeptGram:
         for _ in range(3):
             with pytest.warns(UserWarning, match="ill-conditioned"):
                 estimate_concentration(rng.uniform(size=60), s)
+        assert abundance._last_screen[0] == memo_key(s.values)
 
     def test_a_singular_gram_raises_on_every_call(self):
         column = np.linspace(1.0, 2.0, 30)[:, None]
@@ -189,10 +216,14 @@ class TestKeptGram:
                 warnings.simplefilter("ignore")
                 with pytest.raises(NumericalError, match="singular to working precision"):
                     estimate_concentration(np.ones(30), s)
+        assert abundance._last_screen[0] == memo_key(s.values)
 
     def test_an_overflowing_gram_is_not_kept(self):
+        estimate_concentration(np.ones(10), np.eye(10, 2) + 0.5)
+        kept = abundance._last_screen
         s = EndmemberMatrix(np.full((10, 2), 1e160))
         for _ in range(2):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or an infinity"):
                 estimate_concentration(np.ones(10), s)
-        assert "bordered_gram" not in vars(s)
+        assert abundance._last_screen is kept
+        assert list(vars(s)) == ["values"]
